@@ -68,7 +68,7 @@ bench:
 # BENCH_<n>.json at the repo root; bench-compare diffs the two newest
 # snapshots (per-tier included) and exits non-zero on a >20% regression
 # (`--against N` diffs the newest against an arbitrary older snapshot).
-# bench-ladder on its own prints the scalar/numpy/compiled table and
+# bench-ladder on its own prints the numpy/compiled table and
 # re-checks the cross-tier bit-identity contract.
 
 bench-save:

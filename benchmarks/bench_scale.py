@@ -18,13 +18,10 @@ import time
 import numpy as np
 
 from repro.core import SOSArchitecture
-from repro.perf.fastsim import (
-    _encode_deployment_objects,
-    encode_deployment,
-    run_fast,
-)
+from repro.perf.fastsim import encode_deployment, run_fast
 from repro.simulation.packet_sim import PacketSimConfig, flood_layer
 from repro.sos.deployment import SOSDeployment
+from tests.perf.oracles import _encode_deployment_objects
 
 NODES = 100_000
 ARCH = SOSArchitecture(

@@ -59,13 +59,25 @@ class MonitorBackedDetector:
     ) -> None:
         self.monitor = monitor
         self.config = config
+        self._flagged: Optional[Set[int]] = None
         self._forgotten: Set[int] = set()
         self.last_detected: List[int] = []
         self.scans = 0
 
-    def attach(self, monitor: TrafficMonitor) -> None:
-        """Point the detector at a new run's evidence."""
+    def attach(
+        self,
+        monitor: TrafficMonitor,
+        flagged: Optional[Iterable[int]] = None,
+    ) -> None:
+        """Point the detector at a new run's evidence.
+
+        ``flagged`` hands over the monitor's flag set when the caller
+        already computed it (``monitor.flagged_nodes(config=...)`` under
+        this detector's ``config``, on the run's final evidence), so
+        scans reuse it instead of rescanning the same counters.
+        """
         self.monitor = monitor
+        self._flagged = None if flagged is None else set(flagged)
         self._forgotten.clear()
 
     def scan(self, deployment: SOSDeployment, now: float) -> List[int]:
@@ -75,8 +87,10 @@ class MonitorBackedDetector:
             raise DetectionError(
                 "MonitorBackedDetector.scan before any monitor was attached"
             )
-        flagged = set(
-            self.monitor.flagged_nodes(config=self.config)
+        flagged = (
+            self._flagged
+            if self._flagged is not None
+            else set(self.monitor.flagged_nodes(config=self.config))
         ) - self._forgotten
         self.last_detected = _membership_order(deployment, flagged)
         return list(self.last_detected)

@@ -45,6 +45,7 @@ from repro.detection.marking import (
 )
 from repro.detection.monitor import MonitorConfig, TrafficMonitor
 from repro.errors import DetectionError
+from repro.perf.compiled import TIERS
 from repro.repair.policy import RepairPolicy
 from repro.repair.defender import RepairingDefender
 from repro.simulation.packet_sim import (
@@ -61,8 +62,6 @@ if TYPE_CHECKING:  # lazy: repro.scenarios imports this module's classes
 __all__ = ["PhaseOutcome", "LoopResult", "DetectionRepairLoop", "LOOP_MODES"]
 
 LOOP_MODES = ("none", "oracle", "detected")
-
-_TIERS = ("scalar", "numpy", "compiled")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,12 +150,10 @@ class DetectionRepairLoop:
                 "detector-driven repair needs detection_probability=1.0"
             )
         if tier is not None:
-            if tier not in _TIERS:
+            if tier not in TIERS:
                 raise DetectionError(
-                    f"tier must be one of {_TIERS}, got {tier!r}"
+                    f"tier must be one of {TIERS}, got {tier!r}"
                 )
-            # One knob drives both hot paths: the packet engine's kernel
-            # tier and the monitor's detector-scan tier.
             sim_config = dataclasses.replace(sim_config, tier=tier)
         self.architecture = architecture
         self.sim_config = sim_config
@@ -165,7 +162,6 @@ class DetectionRepairLoop:
         self.marking_config = marking_config
         self.seed = seed
         self.tier = tier
-        self._monitor_tier = tier if tier is not None else "scalar"
 
     def run(
         self,
@@ -216,7 +212,7 @@ class DetectionRepairLoop:
         active = list(targets)
         outcomes: List[PhaseOutcome] = []
         for phase in range(phases):
-            monitor = TrafficMonitor(self.monitor_config, tier=self._monitor_tier)
+            monitor = TrafficMonitor(self.monitor_config)
             simulation = PacketLevelSimulation(
                 deployment,
                 self.sim_config,
@@ -232,7 +228,7 @@ class DetectionRepairLoop:
                 if oracle_feed is not None:
                     oracle_feed.retarget(active)
                 if monitor_feed is not None:
-                    monitor_feed.attach(monitor)
+                    monitor_feed.attach(monitor, flagged)
                 defender.scan_and_repair(
                     deployment, knowledge=None, now=float(phase)
                 )
@@ -369,9 +365,7 @@ class DetectionRepairLoop:
             )
             schedule = compiled.schedule.without_targets(repaired_union)
             active = [n for n in targets if n not in repaired_union]
-            monitor = TrafficMonitor(
-                self.monitor_config, tier=self._monitor_tier
-            )
+            monitor = TrafficMonitor(self.monitor_config)
             simulation = PacketLevelSimulation(
                 deployment,
                 self.sim_config,
@@ -386,7 +380,7 @@ class DetectionRepairLoop:
                 if oracle_feed is not None:
                     oracle_feed.retarget(active)
                 if monitor_feed is not None:
-                    monitor_feed.attach(monitor)
+                    monitor_feed.attach(monitor, flagged)
                 defender.scan_and_repair(
                     deployment, knowledge=None, now=float(phase)
                 )

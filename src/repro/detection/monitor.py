@@ -42,7 +42,6 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.errors import DetectionError
-from repro.perf.compiled import TIERS, detect_bins_batch, resolve_tier
 
 __all__ = ["MonitorConfig", "TrafficMonitor"]
 
@@ -166,6 +165,51 @@ def _detection_bin(
     return None
 
 
+def _detect_bins(
+    series: npt.NDArray[np.float64],
+    means: npt.NDArray[np.float64],
+    sigmas: npt.NDArray[np.float64],
+    base_end: int,
+    method: str,
+    threshold: float,
+    drift: float,
+    alpha: float,
+) -> npt.NDArray[np.int64]:
+    """First-crossing bin per series row (-1 = never), all rows at once.
+
+    ``series`` rows share one horizon; ``means``/``sigmas`` are the
+    per-row baseline statistics. The recursion runs bin by bin over a
+    *vector* of per-node statistics; each element performs the exact
+    float operations of the per-node :func:`_detection_bin` loop in the
+    same order, so crossings are bit-identical to the per-node scan.
+    """
+    rows, bins = series.shape
+    out = np.full(rows, -1, dtype=np.int64)
+    if bins <= base_end:
+        return out
+    pending = np.ones(rows, dtype=bool)
+    if method == "cusum":
+        statistic = np.zeros(rows, dtype=np.float64)
+        for index in range(base_end, bins):
+            deviation = (series[:, index] - means) / sigmas
+            statistic = np.maximum(0.0, (statistic + deviation) - drift)
+            crossed = pending & (statistic > threshold)
+            out[crossed] = index
+            pending &= ~crossed
+            if not bool(pending.any()):
+                break
+        return out
+    smoothed = means.copy()
+    for index in range(base_end, bins):
+        smoothed = alpha * series[:, index] + (1.0 - alpha) * smoothed
+        crossed = pending & ((smoothed - means) / sigmas > threshold)
+        out[crossed] = index
+        pending &= ~crossed
+        if not bool(pending.any()):
+            break
+    return out
+
+
 class TrafficMonitor:
     """Per-node binned traffic counters with change-point detection.
 
@@ -174,24 +218,8 @@ class TrafficMonitor:
     token-bucket offer. All statistics queries aggregate lazily.
     """
 
-    def __init__(
-        self,
-        config: MonitorConfig = MonitorConfig(),
-        tier: str = "scalar",
-    ) -> None:
+    def __init__(self, config: MonitorConfig = MonitorConfig()) -> None:
         self.config = config
-        # Detector-scan tier: ``scalar`` (default) runs the per-node
-        # reference loop in :func:`_detection_bin`; ``numpy`` scans all
-        # nodes' statistics as one vector recursion; ``compiled``
-        # dispatches to :mod:`repro.perf.compiled`. All tiers produce
-        # identical flag sequences (the recursions perform the same
-        # float operations in the same order); only multi-node queries
-        # (:meth:`detection_bins` / :meth:`flagged_nodes`) change speed.
-        if tier not in TIERS:
-            raise DetectionError(
-                f"tier must be one of {TIERS}, got {tier!r}"
-            )
-        self.tier = tier
         # Columnar counter state: sorted packed ``node * STRIDE + bin``
         # codes with aligned offered/dropped tallies. Integer sums only,
         # so drain order cannot change the counters.
@@ -431,12 +459,10 @@ class TrafficMonitor:
     ) -> Dict[int, Optional[int]]:
         """Flagging bin per node (None = never) for many nodes at once.
 
-        The multi-node twin of :meth:`detection_bin`, evaluated at the
-        monitor's ``tier``: ``scalar`` runs the reference loop per node;
-        ``numpy``/``compiled`` stack every node's series into one matrix
-        and scan all CUSUM/EWMA recursions together. Results are
-        identical across tiers — the batched scans replay the scalar
-        arithmetic element for element.
+        The multi-node twin of :meth:`detection_bin`: every node's
+        series is stacked into one matrix and all CUSUM/EWMA recursions
+        are scanned together (:func:`_detect_bins`), element for element
+        the arithmetic of the per-node loop, so results are identical.
         """
         resolved = self._resolved(config)
         ids = self.nodes() if node_ids is None else list(node_ids)
@@ -447,13 +473,6 @@ class TrafficMonitor:
         if now is not None:
             through = min(through, int(now / resolved.bin_width) - 1)
         if through < 0 or not ids:
-            return result
-        tier = resolve_tier(self.tier)
-        if tier == "scalar":
-            for node_id in ids:
-                result[node_id] = _detection_bin(
-                    self.series(node_id, through), resolved
-                )
             return result
         start = resolved.warmup_bins
         base_end = start + resolved.baseline_bins
@@ -471,7 +490,7 @@ class TrafficMonitor:
                 math.sqrt(max(mean, 0.0)),
                 resolved.min_sigma,
             )
-        crossings = detect_bins_batch(
+        crossings = _detect_bins(
             matrix,
             means,
             sigmas,
@@ -480,7 +499,6 @@ class TrafficMonitor:
             resolved.threshold,
             resolved.drift,
             resolved.ewma_alpha,
-            tier,
         )
         for row, node_id in enumerate(ids):
             crossed = int(crossings[row])

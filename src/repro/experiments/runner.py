@@ -21,6 +21,7 @@ from typing import List, Optional
 from repro.errors import ReproError
 from repro.experiments.figures import PAPER_FIGURES, available, run_figure
 from repro.experiments.report import render_markdown, render_text
+from repro.perf.compiled import TIERS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tier",
-        choices=("scalar", "numpy", "compiled"),
+        choices=TIERS,
         help="execution tier for figures that accept one "
         "(bit-identical; only speed changes)",
     )

@@ -12,12 +12,11 @@ The process-parallel Monte Carlo dispatcher lives with its estimator in
 ``docs/PERFORMANCE.md`` documents both together with the ``BENCH_*.json``
 benchmark-snapshot workflow.
 
-:mod:`repro.perf.compiled` adds the compiled hot-path tier: machine-code
-kernels (numba or the bundled C backend) for the sequential recursions
-the numpy tier cannot vectorize, selected per run via
-``PacketSimConfig.tier`` / ``TrafficMonitor(tier=...)`` and bit-identical
-to the numpy oracle. ``tools/bench_ladder.py`` benchmarks every
-available tier side by side.
+:mod:`repro.perf.compiled` holds the fast engine's kernel sets, one per
+tier: numpy (the default and oracle) and C (``compiled``), both behind
+one four-method interface and bit-identical, selected per run via
+``PacketSimConfig.tier``. ``tools/bench_ladder.py`` benchmarks the two
+tiers side by side.
 """
 
 from repro.perf.batch import (

@@ -1,13 +1,13 @@
-"""System-compiler backend for the compiled hot-path tier.
+"""C backend of the compiled tier: build, cache and load the kernels.
 
-When numba is not installed (it is an *optional* extra — see
-``repro[compiled]``), the compiled tier can still run anywhere a C
-toolchain exists: the kernels below are compiled once per machine with
-the system ``cc`` into a small shared library and bound through
-:mod:`ctypes`. The build is hermetic — one translation unit, no headers
-beyond the C standard library, no network — and cached on a hash of the
-source, so the first ``tier="compiled"`` run pays ~1 second of compile
-and every later run (or process) reuses the ``.so``.
+The compiled tier's kernels (:class:`repro.perf.compiled.KernelSet`) are
+C compiled once per machine with the system ``cc`` into a small shared
+library and bound through :mod:`ctypes`. The build is hermetic — one
+translation unit, no headers beyond the C standard library, no network
+— and cached on a hash of the source, so the first ``tier="compiled"``
+run pays ~1 second of compile and every later run (or process) reuses
+the ``.so``. ``REPRO_CC`` picks the compiler and ``REPRO_CC_CACHE`` the
+cache directory.
 
 Bit-identity is the whole point, so the C code replays the numpy tier's
 arithmetic operation for operation on IEEE doubles: the same multiplies,
@@ -336,46 +336,6 @@ void repro_welford(
     *m2 = acc;
     *maxv = mx;
 }
-
-/* ------------------------------------------------------------------ */
-/* Batched CUSUM/EWMA change-point scan (detection._detection_bin).    */
-/* ------------------------------------------------------------------ */
-
-void repro_detect(
-    const double *series, int64_t rows, int64_t bins,
-    const double *mean, const double *sigma,
-    int64_t start, int32_t method, /* 0 = cusum, 1 = ewma */
-    double threshold, double drift, double alpha,
-    int64_t *out /* rows; -1 = never flagged */
-)
-{
-    int64_t r, i;
-    for (r = 0; r < rows; r++) {
-        const double *row = series + r * bins;
-        out[r] = -1;
-        if (method == 0) {
-            double statistic = 0.0;
-            for (i = start; i < bins; i++) {
-                double deviation = (row[i] - mean[r]) / sigma[r];
-                double next = (statistic + deviation) - drift;
-                statistic = next < 0.0 ? 0.0 : next;
-                if (statistic > threshold) {
-                    out[r] = i;
-                    break;
-                }
-            }
-        } else {
-            double smoothed = mean[r];
-            for (i = start; i < bins; i++) {
-                smoothed = alpha * row[i] + (1.0 - alpha) * smoothed;
-                if ((smoothed - mean[r]) / sigma[r] > threshold) {
-                    out[r] = i;
-                    break;
-                }
-            }
-        }
-    }
-}
 """
 
 #: Flags that pin IEEE semantics: no FMA contraction, no fast-math.
@@ -439,12 +399,6 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     ]
     library.repro_welford.restype = None
     library.repro_welford.argtypes = [f64p, ctypes.c_int64, i64p, f64p, f64p, f64p]
-    library.repro_detect.restype = None
-    library.repro_detect.argtypes = [
-        f64p, ctypes.c_int64, ctypes.c_int64, f64p, f64p,
-        ctypes.c_int64, ctypes.c_int32,
-        ctypes.c_double, ctypes.c_double, ctypes.c_double, i64p,
-    ]
     return library
 
 

@@ -1,148 +1,90 @@
-"""Compiled hot-path tier: backend resolution and kernel dispatch.
+"""Kernel sets for the fast packet engine: one interface, two tiers.
 
-The perf ladder runs every hot path at up to three tiers:
+:func:`repro.perf.fastsim.run_fast` runs its hot stages through one
+kernel interface, four methods:
 
-``scalar``
-    Per-event Python arithmetic — the readable reference (for the packet
-    engines the event-driven oracle plays this role; for the grouped
-    bucket scan and the detectors it is a plain Python loop).
+``bucket_scan``
+    Grouped token-bucket Lindley replay: accept/drop per offer.
+``timeline_table``
+    Per-slot congestion timelines (congested-after-event flags).
+``route``
+    Congestion-aware uniform routing over a neighbor matrix.
+``welford``
+    Streaming Welford fold of delivered-packet latencies.
+
+Each tier in :data:`TIERS` is one kernel set:
+
 ``numpy``
-    The vectorized implementations that ship as the **default and
-    oracle** — nothing about their behavior changes here.
+    :class:`NumpyKernels` — vectorized numpy; the default and the
+    oracle.
 ``compiled``
-    Machine-code kernels for the per-event sequential recursions that
-    numpy cannot vectorize (Lindley token-bucket replay, CUSUM/EWMA
-    scans, congestion-aware routing). Two interchangeable backends:
-
-    * **numba** (preferred; install via ``pip install repro[compiled]``)
-      — ``@numba.njit`` kernels in :mod:`repro.perf._numba_kernels`;
-    * **cc** — the same kernels as C compiled once per machine with the
-      system toolchain (:mod:`repro.perf._cc`).
-
-    Both replay the numpy arithmetic operation for operation, so the
-    compiled tier is *bit-identical* to the numpy tier wherever the
-    numpy tier is exact (accept/drop decisions, congestion flags,
-    injection schedules, detector flag sequences, Welford folds) —
-    property-tested in ``tests/perf/test_compiled_kernels.py`` and
+    :class:`KernelSet` — the same kernels as C, compiled once per
+    machine with the system toolchain (:mod:`repro.perf._cc`) and bound
+    through :mod:`ctypes`. The C code replays the numpy arithmetic
+    operation for operation, so the compiled tier is *bit-identical*
+    to the numpy tier wherever the numpy tier is exact (accept/drop
+    decisions, congestion flags, Welford folds) — property-tested in
+    ``tests/perf/test_compiled_kernels.py`` and
     ``tests/perf/test_compiled_tier.py``.
 
-Tier selection is data (``PacketSimConfig.tier``,
-``TrafficMonitor(tier=...)``), resolved here. Requesting ``compiled``
-with no backend available degrades to ``numpy`` with a one-time
-:class:`CompiledTierUnavailableWarning` naming the reason, so code never
-has to guard on the environment. ``REPRO_COMPILED_BACKEND`` pins a
-backend (``numba`` | ``cc`` | ``none``) for tests and CI matrices.
+The two sets differ only in their congestion-table type, which never
+leaves the set that built it: the numpy set keeps a
+``{slot: (times, flags)}`` dict, the C set a flat
+:class:`CongestionTable`.
+
+Tier selection is data (``PacketSimConfig.tier``), resolved here.
+Requesting ``compiled`` when the C library cannot be built degrades to
+``numpy`` with a one-time :class:`CompiledTierUnavailableWarning` naming
+the reason, so code never has to guard on the environment.
 """
 
 from __future__ import annotations
 
+import bisect
+import ctypes
 import dataclasses
-import os
 import warnings
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.errors import SimulationError
+from repro.perf import _cc
 
 __all__ = [
     "TIERS",
     "CompiledTierUnavailableWarning",
     "CongestionTable",
     "KernelSet",
+    "NumpyKernels",
     "available_tiers",
     "compiled_backend",
-    "detect_bins_batch",
     "get_kernels",
     "resolve_tier",
 ]
 
-#: Every tier the ladder knows, slowest first.
-TIERS: Tuple[str, ...] = ("scalar", "numpy", "compiled")
+#: Every kernel tier, default first. The single source for every
+#: ``tier`` knob (sim config, scenario specs, CLIs, service payloads).
+TIERS: Tuple[str, ...] = ("numpy", "compiled")
 
 
 class CompiledTierUnavailableWarning(RuntimeWarning):
     """Raised (once) when ``tier="compiled"`` degrades to numpy."""
 
 
-_BACKEND: Optional[str] = None
-_BACKEND_RESOLVED = False
-_BACKEND_REASONS: Dict[str, str] = {}
 _WARNED = False
 
 
-def _resolve_backend() -> Optional[str]:
-    """Pick the best compiled backend available, at most once per process."""
-    global _BACKEND, _BACKEND_RESOLVED
-    if _BACKEND_RESOLVED:
-        return _BACKEND
-    _BACKEND_RESOLVED = True
-    forced = os.environ.get("REPRO_COMPILED_BACKEND", "").strip().lower()
-    if forced == "none":
-        _BACKEND_REASONS["forced"] = "REPRO_COMPILED_BACKEND=none"
-        _BACKEND = None
-        return None
-    order = (forced,) if forced in ("numba", "cc") else ("numba", "cc")
-    for name in order:
-        if name == "numba" and _load_numba() is not None:
-            _BACKEND = "numba"
-            return _BACKEND
-        if name == "cc" and _load_cc() is not None:
-            _BACKEND = "cc"
-            return _BACKEND
-    _BACKEND = None
-    return None
-
-
-_NUMBA_MODULE: Any = None
-_NUMBA_TRIED = False
-
-
-def _load_numba() -> Any:
-    global _NUMBA_MODULE, _NUMBA_TRIED
-    if _NUMBA_TRIED:
-        return _NUMBA_MODULE
-    _NUMBA_TRIED = True
-    try:
-        from repro.perf import _numba_kernels
-    except ImportError as exc:
-        _BACKEND_REASONS["numba"] = (
-            f"numba is not installed ({exc}); "
-            "install the optional extra: pip install repro[compiled]"
-        )
-        _NUMBA_MODULE = None
-    else:
-        _NUMBA_MODULE = _numba_kernels
-    return _NUMBA_MODULE
-
-
-_CC_LIBRARY: Any = None
-_CC_TRIED = False
-
-
-def _load_cc() -> Any:
-    global _CC_LIBRARY, _CC_TRIED
-    if _CC_TRIED:
-        return _CC_LIBRARY
-    _CC_TRIED = True
-    from repro.perf import _cc
-
-    _CC_LIBRARY = _cc.load_library()
-    if _CC_LIBRARY is None:
-        _BACKEND_REASONS["cc"] = _cc.build_error() or "cc backend unavailable"
-    return _CC_LIBRARY
-
-
 def compiled_backend() -> Optional[str]:
-    """``"numba"`` / ``"cc"`` when a compiled backend is usable, else None."""
-    return _resolve_backend()
+    """``"cc"`` when the C kernel library builds and loads, else None."""
+    return "cc" if _cc.load_library() is not None else None
 
 
 def available_tiers() -> Tuple[str, ...]:
     """The subset of :data:`TIERS` runnable in this environment."""
     if compiled_backend() is None:
-        return ("scalar", "numpy")
+        return ("numpy",)
     return TIERS
 
 
@@ -161,20 +103,218 @@ def resolve_tier(tier: str) -> str:
     if tier == "compiled" and compiled_backend() is None:
         if not _WARNED:
             _WARNED = True
-            reasons = "; ".join(
-                _BACKEND_REASONS.get(key, "")
-                for key in ("forced", "numba", "cc")
-                if key in _BACKEND_REASONS
-            )
             warnings.warn(
-                "tier='compiled' requested but no compiled backend is "
-                f"available ({reasons}); falling back to the numpy tier "
-                "(bit-identical, slower)",
+                "tier='compiled' requested but the C kernels are "
+                f"unavailable ({_cc.build_error()}); falling back to the "
+                "numpy tier (bit-identical, slower)",
                 CompiledTierUnavailableWarning,
                 stacklevel=2,
             )
         return "numpy"
     return tier
+
+
+#: The numpy set's congestion table: slot -> (event times, flags).
+Timelines = Dict[int, Tuple[np.ndarray, np.ndarray]]
+
+
+class NumpyKernels:
+    """The numpy kernel set: the default tier and the oracle."""
+
+    def bucket_scan(
+        self,
+        slots: np.ndarray,
+        times: np.ndarray,
+        m: int,
+        capacity: float,
+        burst: float,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Replay per-node token buckets over grouped events.
+
+        ``slots``/``times`` are flat parallel event arrays (any order;
+        ``m`` bounds the slot ids and is unused here). Events are
+        grouped by slot and replayed chronologically with the exact
+        :class:`~repro.simulation.capacity.NodeCapacity` arithmetic —
+        continuous refill at ``capacity`` clipped to ``burst``, one
+        token per accepted offer.
+
+        The recursion is solved in *deficit* space (``z = burst -
+        tokens``, rescaled so refill rate is 1): ``z_i = max(0, z_{i-1}
+        - Δs) + 1`` on accept, a Lindley recursion whose all-accept
+        trajectory has the closed form ``z_i = w_i + i - s_i`` with
+        ``w_i = max(w_{i-1}, s_i - (i - 1))`` — one
+        ``maximum.accumulate`` per node. A node whose trajectory never
+        exceeds ``burst`` therefore accepts everything with zero
+        sequential work. Overloaded nodes fall back to an exact loop
+        that is O(accepted) rather than O(events): rejections come in
+        runs (the bucket must drain a full token before the next
+        accept), and each run is skipped with one ``searchsorted``.
+
+        Returns ``(accept, unique_slots, accepted_per, dropped_per)``
+        where ``accept`` aligns with the *input* event order and the
+        per-group arrays align with ``unique_slots``.
+        """
+        order = np.lexsort((times, slots))
+        s_sorted = slots[order]
+        t_sorted = times[order]
+        unique_slots, starts, counts = np.unique(
+            s_sorted, return_index=True, return_counts=True
+        )
+        groups = len(unique_slots)
+        accept_sorted = np.empty(len(s_sorted), dtype=bool)
+        accepted_per = np.empty(groups, dtype=np.int64)
+        limit = burst - 1.0
+        for g in range(groups):
+            lo = int(starts[g])
+            hi = lo + int(counts[g])
+            s = t_sorted[lo:hi] * capacity
+            n = hi - lo
+            # All-accept closed form; valid while the deficit stays <=
+            # burst (pre-accept deficit <= burst - 1 for every event).
+            w = np.maximum.accumulate(s - np.arange(n))
+            z_all = w + np.arange(1, n + 1) - s
+            if float(z_all.max()) <= burst:
+                accept_sorted[lo:hi] = True
+                accepted_per[g] = n
+                continue
+            # Exact replay with run-skipping: from deficit ``z`` at
+            # rescaled time ``y``, every event before ``y + (z - limit)``
+            # rejects. Plain Python floats + ``bisect`` over a list: the
+            # arithmetic is the same IEEE doubles in the same order as
+            # the numpy scalars it replaces, but without per-iteration
+            # ufunc dispatch — the loop runs O(accepted) times for a
+            # saturated node, which is the hot case under flooding.
+            out = accept_sorted[lo:hi]
+            out[:] = False
+            s_list = s.tolist()
+            taken_idx: List[int] = []
+            z = 0.0
+            y = 0.0
+            i = 0
+            while i < n:
+                si = s_list[i]
+                zp = z - (si - y)
+                if zp < 0.0:
+                    zp = 0.0
+                if zp <= limit:
+                    taken_idx.append(i)
+                    z = zp + 1.0
+                    y = si
+                    i += 1
+                else:
+                    i = bisect.bisect_left(s_list, y + (z - limit))
+            out[np.asarray(taken_idx, dtype=np.int64)] = True
+            accepted_per[g] = len(taken_idx)
+        accept = np.empty(len(slots), dtype=bool)
+        accept[order] = accept_sorted
+        dropped_per = counts - accepted_per
+        return accept, unique_slots, accepted_per, dropped_per
+
+    def timeline_table(
+        self,
+        slots: np.ndarray,
+        times: np.ndarray,
+        m: int,
+        capacity: float,
+        burst: float,
+    ) -> Timelines:
+        """Per slot: (chronological event times, congested-after-event flags).
+
+        Replays the merged event stream of every slot through its token
+        bucket and evaluates the :attr:`NodeCapacity.is_congested`
+        predicate (>= 10 offers observed and cumulative drop rate >=
+        0.5) after every event, so forwarding decisions can look up a
+        node's congestion state at any instant with one
+        ``searchsorted``.
+        """
+        timelines: Timelines = {}
+        if len(slots) == 0:
+            return timelines
+        order = np.lexsort((times, slots))
+        t_sorted = times[order]
+        accept, unique_slots, _, _ = self.bucket_scan(
+            slots, times, m, capacity, burst
+        )
+        a_sorted = accept[order]
+        _, starts, counts = np.unique(
+            slots[order], return_index=True, return_counts=True
+        )
+        for g, slot in enumerate(unique_slots):
+            lo = int(starts[g])
+            hi = lo + int(counts[g])
+            node_times = t_sorted[lo:hi]
+            node_accept = a_sorted[lo:hi]
+            total = np.arange(1, len(node_times) + 1)
+            drops = np.cumsum(~node_accept)
+            flags = (total >= 10) & (drops / total >= 0.5)
+            timelines[int(slot)] = (node_times, flags)
+        return timelines
+
+    def route(
+        self,
+        u: np.ndarray,
+        neighbor_slots: np.ndarray,
+        healthy: np.ndarray,
+        decision_t: np.ndarray,
+        table: Any,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Uniform pick among each row's live neighbors.
+
+        A neighbor is live when ``healthy`` and not congested at the
+        row's decision time in ``table`` (this set's
+        :meth:`timeline_table` result). ``u`` holds each packet's
+        pre-assigned uniform draw for this hop; the pick is
+        ``min(int(u * k), k - 1)`` over the row's ``k`` live neighbors
+        in table order — the same arithmetic the event engine applies to
+        the same per-packet uniform (see
+        :func:`repro.simulation.packet_sim.uniform_index`), so matching
+        live sets yield matching choices, and re-evaluating with a
+        refined table consumes nothing. Returns ``(routable, chosen)``:
+        rows with no live neighbor are marked unroutable and their
+        ``chosen`` entry is meaningless — callers must mask with
+        ``routable``.
+        """
+        congested = np.zeros(neighbor_slots.shape, dtype=bool)
+        for slot, (times, flags) in table.items():
+            hit = neighbor_slots == slot
+            if not bool(hit.any()):
+                continue
+            index = np.searchsorted(times, decision_t, side="right") - 1
+            state = np.where(index >= 0, flags[np.maximum(index, 0)], False)
+            congested |= hit & state[:, None]
+        live = healthy & ~congested
+        options = live.sum(axis=1)
+        routable = options > 0
+        counts = np.maximum(options, 1)
+        pick = np.minimum((u * counts).astype(np.int64), counts - 1)
+        ranks = np.cumsum(live, axis=1)
+        choice_col = (ranks <= pick[:, None]).sum(axis=1)
+        np.minimum(choice_col, live.shape[1] - 1, out=choice_col)
+        chosen = neighbor_slots[np.arange(len(options)), choice_col]
+        return routable, chosen
+
+    @staticmethod
+    def welford(
+        values: np.ndarray,
+        count: int,
+        mean: float,
+        m2: float,
+        maxv: float,
+    ) -> Tuple[int, float, float, float]:
+        """Fold ``values`` into streaming ``(count, mean, M2, max)`` stats.
+
+        The float operations of :meth:`PacketSimReport.record_latency`,
+        in its order; the C ``repro_welford`` kernel replays them
+        exactly.
+        """
+        for value in values.tolist():
+            count += 1
+            delta = value - mean
+            mean += delta / count
+            m2 += delta * (value - mean)
+            if value > maxv:
+                maxv = value
+        return count, mean, m2, maxv
 
 
 @dataclasses.dataclass(frozen=True)
@@ -183,7 +323,7 @@ class CongestionTable:
 
     ``offsets[s] : offsets[s + 1]`` spans slot ``s``'s chronologically
     sorted event ``times`` and the congested-after-event ``flags`` — the
-    array twin of the numpy tier's ``{slot: (times, flags)}`` dict.
+    array twin of the numpy set's ``{slot: (times, flags)}`` dict.
     """
 
     offsets: npt.NDArray[np.int64]  # (m + 1,)
@@ -203,30 +343,28 @@ def _as_c(array: np.ndarray, dtype: Any) -> np.ndarray:
     return np.ascontiguousarray(array, dtype=dtype)
 
 
+_I64P = ctypes.POINTER(ctypes.c_int64)
+_F64P = ctypes.POINTER(ctypes.c_double)
+_U8P = ctypes.POINTER(ctypes.c_uint8)
+
+
 class KernelSet:
-    """Uniform kernel interface over the numba and cc backends.
+    """The C kernel set (:mod:`repro.perf._cc`), bit-identical to
+    :class:`NumpyKernels`.
 
     Every method takes and returns numpy arrays; scratch allocation and
-    pointer plumbing stay in here so the fast engine reads the same
-    either way.
+    pointer plumbing stay in here so the fast engine reads the same for
+    either set.
     """
 
-    def __init__(self, backend: str) -> None:
-        self.backend = backend
-        if backend == "numba":
-            self._numba = _load_numba()
-            if self._numba is None:  # pragma: no cover - defensive
-                raise SimulationError("numba backend requested but missing")
-        elif backend == "cc":
-            self._library = _load_cc()
-            if self._library is None:  # pragma: no cover - defensive
-                raise SimulationError("cc backend requested but missing")
-        else:
-            raise SimulationError(f"unknown compiled backend {backend!r}")
+    def __init__(self) -> None:
+        library = _cc.load_library()
+        if library is None:
+            raise SimulationError(
+                f"compiled kernels unavailable: {_cc.build_error()}"
+            )
+        self._library = library
 
-    # ------------------------------------------------------------------
-    # Grouped token-bucket Lindley replay
-    # ------------------------------------------------------------------
     def _scan_raw(
         self,
         slots: np.ndarray,
@@ -239,12 +377,6 @@ class KernelSet:
         slots = _as_c(slots, np.int64)
         times = _as_c(times, np.float64)
         n = len(slots)
-        if self.backend == "numba":
-            return tuple(
-                self._numba.bucket_scan(
-                    slots, times, m, capacity, burst, want_flags
-                )
-            )
         accept = np.zeros(n, dtype=np.uint8)
         offered = np.zeros(m, dtype=np.int64)
         accepted = np.zeros(m, dtype=np.int64)
@@ -255,29 +387,24 @@ class KernelSet:
         cursor = np.empty(m, dtype=np.int64)
         tmp = np.empty(n, dtype=np.int64)
         svals = np.empty(n, dtype=np.float64)
-        import ctypes
-
-        i64p = ctypes.POINTER(ctypes.c_int64)
-        f64p = ctypes.POINTER(ctypes.c_double)
-        u8p = ctypes.POINTER(ctypes.c_uint8)
         self._library.repro_bucket_scan(
-            slots.ctypes.data_as(i64p),
-            times.ctypes.data_as(f64p),
+            slots.ctypes.data_as(_I64P),
+            times.ctypes.data_as(_F64P),
             n,
             m,
             capacity,
             burst,
             1 if want_flags else 0,
-            accept.ctypes.data_as(u8p),
-            offered.ctypes.data_as(i64p),
-            accepted.ctypes.data_as(i64p),
-            offsets.ctypes.data_as(i64p),
-            order.ctypes.data_as(i64p),
-            flags.ctypes.data_as(u8p),
-            tsorted.ctypes.data_as(f64p),
-            cursor.ctypes.data_as(i64p),
-            tmp.ctypes.data_as(i64p),
-            svals.ctypes.data_as(f64p),
+            accept.ctypes.data_as(_U8P),
+            offered.ctypes.data_as(_I64P),
+            accepted.ctypes.data_as(_I64P),
+            offsets.ctypes.data_as(_I64P),
+            order.ctypes.data_as(_I64P),
+            flags.ctypes.data_as(_U8P),
+            tsorted.ctypes.data_as(_F64P),
+            cursor.ctypes.data_as(_I64P),
+            tmp.ctypes.data_as(_I64P),
+            svals.ctypes.data_as(_F64P),
         )
         return accept, offered, accepted, offsets, order, flags, tsorted
 
@@ -289,9 +416,9 @@ class KernelSet:
         capacity: float,
         burst: float,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Drop-in for ``fastsim._grouped_bucket_scan``: returns
-        ``(accept, unique_slots, accepted_per, dropped_per)`` with accept
-        aligned to the *input* event order."""
+        """:meth:`NumpyKernels.bucket_scan` in C: returns ``(accept,
+        unique_slots, accepted_per, dropped_per)`` with accept aligned
+        to the *input* event order."""
         accept, offered, accepted, _, _, _, _ = self._scan_raw(
             slots, times, m, capacity, burst, want_flags=False
         )
@@ -316,60 +443,44 @@ class KernelSet:
         )
         return CongestionTable(offsets=offsets, times=tsorted, flags=flags)
 
-    # ------------------------------------------------------------------
-    # Fused congestion lookup + uniform routing
-    # ------------------------------------------------------------------
     def route(
         self,
         u: np.ndarray,
         neighbor_slots: np.ndarray,
         healthy: np.ndarray,
         decision_t: np.ndarray,
-        table: CongestionTable,
+        table: Any,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(routable, chosen)`` — the two-step numpy routing fused."""
+        """``(routable, chosen)`` — :meth:`NumpyKernels.route` fused;
+        ``table`` is a :class:`CongestionTable`."""
         u = _as_c(u, np.float64)
         nbr = _as_c(neighbor_slots, np.int64)
         healthy8 = _as_c(healthy, np.uint8)
         decision_t = _as_c(decision_t, np.float64)
         rows, cols = nbr.shape
-        if self.backend == "numba":
-            routable, chosen = self._numba.route(
-                u, nbr, healthy8, decision_t,
-                table.offsets, table.times, table.flags,
-            )
-            return routable.astype(bool), chosen
         m = len(table.offsets) - 1
         routable = np.zeros(rows, dtype=np.uint8)
         chosen = np.empty(rows, dtype=np.int64)
         cursor = np.empty(max(m, 1), dtype=np.int64)
         scratch = np.empty(max(cols, 1), dtype=np.uint8)
-        import ctypes
-
-        i64p = ctypes.POINTER(ctypes.c_int64)
-        f64p = ctypes.POINTER(ctypes.c_double)
-        u8p = ctypes.POINTER(ctypes.c_uint8)
         self._library.repro_route(
-            u.ctypes.data_as(f64p),
-            nbr.ctypes.data_as(i64p),
-            healthy8.ctypes.data_as(u8p),
-            decision_t.ctypes.data_as(f64p),
+            u.ctypes.data_as(_F64P),
+            nbr.ctypes.data_as(_I64P),
+            healthy8.ctypes.data_as(_U8P),
+            decision_t.ctypes.data_as(_F64P),
             rows,
             cols,
             m,
-            table.offsets.ctypes.data_as(i64p),
-            table.times.ctypes.data_as(f64p),
-            table.flags.ctypes.data_as(u8p),
-            cursor.ctypes.data_as(i64p),
-            scratch.ctypes.data_as(u8p),
-            routable.ctypes.data_as(u8p),
-            chosen.ctypes.data_as(i64p),
+            table.offsets.ctypes.data_as(_I64P),
+            table.times.ctypes.data_as(_F64P),
+            table.flags.ctypes.data_as(_U8P),
+            cursor.ctypes.data_as(_I64P),
+            scratch.ctypes.data_as(_U8P),
+            routable.ctypes.data_as(_U8P),
+            chosen.ctypes.data_as(_I64P),
         )
         return routable.astype(bool), chosen
 
-    # ------------------------------------------------------------------
-    # Streaming Welford fold
-    # ------------------------------------------------------------------
     def welford(
         self,
         values: np.ndarray,
@@ -379,17 +490,12 @@ class KernelSet:
         maxv: float,
     ) -> Tuple[int, float, float, float]:
         values = _as_c(values, np.float64)
-        if self.backend == "numba":
-            out = self._numba.welford(values, count, mean, m2, maxv)
-            return int(out[0]), float(out[1]), float(out[2]), float(out[3])
-        import ctypes
-
         c_count = ctypes.c_int64(count)
         c_mean = ctypes.c_double(mean)
         c_m2 = ctypes.c_double(m2)
         c_max = ctypes.c_double(maxv)
         self._library.repro_welford(
-            values.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+            values.ctypes.data_as(_F64P),
             len(values),
             ctypes.byref(c_count),
             ctypes.byref(c_mean),
@@ -398,159 +504,24 @@ class KernelSet:
         )
         return c_count.value, c_mean.value, c_m2.value, c_max.value
 
-    # ------------------------------------------------------------------
-    # Batched CUSUM/EWMA scan
-    # ------------------------------------------------------------------
-    def detect_bins(
-        self,
-        series: np.ndarray,
-        means: np.ndarray,
-        sigmas: np.ndarray,
-        base_end: int,
-        method: str,
-        threshold: float,
-        drift: float,
-        alpha: float,
-    ) -> npt.NDArray[np.int64]:
-        series = _as_c(series, np.float64)
-        means = _as_c(means, np.float64)
-        sigmas = _as_c(sigmas, np.float64)
-        rows, bins = series.shape
-        method_code = 0 if method == "cusum" else 1
-        if self.backend == "numba":
-            result = self._numba.detect(
-                series, means, sigmas, base_end, method_code,
-                threshold, drift, alpha,
-            )
-            return np.asarray(result, dtype=np.int64)
-        out = np.empty(rows, dtype=np.int64)
-        import ctypes
 
-        f64p = ctypes.POINTER(ctypes.c_double)
-        self._library.repro_detect(
-            series.ctypes.data_as(f64p),
-            rows,
-            bins,
-            means.ctypes.data_as(f64p),
-            sigmas.ctypes.data_as(f64p),
-            base_end,
-            method_code,
-            threshold,
-            drift,
-            alpha,
-            out.ctypes.data_as(ctypes.POINTER(ctypes.c_int64)),
-        )
-        return out
+#: Either tier's kernel set; both expose the four stage methods.
+Kernels = Union[NumpyKernels, KernelSet]
+
+_KERNELS: Dict[str, Kernels] = {"numpy": NumpyKernels()}
 
 
-_KERNELS: Dict[str, KernelSet] = {}
+def get_kernels(tier: str) -> Kernels:
+    """The kernel set of a resolved ``tier`` (see :func:`resolve_tier`).
 
-
-def get_kernels(tier: str) -> Optional[KernelSet]:
-    """The compiled :class:`KernelSet` for ``tier``, or ``None``.
-
-    ``None`` means "run the interpreter-tier code path" — both the
-    numpy default and the scalar reference return it.
+    Raises :class:`~repro.errors.SimulationError` for ``compiled`` when
+    the C library is unavailable — resolve first to degrade instead.
     """
-    if tier != "compiled":
-        return None
-    backend = compiled_backend()
-    if backend is None:
-        return None
-    kernels = _KERNELS.get(backend)
+    kernels = _KERNELS.get(tier)
     if kernels is None:
-        kernels = KernelSet(backend)
-        _KERNELS[backend] = kernels
+        if tier != "compiled":
+            raise SimulationError(
+                f"tier must be one of {TIERS}, got {tier!r}"
+            )
+        kernels = _KERNELS[tier] = KernelSet()
     return kernels
-
-
-# ----------------------------------------------------------------------
-# Batched detector scan (numpy tier) + dispatch for TrafficMonitor
-# ----------------------------------------------------------------------
-
-
-def _detect_bins_numpy(
-    series: npt.NDArray[np.float64],
-    means: npt.NDArray[np.float64],
-    sigmas: npt.NDArray[np.float64],
-    base_end: int,
-    method: str,
-    threshold: float,
-    drift: float,
-    alpha: float,
-) -> npt.NDArray[np.int64]:
-    """CUSUM/EWMA first crossings vectorized across nodes.
-
-    The recursion runs bin by bin over a *vector* of per-node statistics;
-    each element performs the exact float operations of the scalar
-    ``_detection_bin`` loop in the same order, so crossings are
-    bit-identical to the per-node scan.
-    """
-    rows, bins = series.shape
-    out = np.full(rows, -1, dtype=np.int64)
-    if bins <= base_end:
-        return out
-    pending = np.ones(rows, dtype=bool)
-    if method == "cusum":
-        statistic = np.zeros(rows, dtype=np.float64)
-        for index in range(base_end, bins):
-            deviation = (series[:, index] - means) / sigmas
-            statistic = np.maximum(0.0, (statistic + deviation) - drift)
-            crossed = pending & (statistic > threshold)
-            out[crossed] = index
-            pending &= ~crossed
-            if not bool(pending.any()):
-                break
-        return out
-    smoothed = means.copy()
-    for index in range(base_end, bins):
-        smoothed = alpha * series[:, index] + (1.0 - alpha) * smoothed
-        crossed = pending & ((smoothed - means) / sigmas > threshold)
-        out[crossed] = index
-        pending &= ~crossed
-        if not bool(pending.any()):
-            break
-    return out
-
-
-def detect_bins_batch(
-    series: npt.NDArray[np.float64],
-    means: npt.NDArray[np.float64],
-    sigmas: npt.NDArray[np.float64],
-    base_end: int,
-    method: str,
-    threshold: float,
-    drift: float,
-    alpha: float,
-    tier: str,
-) -> npt.NDArray[np.int64]:
-    """First-crossing bin per series row (-1 = never) at ``tier``.
-
-    ``series`` rows share one horizon; ``means``/``sigmas`` are the
-    per-row baseline statistics (computed by the caller with the scalar
-    tier's exact numpy calls). ``tier`` must already be resolved.
-    """
-    series = np.ascontiguousarray(series, dtype=np.float64)
-    kernels = get_kernels(tier)
-    if kernels is not None:
-        return kernels.detect_bins(
-            series, means, sigmas, base_end, method, threshold, drift, alpha
-        )
-    return _detect_bins_numpy(
-        series, means, sigmas, base_end, method, threshold, drift, alpha
-    )
-
-
-def _reset_for_tests() -> None:
-    """Forget resolved backends/warnings (test hook)."""
-    global _BACKEND, _BACKEND_RESOLVED, _WARNED
-    global _NUMBA_MODULE, _NUMBA_TRIED, _CC_LIBRARY, _CC_TRIED
-    _BACKEND = None
-    _BACKEND_RESOLVED = False
-    _WARNED = False
-    _NUMBA_MODULE = None
-    _NUMBA_TRIED = False
-    _CC_LIBRARY = None
-    _CC_TRIED = False
-    _BACKEND_REASONS.clear()
-    _KERNELS.clear()

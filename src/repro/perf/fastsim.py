@@ -45,23 +45,17 @@ bit-identical for any worker count.
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.architecture import SOSArchitecture
 from repro.errors import SimulationError
 from repro.overlay.arrays import attach_columns, share_columns
-from repro.perf.compiled import (
-    CongestionTable,
-    KernelSet,
-    get_kernels,
-    resolve_tier,
-)
+from repro.perf.compiled import get_kernels, resolve_tier
 from repro.simulation.packet_sim import (
     PacketLevelSimulation,
     PacketSimConfig,
@@ -266,9 +260,7 @@ def encode_deployment(deployment: SOSDeployment) -> DeploymentArrays:
     Borrows the overlay/filter stores' columns directly: member arrays,
     neighbor tables, and the slot index are vectorized gathers (cached
     across calls on the stores' wiring epochs), and the ``is_bad``
-    health snapshot is one comparison over the health columns. The
-    historical object-walking encoder survives as
-    :func:`_encode_deployment_objects`, the equivalence oracle.
+    health snapshot is one comparison over the health columns.
     """
     structure = _encode_structure(deployment)
     layers = structure["layers"]
@@ -290,50 +282,6 @@ def encode_deployment(deployment: SOSDeployment) -> DeploymentArrays:
         members=structure["members"],
         neighbors=structure["neighbors"],
         is_bad=np.concatenate(bad_parts),
-    )
-
-
-def _encode_deployment_objects(deployment: SOSDeployment) -> DeploymentArrays:
-    """The pre-SoA encoder: walk every node object. Kept as the oracle
-    :func:`encode_deployment` is property-tested against."""
-    layers = deployment.architecture.layers
-    node_ids: List[int] = []
-    layer_of: List[int] = []
-    members: Dict[int, np.ndarray] = {}
-    slot_of: Dict[int, int] = {}
-    local_of: List[int] = []
-    for layer in range(1, layers + 2):
-        ids = deployment.layer_members(layer)
-        start = len(node_ids)
-        members[layer] = np.arange(start, start + len(ids), dtype=np.int64)
-        for local, node_id in enumerate(ids):
-            slot_of[node_id] = len(node_ids)
-            node_ids.append(node_id)
-            layer_of.append(layer)
-            local_of.append(local)
-    is_bad = np.array(
-        [deployment.resolve(node_id).is_bad for node_id in node_ids], dtype=bool
-    )
-    neighbors: Dict[int, np.ndarray] = {}
-    for layer in range(1, layers + 1):
-        rows = [
-            [slot_of[n] for n in deployment.resolve(node_id).neighbors]
-            for node_id in deployment.layer_members(layer)
-        ]
-        matrix = np.asarray(rows, dtype=np.int64)
-        if matrix.ndim == 1:  # no members: normalize to a (0, 0) matrix
-            matrix = matrix.reshape(len(rows), 0)
-        neighbors[layer] = matrix
-    flat_ids = np.asarray(node_ids, dtype=np.int64)
-    return DeploymentArrays(
-        layers=layers,
-        node_ids=flat_ids,
-        slot_of=SlotIndex(flat_ids),
-        layer_of=np.asarray(layer_of, dtype=np.int64),
-        local_of=np.asarray(local_of, dtype=np.int64),
-        members=members,
-        neighbors=neighbors,
-        is_bad=is_bad,
     )
 
 
@@ -370,191 +318,6 @@ def _poisson_row(
     return times[times < duration]
 
 
-# ----------------------------------------------------------------------
-# Grouped token-bucket scan
-# ----------------------------------------------------------------------
-
-
-def _grouped_bucket_scan(
-    slots: np.ndarray,
-    times: np.ndarray,
-    capacity: float,
-    burst: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Replay per-node token buckets over grouped events.
-
-    ``slots``/``times`` are flat parallel event arrays (any order).
-    Events are grouped by slot and replayed chronologically with the
-    exact :class:`~repro.simulation.capacity.NodeCapacity` arithmetic —
-    continuous refill at ``capacity`` clipped to ``burst``, one token
-    per accepted offer.
-
-    The recursion is solved in *deficit* space (``z = burst - tokens``,
-    rescaled so refill rate is 1): ``z_i = max(0, z_{i-1} - Δs) + 1`` on
-    accept, a Lindley recursion whose all-accept trajectory has the
-    closed form ``z_i = w_i + i - s_i`` with
-    ``w_i = max(w_{i-1}, s_i - (i - 1))`` — one ``maximum.accumulate``
-    per node. A node whose trajectory never exceeds ``burst`` therefore
-    accepts everything with zero sequential work. Overloaded nodes fall
-    back to an exact loop that is O(accepted) rather than O(events):
-    rejections come in runs (the bucket must drain a full token before
-    the next accept), and each run is skipped with one ``searchsorted``.
-
-    Returns ``(accept, unique_slots, accepted_per, dropped_per)`` where
-    ``accept`` aligns with the *input* event order and the per-group
-    arrays align with ``unique_slots``.
-    """
-    order = np.lexsort((times, slots))
-    s_sorted = slots[order]
-    t_sorted = times[order]
-    unique_slots, starts, counts = np.unique(
-        s_sorted, return_index=True, return_counts=True
-    )
-    groups = len(unique_slots)
-    accept_sorted = np.empty(len(s_sorted), dtype=bool)
-    accepted_per = np.empty(groups, dtype=np.int64)
-    limit = burst - 1.0
-    for g in range(groups):
-        lo = int(starts[g])
-        hi = lo + int(counts[g])
-        s = t_sorted[lo:hi] * capacity
-        n = hi - lo
-        # All-accept closed form; valid while the deficit stays <= burst
-        # (pre-accept deficit <= burst - 1 for every event).
-        w = np.maximum.accumulate(s - np.arange(n))
-        z_all = w + np.arange(1, n + 1) - s
-        if float(z_all.max()) <= burst:
-            accept_sorted[lo:hi] = True
-            accepted_per[g] = n
-            continue
-        # Exact replay with run-skipping: from deficit ``z`` at rescaled
-        # time ``y``, every event before ``y + (z - limit)`` rejects.
-        # Plain Python floats + ``bisect`` over a list: the arithmetic
-        # is the same IEEE doubles in the same order as the numpy
-        # scalars it replaces, but without per-iteration ufunc
-        # dispatch — the loop runs O(accepted) times for a saturated
-        # node, which is the hot case under flooding.
-        out = accept_sorted[lo:hi]
-        out[:] = False
-        s_list = s.tolist()
-        taken_idx: List[int] = []
-        z = 0.0
-        y = 0.0
-        i = 0
-        while i < n:
-            si = s_list[i]
-            zp = z - (si - y)
-            if zp < 0.0:
-                zp = 0.0
-            if zp <= limit:
-                taken_idx.append(i)
-                z = zp + 1.0
-                y = si
-                i += 1
-            else:
-                i = bisect.bisect_left(s_list, y + (z - limit))
-        out[np.asarray(taken_idx, dtype=np.int64)] = True
-        accepted_per[g] = len(taken_idx)
-    accept = np.empty(len(slots), dtype=bool)
-    accept[order] = accept_sorted
-    dropped_per = counts - accepted_per
-    return accept, unique_slots, accepted_per, dropped_per
-
-
-def _scalar_bucket_scan(
-    slots: np.ndarray,
-    times: np.ndarray,
-    capacity: float,
-    burst: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-event Python replay of the grouped token-bucket scan.
-
-    The ``scalar`` tier reference: every event runs the Lindley deficit
-    recursion one at a time in plain Python floats — no closed form, no
-    run skipping. Same return convention and (property-tested) identical
-    decisions to :func:`_grouped_bucket_scan`; rejected events leave the
-    ``(z, y)`` state untouched because the clamp at zero makes the
-    deficit a pure function of the last *accept*, not of intervening
-    rejects.
-    """
-    n = len(slots)
-    slot_list = [int(value) for value in slots.tolist()]
-    time_list = [float(value) for value in times.tolist()]
-    order = sorted(range(n), key=lambda i: (slot_list[i], time_list[i]))
-    accept = np.zeros(n, dtype=bool)
-    limit = burst - 1.0
-    offered: Dict[int, int] = {}
-    taken: Dict[int, int] = {}
-    state: Dict[int, Tuple[float, float]] = {}
-    for i in order:
-        slot = slot_list[i]
-        s = time_list[i] * capacity
-        z, y = state.get(slot, (0.0, 0.0))
-        zp = z - (s - y)
-        if zp < 0.0:
-            zp = 0.0
-        offered[slot] = offered.get(slot, 0) + 1
-        if zp <= limit:
-            accept[i] = True
-            state[slot] = (zp + 1.0, s)
-            taken[slot] = taken.get(slot, 0) + 1
-    unique = sorted(offered)
-    unique_slots = np.asarray(unique, dtype=np.int64)
-    accepted_per = np.asarray(
-        [taken.get(slot, 0) for slot in unique], dtype=np.int64
-    )
-    dropped_per = np.asarray(
-        [offered[slot] - taken.get(slot, 0) for slot in unique],
-        dtype=np.int64,
-    )
-    return accept, unique_slots, accepted_per, dropped_per
-
-
-#: Interpreter-tier scan implementations, keyed by resolved tier name.
-#: The compiled tier dispatches through :class:`KernelSet` instead.
-_SCAN_BY_TIER: Dict[str, Callable[..., Tuple[np.ndarray, ...]]] = {
-    "scalar": _scalar_bucket_scan,
-    "numpy": _grouped_bucket_scan,
-}
-
-
-def _congestion_timelines(
-    slots: np.ndarray,
-    times: np.ndarray,
-    capacity: float,
-    burst: float,
-    scan: Callable[..., Tuple[np.ndarray, ...]] = _grouped_bucket_scan,
-) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-    """Per slot: (chronological event times, congested-after-event flags).
-
-    Replays the merged event stream of every slot through its token
-    bucket and evaluates the :attr:`NodeCapacity.is_congested` predicate
-    (>= 10 offers observed and cumulative drop rate >= 0.5) after every
-    event, so forwarding decisions can look up a node's congestion state
-    at any instant with one ``searchsorted``.
-    """
-    timelines: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    if len(slots) == 0:
-        return timelines
-    order = np.lexsort((times, slots))
-    t_sorted = times[order]
-    accept, unique_slots, _, _ = scan(slots, times, capacity, burst)
-    a_sorted = accept[order]
-    _, starts, counts = np.unique(
-        slots[order], return_index=True, return_counts=True
-    )
-    for g, slot in enumerate(unique_slots):
-        lo = int(starts[g])
-        hi = lo + int(counts[g])
-        node_times = t_sorted[lo:hi]
-        node_accept = a_sorted[lo:hi]
-        total = np.arange(1, len(node_times) + 1)
-        drops = np.cumsum(~node_accept)
-        flags = (total >= 10) & (drops / total >= 0.5)
-        timelines[int(slot)] = (node_times, flags)
-    return timelines
-
-
 def _flood_events(
     flood_slots: Sequence[int],
     flood_times: Sequence[np.ndarray],
@@ -572,66 +335,6 @@ def _flood_events(
     )
     times_flat = np.concatenate([times for _, times in populated])
     return slots, times_flat
-
-
-def _flood_congestion_timelines(
-    flood_slots: Sequence[int],
-    flood_times: Sequence[np.ndarray],
-    capacity: float,
-    burst: float,
-    scan: Callable[..., Tuple[np.ndarray, ...]] = _grouped_bucket_scan,
-) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
-    """Flood-only congestion timelines, keyed by flooded slot."""
-    slots, times_flat = _flood_events(flood_slots, flood_times)
-    if len(slots) == 0:
-        return {}
-    return _congestion_timelines(slots, times_flat, capacity, burst, scan)
-
-
-def _route_uniform(
-    u: np.ndarray,
-    neighbor_slots: np.ndarray,
-    live: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Uniform pick among each row's live neighbors.
-
-    ``u`` holds each packet's pre-assigned uniform draw for this hop;
-    the pick is ``min(int(u * k), k - 1)`` over the row's ``k`` live
-    neighbors in table order — the same arithmetic the event engine
-    applies to the same per-packet uniform (see
-    :func:`repro.simulation.packet_sim.uniform_index`), so matching
-    live sets yield matching choices, and re-evaluating with a refined
-    live set consumes nothing. Returns ``(routable, chosen)``: rows
-    with no live neighbor are marked unroutable and their ``chosen``
-    entry is meaningless — callers must mask with ``routable``.
-    """
-    options = live.sum(axis=1)
-    routable = options > 0
-    counts = np.maximum(options, 1)
-    pick = np.minimum((u * counts).astype(np.int64), counts - 1)
-    ranks = np.cumsum(live, axis=1)
-    choice_col = (ranks <= pick[:, None]).sum(axis=1)
-    np.minimum(choice_col, live.shape[1] - 1, out=choice_col)
-    chosen = neighbor_slots[np.arange(len(options)), choice_col]
-    return routable, chosen
-
-
-def _congested_at(
-    timelines: Dict[int, Tuple[np.ndarray, np.ndarray]],
-    neighbor_slots: np.ndarray,
-    decision_times: np.ndarray,
-) -> np.ndarray:
-    """Congestion mask for a ``(packets, m)`` neighbor matrix at the
-    per-packet decision times."""
-    congested = np.zeros(neighbor_slots.shape, dtype=bool)
-    for slot, (times, flags) in timelines.items():
-        hit = neighbor_slots == slot
-        if not bool(hit.any()):
-            continue
-        index = np.searchsorted(times, decision_times, side="right") - 1
-        state = np.where(index >= 0, flags[np.maximum(index, 0)], False)
-        congested |= hit & state[:, None]
-    return congested
 
 
 # ----------------------------------------------------------------------
@@ -683,14 +386,13 @@ def run_fast(
     contacts, so ``deployment=None`` is legal as long as
     ``client_contacts`` is supplied.
 
-    ``config.tier`` selects the kernel implementation for the token
-    bucket replay, congestion lookups, routing picks, and the latency
-    fold: ``scalar`` (per-event Python reference), ``numpy`` (default),
-    or ``compiled`` (:mod:`repro.perf.compiled`; machine code via numba
-    or the bundled C backend, degrading to numpy with a one-time
-    warning when neither is available). All tiers make identical RNG
-    draws and identical accept/drop/route decisions, so reports are
-    bit-identical across tiers wherever the numpy path is exact.
+    ``config.tier`` selects the kernel set (:mod:`repro.perf.compiled`)
+    that runs the flood timeline, the bucket scan at each hop, both
+    routing passes, and the latency fold: ``numpy`` (default) or
+    ``compiled`` (C, degrading to numpy with a one-time warning when
+    it cannot be built). Both make identical RNG draws and identical
+    accept/drop/route decisions, so reports are bit-identical across
+    tiers wherever the numpy path is exact.
 
     ``schedule`` (an :class:`~repro.scenarios.schedule.InjectionSchedule`)
     contributes precompiled vector traffic: per-node attack offer rows
@@ -710,9 +412,7 @@ def run_fast(
     layers = arrays.layers
     capacity = config.node_capacity
     burst = 2.0 * config.node_capacity
-    tier = resolve_tier(config.tier)
-    kernels = get_kernels(tier)
-    scan = _SCAN_BY_TIER.get(tier, _grouped_bucket_scan)
+    kernels = get_kernels(resolve_tier(config.tier))
     total_slots = len(arrays.node_ids)
     report = PacketSimReport()
 
@@ -847,17 +547,10 @@ def run_fast(
     report.attack_packets_absorbed += int(
         sum(len(times) for times in sched_attack.values())
     )
-    timelines: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-    flood_table = CongestionTable.empty(total_slots)
-    if kernels is not None:
-        fslots, ftimes = _flood_events(attack_slots, attack_rows)
-        flood_table = kernels.timeline_table(
-            fslots, ftimes, total_slots, capacity, burst
-        )
-    else:
-        timelines = _flood_congestion_timelines(
-            attack_slots, attack_rows, capacity, burst, scan
-        )
+    fslots, ftimes = _flood_events(attack_slots, attack_rows)
+    flood_table = kernels.timeline_table(
+        fslots, ftimes, total_slots, capacity, burst
+    )
 
     # Surge sources ride the client injection pipeline: rows appended
     # after the baseline clients, matching their contact-matrix rows.
@@ -936,16 +629,11 @@ def run_fast(
         times_flat = np.concatenate(event_times)
         if len(slots_flat) == 0:
             continue
-        if kernels is not None:
-            accept_flat, unique_slots, accepted_per, dropped_per = (
-                kernels.bucket_scan(
-                    slots_flat, times_flat, total_slots, capacity, burst
-                )
+        accept_flat, unique_slots, accepted_per, dropped_per = (
+            kernels.bucket_scan(
+                slots_flat, times_flat, total_slots, capacity, burst
             )
-        else:
-            accept_flat, unique_slots, accepted_per, dropped_per = scan(
-                slots_flat, times_flat, capacity, burst
-            )
+        )
         if monitor is not None:
             # Every offer this layer's buckets saw (legit + flood) with
             # its accept/drop outcome — the batch mirror of the event
@@ -972,22 +660,20 @@ def run_fast(
             delivered = int(ok.sum())
             report.delivered += delivered
             latency_values = arrive_t[ok] - sent_t[ok]
-            if kernels is not None and not config.keep_latencies:
-                (
-                    report.latency_count,
-                    report.latency_mean,
-                    report.latency_m2,
-                    report.max_latency,
-                ) = kernels.welford(
-                    latency_values,
-                    report.latency_count,
-                    report.latency_mean,
-                    report.latency_m2,
-                    report.max_latency,
-                )
-            else:
-                for value in latency_values.tolist():
-                    report.record_latency(value, keep=config.keep_latencies)
+            (
+                report.latency_count,
+                report.latency_mean,
+                report.latency_m2,
+                report.max_latency,
+            ) = kernels.welford(
+                latency_values,
+                report.latency_count,
+                report.latency_mean,
+                report.latency_m2,
+                report.max_latency,
+            )
+            if config.keep_latencies:
+                report.latencies.extend(latency_values.tolist())
             break
 
         sent_t = sent_t[ok]
@@ -1009,15 +695,9 @@ def run_fast(
         # flood-only view cannot see (the residual error is the
         # second-order effect of re-routing on those arrival streams).
         hop_u = choice_u[:, layer]
-        if kernels is not None:
-            routable, chosen = kernels.route(
-                hop_u, neighbor_slots, healthy_next, decision_t, flood_table
-            )
-        else:
-            live = healthy_next & ~_congested_at(
-                timelines, neighbor_slots, decision_t
-            )
-            routable, chosen = _route_uniform(hop_u, neighbor_slots, live)
+        routable, chosen = kernels.route(
+            hop_u, neighbor_slots, healthy_next, decision_t, flood_table
+        )
         tentative_arrival = arrive_t + config.hop_latency
         next_flood = [
             slot for slot in attack_slots
@@ -1033,29 +713,16 @@ def run_fast(
         # Same per-packet uniforms, refined live sets: re-evaluating is
         # free (no stream consumption) and rows whose live set did not
         # change keep their pass-1 choice.
-        if kernels is not None:
-            refined_table = kernels.timeline_table(
-                np.concatenate(ev_slots),
-                np.concatenate(ev_times),
-                total_slots,
-                capacity,
-                burst,
-            )
-            routable, chosen = kernels.route(
-                hop_u, neighbor_slots, healthy_next, decision_t, refined_table
-            )
-        else:
-            refined = _congestion_timelines(
-                np.concatenate(ev_slots),
-                np.concatenate(ev_times),
-                capacity,
-                burst,
-                scan,
-            )
-            live = healthy_next & ~_congested_at(
-                refined, neighbor_slots, decision_t
-            )
-            routable, chosen = _route_uniform(hop_u, neighbor_slots, live)
+        refined_table = kernels.timeline_table(
+            np.concatenate(ev_slots),
+            np.concatenate(ev_times),
+            total_slots,
+            capacity,
+            burst,
+        )
+        routable, chosen = kernels.route(
+            hop_u, neighbor_slots, healthy_next, decision_t, refined_table
+        )
 
         stranded_count = int(len(routable) - int(routable.sum()))
         if stranded_count:

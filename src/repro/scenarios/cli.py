@@ -20,12 +20,9 @@ from typing import List, Optional
 
 from repro.detection.loop import LOOP_MODES
 from repro.errors import ReproError
+from repro.perf.compiled import TIERS
 from repro.scenarios.runner import ScenarioRunReport, run_scenario
-from repro.scenarios.spec import (
-    SCENARIO_ENGINES,
-    SCENARIO_TIERS,
-    ScenarioSpec,
-)
+from repro.scenarios.spec import SCENARIO_ENGINES, ScenarioSpec
 from repro.scenarios.zoo import list_scenarios, load_scenario, scenario_path
 
 
@@ -67,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run_cmd.add_argument(
         "--tier",
-        choices=SCENARIO_TIERS,
+        choices=TIERS,
         help="execution tier (default: the spec's)",
     )
     run_cmd.add_argument(

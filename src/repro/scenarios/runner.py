@@ -18,8 +18,9 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 from repro.detection.loop import LOOP_MODES, DetectionRepairLoop, LoopResult
 from repro.detection.monitor import MonitorConfig
 from repro.errors import ScenarioError
+from repro.perf.compiled import TIERS
 from repro.repair.policy import RepairPolicy
-from repro.scenarios.spec import SCENARIO_ENGINES, SCENARIO_TIERS, ScenarioSpec
+from repro.scenarios.spec import SCENARIO_ENGINES, ScenarioSpec
 from repro.scenarios.zoo import load_scenario
 
 __all__ = ["ScenarioRunReport", "run_scenario"]
@@ -144,9 +145,9 @@ def run_scenario(
         raise ScenarioError(
             f"engine must be one of {SCENARIO_ENGINES}, got {engine!r}"
         )
-    if tier is not None and tier not in SCENARIO_TIERS:
+    if tier is not None and tier not in TIERS:
         raise ScenarioError(
-            f"tier must be one of {SCENARIO_TIERS}, got {tier!r}"
+            f"tier must be one of {TIERS}, got {tier!r}"
         )
     resolved_engine = engine if engine is not None else spec.engine
     resolved_tier = tier if tier is not None else spec.tier

@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Tuple
 from repro.contracts import Field, check_schema
 from repro.core.architecture import SOSArchitecture
 from repro.errors import ScenarioError
+from repro.perf.compiled import TIERS
 from repro.simulation.packet_sim import PacketSimConfig
 from repro.scenarios.vectors import AttackVector, vector_from_dict
 
@@ -30,11 +31,9 @@ __all__ = [
     "ScenarioSpec",
     "SimSpec",
     "SCENARIO_ENGINES",
-    "SCENARIO_TIERS",
 ]
 
 SCENARIO_ENGINES = ("fast", "event")
-SCENARIO_TIERS = ("scalar", "numpy", "compiled")
 
 
 def _positive_number() -> Field:
@@ -238,8 +237,8 @@ class ScenarioSpec:
         "tier": Field(
             (str,),
             required=False,
-            check=lambda v: v in SCENARIO_TIERS,
-            describe=f"one of {SCENARIO_TIERS}",
+            check=lambda v: v in TIERS,
+            describe=f"one of {TIERS}",
         ),
         "architecture": Field((dict,), required=False),
         "sim": Field((dict,), required=False),
@@ -256,9 +255,9 @@ class ScenarioSpec:
                 f"engine must be one of {SCENARIO_ENGINES}, got "
                 f"{self.engine!r}"
             )
-        if self.tier not in SCENARIO_TIERS:
+        if self.tier not in TIERS:
             raise ScenarioError(
-                f"tier must be one of {SCENARIO_TIERS}, got {self.tier!r}"
+                f"tier must be one of {TIERS}, got {self.tier!r}"
             )
         seen: Dict[str, int] = {}
         for index, phase in enumerate(self.phases):

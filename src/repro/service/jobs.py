@@ -30,9 +30,10 @@ from repro.core.design_space import enumerate_designs, evaluate_designs
 from repro.core.model import evaluate
 from repro.detection.loop import LOOP_MODES
 from repro.errors import CampaignInterrupted, ScenarioError, ServiceError
+from repro.perf.compiled import TIERS
 from repro.resilience.checkpoint import fingerprint
 from repro.scenarios.runner import run_scenario
-from repro.scenarios.spec import SCENARIO_ENGINES, SCENARIO_TIERS
+from repro.scenarios.spec import SCENARIO_ENGINES
 from repro.scenarios.zoo import load_scenario
 from repro.simulation.monte_carlo import MonteCarloConfig, MonteCarloEstimator
 
@@ -145,9 +146,9 @@ def _validate_scenario_campaign(payload: Dict[str, Any]) -> None:
             f"'engine' must be one of {SCENARIO_ENGINES}, got {engine!r}"
         )
     tier = payload.get("tier")
-    if tier is not None and tier not in SCENARIO_TIERS:
+    if tier is not None and tier not in TIERS:
         raise ServiceError(
-            f"'tier' must be one of {SCENARIO_TIERS}, got {tier!r}"
+            f"'tier' must be one of {TIERS}, got {tier!r}"
         )
     seed = payload.get("seed")
     if seed is not None and (

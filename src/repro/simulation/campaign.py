@@ -30,7 +30,7 @@ from repro.attacks.strategies import (
 from repro.core.architecture import SOSArchitecture
 from repro.core.attack_models import SuccessiveAttack
 from repro.errors import SimulationError
-from repro.perf.compiled import get_kernels, resolve_tier
+from repro.perf.compiled import NumpyKernels
 from repro.repair.defender import RepairingDefender
 from repro.repair.policy import NO_REPAIR, RepairPolicy
 from repro.resilience.detector import DetectorConfig, FailureDetector
@@ -70,8 +70,7 @@ class CampaignReport:
     activity (0 without churn); ``false_alarms`` counts healthy nodes the
     failure detector flagged (0 without a detector). ``p_s_mean`` /
     ``p_s_variance`` summarize the measured ``P_S`` series with a
-    streaming Welford fold (empty series: 1.0 / 0.0); the fold is
-    bit-identical across tiers.
+    streaming Welford fold (empty series: 1.0 / 0.0).
     """
 
     times: Tuple[float, ...]
@@ -116,12 +115,10 @@ class CampaignSimulation:
         fault_plan: FaultPlan = ZERO_CHURN,
         detector_config: Optional[DetectorConfig] = None,
         retry_policy: Optional[RetryPolicy] = None,
-        tier: str = "scalar",
     ) -> None:
         self.architecture = architecture
         self.attack = attack
         self.config = config
-        self.tier = resolve_tier(tier)
         factory = SeedSequenceFactory(seed)
         self._rng = factory.generator()
         self.deployment = SOSDeployment.deploy(architecture, rng=factory.generator())
@@ -261,27 +258,12 @@ class CampaignSimulation:
             )
 
     def _fold_p_s(self) -> Tuple[float, float]:
-        """Welford mean/variance of the ``P_S`` series at ``self.tier``.
-
-        The scalar loop performs the exact float operations of the
-        compiled kernel in the same order, so the two tiers agree bit
-        for bit.
-        """
+        """Welford mean/variance of the ``P_S`` series."""
         if not self._ps:
             return 1.0, 0.0
-        values = np.asarray(self._ps, dtype=np.float64)
-        kernels = get_kernels(self.tier)
-        if kernels is not None:
-            count, mean, m2, _ = kernels.welford(
-                values, 0, 0.0, 0.0, float("-inf")
-            )
-        else:
-            count, mean, m2 = 0, 0.0, 0.0
-            for value in values.tolist():
-                delta = value - mean
-                count += 1
-                mean += delta / float(count)
-                m2 += delta * (value - mean)
+        count, mean, m2, _ = NumpyKernels.welford(
+            np.asarray(self._ps, dtype=np.float64), 0, 0.0, 0.0, float("-inf")
+        )
         return mean, m2 / float(count)
 
     # ------------------------------------------------------------------
@@ -328,7 +310,6 @@ def run_campaign(
     fault_plan: FaultPlan = ZERO_CHURN,
     detector_config: Optional[DetectorConfig] = None,
     retry_policy: Optional[RetryPolicy] = None,
-    tier: str = "scalar",
 ) -> CampaignReport:
     """Convenience wrapper: build and run one :class:`CampaignSimulation`."""
     return CampaignSimulation(
@@ -340,5 +321,4 @@ def run_campaign(
         fault_plan=fault_plan,
         detector_config=detector_config,
         retry_policy=retry_policy,
-        tier=tier,
     ).run()

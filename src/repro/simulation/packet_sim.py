@@ -17,9 +17,11 @@ congested, while un-flooded runs deliver ~100%.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
+from repro.perf.compiled import TIERS
 from repro.simulation.capacity import NodeCapacity
 from repro.simulation.engine import EventScheduler
 from repro.sos.deployment import SOSDeployment
@@ -62,15 +64,23 @@ class PacketSimConfig:
     #: Off by default so long runs stay O(1) memory; the streaming
     #: count/mean/max statistics are always maintained.
     keep_latencies: bool = False
-    #: Kernel tier for the fast engine: ``"scalar"`` replays every hot
-    #: recursion in per-event Python (the readable reference),
+    #: Kernel set for the fast engine (:mod:`repro.perf.compiled`):
     #: ``"numpy"`` is the vectorized default and oracle, ``"compiled"``
-    #: dispatches to :mod:`repro.perf.compiled` machine-code kernels
-    #: (bit-identical; degrades to numpy with a one-time warning when no
-    #: compiled backend is available). The event engine ignores it.
+    #: the C kernels (bit-identical; degrades to numpy with a one-time
+    #: warning when they cannot be built). The event engine ignores it.
     tier: str = "numpy"
 
     def __post_init__(self) -> None:
+        # NaN slips past every ordered comparison below (and hangs the
+        # fast engine's bucket scan), so finiteness is checked first.
+        for name in (
+            "duration", "warmup", "hop_latency", "client_rate",
+            "node_capacity", "flood_rate", "flood_start",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise SimulationError(
+                    f"{name} must be finite, got {getattr(self, name)}"
+                )
         if self.duration <= self.warmup:
             raise SimulationError("duration must exceed warmup")
         for name in ("hop_latency", "client_rate", "node_capacity", "flood_rate"):
@@ -78,10 +88,9 @@ class PacketSimConfig:
                 raise SimulationError(f"{name} must be > 0")
         if self.clients < 0:
             raise SimulationError("clients must be >= 0")
-        if self.tier not in ("scalar", "numpy", "compiled"):
+        if self.tier not in TIERS:
             raise SimulationError(
-                "tier must be one of ('scalar', 'numpy', 'compiled'), "
-                f"got {self.tier!r}"
+                f"tier must be one of {TIERS}, got {self.tier!r}"
             )
         if not 0.0 <= self.flood_start < self.duration:
             raise SimulationError(

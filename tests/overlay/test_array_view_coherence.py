@@ -23,13 +23,10 @@ from repro.overlay.arrays import (
     OverlayStore,
 )
 from repro.overlay.node import NodeHealth
-from repro.perf.fastsim import (
-    SlotIndex,
-    _encode_deployment_objects,
-    encode_deployment,
-)
+from repro.perf.fastsim import SlotIndex, encode_deployment
 from repro.sos.deployment import SOSDeployment
 from repro.utils.seeding import make_rng
+from tests.perf.oracles import _encode_deployment_objects
 
 
 def deployment(seed=17, nodes=300, sos=40):

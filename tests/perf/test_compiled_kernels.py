@@ -1,16 +1,14 @@
-"""Kernel-level bit-identity: compiled backends vs the numpy oracles.
+"""One interface test for both kernel sets.
 
-Every compiled kernel (token-bucket Lindley replay, congestion
-timelines, fused congestion-aware routing, Welford fold, CUSUM/EWMA
-scan) must reproduce its interpreter-tier oracle *exactly* — same
-accept/drop decisions, same flags, same IEEE doubles — because the
-compiled tier is documented as a pure speed knob. These tests replay
-randomized workloads through both implementations and require equality,
-not closeness.
-
-Skipped wholesale when no compiled backend (numba or the bundled C
-kernels) is usable in this environment; `tests/perf/test_compiled_tier.py`
-covers the degradation path itself.
+Every kernel set (:class:`~repro.perf.compiled.NumpyKernels` and, where
+the C library builds, :class:`~repro.perf.compiled.KernelSet`) runs the
+same four stage methods — ``bucket_scan``, ``timeline_table``, ``route``,
+``welford`` — on the same randomized workloads through the same calls,
+and every result must equal the numpy set's *exactly*: same accept/drop
+decisions, same flags, same IEEE doubles. ``bucket_scan`` additionally
+answers to the per-event scalar oracle in ``tests/perf/oracles.py``.
+Each case loops over :data:`KERNEL_SETS` itself, so without a C
+toolchain the numpy set still runs against the oracles.
 """
 
 from __future__ import annotations
@@ -18,31 +16,28 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.detection.monitor import _detect_bins
 from repro.perf.compiled import (
     CongestionTable,
-    _detect_bins_numpy,
-    compiled_backend,
+    KernelSet,
+    NumpyKernels,
+    available_tiers,
     get_kernels,
 )
-from repro.perf.fastsim import (
-    _congested_at,
-    _congestion_timelines,
-    _grouped_bucket_scan,
-    _route_uniform,
-    _scalar_bucket_scan,
-)
+from tests.perf.oracles import _scalar_bucket_scan, scalar_detect_bins
 
-pytestmark = pytest.mark.skipif(
-    compiled_backend() is None,
-    reason="no compiled backend (numba or cc) available",
-)
+#: Every kernel set runnable here, the numpy set (the oracle) first.
+KERNEL_SETS = [get_kernels(tier) for tier in available_tiers()]
+NUMPY = KERNEL_SETS[0]
+STAGES = ("bucket_scan", "timeline_table", "route", "welford")
 
 
-@pytest.fixture(scope="module")
-def kernels():
-    kernel_set = get_kernels("compiled")
-    assert kernel_set is not None
-    return kernel_set
+def test_kernel_sets_define_the_stage_methods():
+    # The benchmark tracer wraps ``KernelSet.__dict__[stage]``: the stage
+    # methods must live on the classes themselves, not on a base.
+    for cls in (KernelSet, NumpyKernels):
+        assert set(STAGES) <= set(cls.__dict__), cls
+    assert isinstance(NUMPY, NumpyKernels)
 
 
 def _random_events(rng, m, n, horizon=50.0):
@@ -56,9 +51,28 @@ def _random_events(rng, m, n, horizon=50.0):
     return slots, np.sort(times)
 
 
+def _as_timelines(table, m):
+    """Either set's congestion table as ``{slot: (times, bool flags)}``."""
+    if not isinstance(table, CongestionTable):
+        return table
+    assert table.offsets.shape == (m + 1,)
+    timelines = {}
+    for slot in range(m):
+        lo, hi = int(table.offsets[slot]), int(table.offsets[slot + 1])
+        if hi > lo:
+            timelines[slot] = (table.times[lo:hi], table.flags[lo:hi].astype(bool))
+    return timelines
+
+
+def _assert_same_arrays(got, expected):
+    assert len(got) == len(expected)
+    for ours, theirs in zip(got, expected):
+        np.testing.assert_array_equal(ours, theirs)
+
+
 class TestBucketScan:
     @pytest.mark.parametrize("seed", range(25))
-    def test_matches_numpy_oracle(self, kernels, seed):
+    def test_matches_numpy_oracle(self, seed):
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 40))
         n = int(rng.integers(1, 400))
@@ -68,10 +82,10 @@ class TestBucketScan:
         if seed % 3 == 0:  # accept must align with *input* order
             perm = rng.permutation(n)
             slots, times = slots[perm], times[perm]
-        expected = _grouped_bucket_scan(slots, times, capacity, burst)
-        got = kernels.bucket_scan(slots, times, m, capacity, burst)
-        for ours, theirs in zip(got, expected):
-            np.testing.assert_array_equal(ours, theirs)
+        expected = NUMPY.bucket_scan(slots, times, m, capacity, burst)
+        for kernels in KERNEL_SETS:
+            got = kernels.bucket_scan(slots, times, m, capacity, burst)
+            _assert_same_arrays(got, expected)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_scalar_tier_agrees(self, seed):
@@ -81,59 +95,51 @@ class TestBucketScan:
         capacity = float(rng.uniform(0.2, 10.0))
         burst = float(np.ceil(rng.uniform(1.0, 8.0)))
         slots, times = _random_events(rng, m, n)
-        expected = _grouped_bucket_scan(slots, times, capacity, burst)
-        got = _scalar_bucket_scan(slots, times, capacity, burst)
-        for ours, theirs in zip(got, expected):
-            np.testing.assert_array_equal(ours, theirs)
+        expected = _scalar_bucket_scan(slots, times, capacity, burst)
+        for kernels in KERNEL_SETS:
+            got = kernels.bucket_scan(slots, times, m, capacity, burst)
+            _assert_same_arrays(got, expected)
 
-    def test_empty_events(self, kernels):
+    def test_empty_events(self):
         slots = np.zeros(0, dtype=np.int64)
         times = np.zeros(0, dtype=np.float64)
-        accept, unique_slots, accepted, dropped = kernels.bucket_scan(
-            slots, times, 5, 1.0, 3.0
-        )
-        assert len(accept) == 0
-        assert len(unique_slots) == 0
-        assert len(accepted) == 0
-        assert len(dropped) == 0
+        for kernels in KERNEL_SETS:
+            for part in kernels.bucket_scan(slots, times, 5, 1.0, 3.0):
+                assert len(part) == 0
 
 
 class TestTimelineTable:
     @pytest.mark.parametrize("seed", range(20))
-    def test_matches_dict_timelines(self, kernels, seed):
+    def test_matches_dict_timelines(self, seed):
         rng = np.random.default_rng(200 + seed)
         m = int(rng.integers(1, 30))
         n = int(rng.integers(1, 300))
         capacity = float(rng.uniform(0.2, 5.0))
         burst = float(np.ceil(rng.uniform(1.0, 6.0)))
         slots, times = _random_events(rng, m, n)
-        table = kernels.timeline_table(slots, times, m, capacity, burst)
-        timelines = _congestion_timelines(slots, times, capacity, burst)
-        assert table.offsets.shape == (m + 1,)
-        assert int(table.offsets[-1]) == n
-        for slot in range(m):
-            lo, hi = int(table.offsets[slot]), int(table.offsets[slot + 1])
-            if slot not in timelines:
-                assert lo == hi
-                continue
-            node_times, node_flags = timelines[slot]
-            np.testing.assert_array_equal(table.times[lo:hi], node_times)
-            np.testing.assert_array_equal(
-                table.flags[lo:hi].astype(bool), node_flags
+        expected = NUMPY.timeline_table(slots, times, m, capacity, burst)
+        assert sum(len(node_times) for node_times, _ in expected.values()) == n
+        for kernels in KERNEL_SETS:
+            got = _as_timelines(
+                kernels.timeline_table(slots, times, m, capacity, burst), m
             )
+            assert set(got) == set(expected)
+            for slot, (node_times, node_flags) in expected.items():
+                np.testing.assert_array_equal(got[slot][0], node_times)
+                np.testing.assert_array_equal(got[slot][1], node_flags)
 
-    def test_empty_is_empty(self, kernels):
-        table = kernels.timeline_table(
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64),
-            7, 1.0, 2.0,
-        )
-        assert int(table.offsets[-1]) == 0
-        assert len(table.times) == 0
+    def test_empty_is_empty(self):
+        for kernels in KERNEL_SETS:
+            table = kernels.timeline_table(
+                np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64),
+                7, 1.0, 2.0,
+            )
+            assert _as_timelines(table, 7) == {}
 
 
 class TestRoute:
     @pytest.mark.parametrize("seed", range(25))
-    def test_matches_two_step_numpy(self, kernels, seed):
+    def test_matches_two_step_numpy(self, seed):
         rng = np.random.default_rng(300 + seed)
         m = int(rng.integers(2, 40))
         rows = int(rng.integers(1, 120))
@@ -141,8 +147,6 @@ class TestRoute:
         capacity = float(rng.uniform(0.2, 3.0))
         burst = float(np.ceil(rng.uniform(1.0, 4.0)))
         slots, times = _random_events(rng, m, int(rng.integers(0, 250)))
-        table = kernels.timeline_table(slots, times, m, capacity, burst)
-        timelines = _congestion_timelines(slots, times, capacity, burst)
 
         u = rng.random(rows)
         nbr = rng.integers(0, m, size=(rows, cols)).astype(np.int64)
@@ -150,44 +154,50 @@ class TestRoute:
         decision_t = rng.uniform(0.0, 60.0, size=rows)
         if seed % 2 == 0:
             # The hot engine path: nondecreasing decision times trigger
-            # the marching-cursor fast path; odd seeds keep the
+            # the C set's marching-cursor fast path; odd seeds keep its
             # binary-search fallback honest.
             decision_t = np.sort(decision_t)
 
-        congested = _congested_at(timelines, nbr, decision_t)
-        live = healthy & ~congested
-        exp_routable, exp_chosen = _route_uniform(u, nbr, live)
-        got_routable, got_chosen = kernels.route(
-            u, nbr, healthy.astype(np.uint8), decision_t, table
-        )
-        np.testing.assert_array_equal(got_routable, exp_routable)
-        np.testing.assert_array_equal(
-            got_chosen[got_routable], exp_chosen[exp_routable]
-        )
+        results = []
+        for kernels in KERNEL_SETS:
+            table = kernels.timeline_table(slots, times, m, capacity, burst)
+            results.append(kernels.route(u, nbr, healthy, decision_t, table))
+        exp_routable, exp_chosen = results[0]
+        for routable, chosen in results:
+            np.testing.assert_array_equal(routable, exp_routable)
+            np.testing.assert_array_equal(
+                chosen[routable], exp_chosen[exp_routable]
+            )
 
-    def test_no_events_all_healthy(self, kernels):
-        table = CongestionTable.empty(4)
+    def test_no_events_all_healthy(self):
         u = np.array([0.0, 0.5, 0.999])
         nbr = np.array([[0, 1], [2, 3], [1, 2]], dtype=np.int64)
-        healthy = np.ones((3, 2), dtype=np.uint8)
+        healthy = np.ones((3, 2), dtype=bool)
         decision_t = np.array([1.0, 2.0, 3.0])
-        routable, chosen = kernels.route(u, nbr, healthy, decision_t, table)
-        assert routable.all()
-        np.testing.assert_array_equal(chosen, [0, 3, 2])
+        for kernels in KERNEL_SETS:
+            table = kernels.timeline_table(
+                np.zeros(0, dtype=np.int64), np.zeros(0), 4, 1.0, 2.0
+            )
+            routable, chosen = kernels.route(u, nbr, healthy, decision_t, table)
+            assert routable.all()
+            np.testing.assert_array_equal(chosen, [0, 3, 2])
 
-    def test_unroutable_rows_flagged(self, kernels):
-        table = CongestionTable.empty(3)
+    def test_unroutable_rows_flagged(self):
         u = np.array([0.3])
         nbr = np.array([[0, 1, 2]], dtype=np.int64)
-        healthy = np.zeros((1, 3), dtype=np.uint8)
+        healthy = np.zeros((1, 3), dtype=bool)
         decision_t = np.array([5.0])
-        routable, _ = kernels.route(u, nbr, healthy, decision_t, table)
-        assert not routable.any()
+        for kernels in KERNEL_SETS:
+            table = kernels.timeline_table(
+                np.zeros(0, dtype=np.int64), np.zeros(0), 3, 1.0, 2.0
+            )
+            routable, _ = kernels.route(u, nbr, healthy, decision_t, table)
+            assert not routable.any()
 
 
 class TestWelford:
     @pytest.mark.parametrize("seed", range(15))
-    def test_matches_streaming_fold(self, kernels, seed):
+    def test_matches_streaming_fold(self, seed):
         rng = np.random.default_rng(400 + seed)
         values = rng.uniform(0.0, 10.0, size=int(rng.integers(0, 500)))
         count, mean, m2, maxv = (
@@ -206,14 +216,17 @@ class TestWelford:
             exp_m2 += delta * (value - exp_mean)
             if value > exp_max:
                 exp_max = value
-        got = kernels.welford(values, count, mean, m2, maxv)
-        assert got == (exp_count, exp_mean, exp_m2, exp_max)
+        for kernels in KERNEL_SETS:
+            got = kernels.welford(values, count, mean, m2, maxv)
+            assert got == (exp_count, exp_mean, exp_m2, exp_max)
 
 
 class TestDetect:
+    """The monitor's batched CUSUM/EWMA scan vs a per-row Python scan."""
+
     @pytest.mark.parametrize("method", ["cusum", "ewma"])
     @pytest.mark.parametrize("seed", range(10))
-    def test_matches_numpy_scan(self, kernels, method, seed):
+    def test_matches_numpy_scan(self, method, seed):
         rng = np.random.default_rng(500 + seed)
         rows = int(rng.integers(1, 50))
         bins = int(rng.integers(1, 60))
@@ -226,11 +239,7 @@ class TestDetect:
         threshold = float(rng.uniform(1.0, 8.0))
         drift = float(rng.uniform(0.0, 1.5))
         alpha = float(rng.uniform(0.05, 0.9))
-        expected = _detect_bins_numpy(
-            series, means, sigmas, base_end, method, threshold, drift, alpha
-        )
-        got = kernels.detect_bins(
-            series, means, sigmas, base_end, method, threshold, drift, alpha
-        )
-        np.testing.assert_array_equal(got, expected)
+        args = (series, means, sigmas, base_end, method, threshold, drift, alpha)
+        expected = scalar_detect_bins(*args)
+        np.testing.assert_array_equal(_detect_bins(*args), expected)
         assert (expected >= 0).any() or rows < 3  # workload sanity

@@ -1,12 +1,13 @@
-"""Engine-level tier contracts: scalar / numpy / compiled equality.
+"""Engine-level tier contracts: numpy / compiled equality.
 
-The tier knob (``PacketSimConfig.tier``, ``TrafficMonitor(tier=...)``)
-is documented as a pure speed selector: on the same seeds and the same
-(possibly churned) deployment, every tier must produce the *same
-report* — injection schedules, drop decisions, congested-node sets,
-latency statistics, detector flag sequences. These tests run the full
-engines at every available tier and require field-for-field equality,
-plus the graceful-degradation path when no compiled backend exists.
+The tier knob (``PacketSimConfig.tier``) is documented as a pure speed
+selector: on the same seeds and the same (possibly churned) deployment,
+both tiers must produce the *same report* — injection schedules, drop
+decisions, congested-node sets, latency statistics. These tests run the
+full engine at every available tier and require field-for-field
+equality, plus the graceful-degradation path when the C kernels cannot
+be built. The monitor's batched detector scan is held to the per-node
+scalar oracle the same way.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ import pytest
 
 from repro.core import SOSArchitecture
 from repro.detection.monitor import MonitorConfig, TrafficMonitor
-from repro.errors import DetectionError
 from repro.overlay.arrays import HEALTH_COMPROMISED, HEALTH_CRASHED
-from repro.perf import compiled
+from repro.perf import _cc, compiled
 from repro.perf.compiled import (
     CompiledTierUnavailableWarning,
     available_tiers,
@@ -31,6 +31,7 @@ from repro.perf.compiled import (
 from repro.perf.fastsim import run_fast, run_packet_replicas
 from repro.simulation.packet_sim import PacketSimConfig, flood_layer
 from repro.sos.deployment import SOSDeployment
+from tests.perf.oracles import scalar_detection_bins
 
 
 def deployment(seed=11, nodes=400, sos_nodes=30):
@@ -161,34 +162,24 @@ class TestMonitorTierEquality:
             bin_width=0.5, warmup_bins=2, baseline_bins=6, method=method,
             threshold=8.0 if method == "cusum" else 2.0,
         )
-        stream = _monitor_stream(seed)
-        outcomes = {}
-        for tier in available_tiers():
-            monitor = TrafficMonitor(config, tier=tier)
-            monitor.observe_batch(*stream)
-            outcomes[tier] = (
-                monitor.detection_bins(),
-                monitor.flagged_nodes(),
-            )
-        baseline_bins, baseline_flagged = outcomes.pop("scalar")
+        monitor = TrafficMonitor(config)
+        monitor.observe_batch(*_monitor_stream(seed))
+        expected = scalar_detection_bins(monitor)
         assert any(
-            value is not None for value in baseline_bins.values()
+            value is not None for value in expected.values()
         ), "workload produced no detections — test is vacuous"
-        for tier, (bins, flagged) in outcomes.items():
-            assert bins == baseline_bins, f"tier {tier!r} diverged"
-            assert flagged == baseline_flagged
+        assert monitor.detection_bins() == expected
+        assert monitor.flagged_nodes() == [
+            node for node, bin_index in expected.items() if bin_index is not None
+        ]
 
     def test_batched_agrees_with_per_node_scan(self):
         config = MonitorConfig(bin_width=0.5, warmup_bins=2, baseline_bins=6)
-        monitor = TrafficMonitor(config, tier="numpy")
+        monitor = TrafficMonitor(config)
         monitor.observe_batch(*_monitor_stream(99))
         batched = monitor.detection_bins()
         for node_id, bin_index in batched.items():
             assert monitor.detection_bin(node_id) == bin_index
-
-    def test_invalid_tier_rejected(self):
-        with pytest.raises(DetectionError):
-            TrafficMonitor(MonitorConfig(), tier="turbo")
 
 
 class TestDegradation:
@@ -196,14 +187,11 @@ class TestDegradation:
 
     @pytest.fixture()
     def no_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_BACKEND", "none")
-        compiled._reset_for_tests()
-        yield
-        monkeypatch.delenv("REPRO_COMPILED_BACKEND", raising=False)
-        compiled._reset_for_tests()
+        monkeypatch.setattr(_cc, "load_library", lambda: None)
+        monkeypatch.setattr(compiled, "_WARNED", False)
 
     def test_warns_once_and_degrades(self, no_backend):
-        assert available_tiers() == ("scalar", "numpy")
+        assert available_tiers() == ("numpy",)
         with pytest.warns(CompiledTierUnavailableWarning):
             assert resolve_tier("compiled") == "numpy"
         with warnings.catch_warnings():
@@ -217,12 +205,17 @@ class TestDegradation:
         expected = run_at("numpy", 2, targets=True)
         assert dataclasses.asdict(degraded) == dataclasses.asdict(expected)
 
-    def test_forced_backend_env_respected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_COMPILED_BACKEND", "cc")
-        compiled._reset_for_tests()
+    def test_forced_backend_env_respected(self, monkeypatch, tmp_path):
+        # REPRO_CC pins the compiler; one that does not exist leaves no
+        # backend, and the degradation warning says why.
+        monkeypatch.setenv("REPRO_CC", str(tmp_path / "no-such-cc"))
+        monkeypatch.setenv("REPRO_CC_CACHE", str(tmp_path))
+        monkeypatch.setattr(compiled, "_WARNED", False)
+        _cc._reset_for_tests()
         try:
-            backend = compiled_backend()
-            assert backend in ("cc", None)  # None: no C toolchain here
+            assert compiled_backend() is None
+            with pytest.warns(CompiledTierUnavailableWarning, match="REPRO_CC"):
+                assert resolve_tier("compiled") == "numpy"
         finally:
-            monkeypatch.delenv("REPRO_COMPILED_BACKEND", raising=False)
-            compiled._reset_for_tests()
+            monkeypatch.undo()
+            _cc._reset_for_tests()

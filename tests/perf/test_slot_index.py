@@ -87,7 +87,7 @@ class TestZeroClientArraysRun:
         )
         return SOSDeployment.deploy(arch, rng=5)
 
-    @pytest.mark.parametrize("tier", ["scalar", "numpy", "compiled"])
+    @pytest.mark.parametrize("tier", ["numpy", "compiled"])
     def test_zero_clients_no_contacts(self, tier):
         dep = self._deployment()
         arrays = encode_deployment(dep)

@@ -63,6 +63,7 @@ def test_engine_tier_seed_default_to_the_spec():
         {"mode": "bogus"},
         {"engine": "warp"},
         {"tier": "gpu"},
+        {"tier": "scalar"},
     ],
 )
 def test_run_scenario_validates_knobs(spec, kwargs):
@@ -99,10 +100,10 @@ def test_tier_threading_is_bit_identical(spec):
 
     reports = {
         tier: run_scenario(spec, mode="detected", phases=2, tier=tier)
-        for tier in ("scalar", "numpy")
+        for tier in ("numpy", "compiled")
     }
-    assert reports["scalar"] == dataclasses.replace(
-        reports["numpy"], tier="scalar"
+    assert reports["compiled"] == dataclasses.replace(
+        reports["numpy"], tier="compiled"
     )
 
 

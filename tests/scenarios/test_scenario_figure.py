@@ -27,8 +27,8 @@ def test_scn_zoo_claims_pass_on_fast_engine():
 
 
 def test_scn_zoo_accepts_engine_and_tier_overrides():
-    # The runner's --engine event / --tier scalar path; quick (1 phase).
-    result = run_figure("scn-zoo", fast=False, tier="scalar", phases=1)
+    # The runner's --engine event / --tier compiled path; quick (1 phase).
+    result = run_figure("scn-zoo", fast=False, tier="compiled", phases=1)
     assert not result.failed_claims()
     assert "Event-driven engine" in result.notes
-    assert "scalar tier" in result.notes
+    assert "compiled tier" in result.notes

@@ -122,6 +122,7 @@ def test_vector_layer_out_of_architecture_rejected():
         {"seed": -1},
         {"engine": "warp"},
         {"tier": "gpu"},
+        {"tier": "scalar"},  # retired tier: no alias
     ],
 )
 def test_spec_field_validation(kwargs):
@@ -155,10 +156,21 @@ def test_sim_spec_validates_eagerly():
         SimSpec(duration=-1.0)
 
 
+def test_non_finite_sim_settings_rejected():
+    # ``Infinity`` parses from JSON and passes the ``> 0`` schema check;
+    # the sim config must still refuse it before any engine runs.
+    payload = tiny_spec().to_json().replace(
+        '"hop_latency": 0.05', '"hop_latency": Infinity'
+    )
+    assert "Infinity" in payload
+    with pytest.raises(ScenarioError, match="hop_latency must be finite"):
+        ScenarioSpec.from_json(payload)
+
+
 def test_sim_config_tier_override_does_not_mutate_spec():
     spec = tiny_spec()
     assert spec.sim_config().tier == spec.tier
-    assert spec.sim_config(tier="scalar").tier == "scalar"
+    assert spec.sim_config(tier="compiled").tier == "compiled"
     assert spec.tier == "numpy"
 
 

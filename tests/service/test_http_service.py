@@ -291,6 +291,20 @@ class TestCampaignsOverHttp:
 
         asyncio.run(scenario())
 
+    def test_campaign_with_retired_scalar_tier_is_400(self, tmp_path):
+        async def scenario():
+            server = HttpServer(SOSEvaluationService(_config(tmp_path)))
+            async with server:
+                status, _h, body = await _request(
+                    server, "POST", "/campaign",
+                    body={"scenario": "stealth-lowrate", "phases": 1,
+                          "tier": "scalar"},
+                )
+                assert status == 400
+                assert "tier" in body["error"]
+
+        asyncio.run(scenario())
+
 
 class TestHttpLayer:
     def test_malformed_json_is_400(self, tmp_path):

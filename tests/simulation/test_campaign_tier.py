@@ -1,13 +1,14 @@
-"""Tier threading through the time-resolved campaign simulation."""
+"""The campaign's ``P_S`` moments: one Welford fold, same bits on every tier."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import SOSArchitecture, SuccessiveAttack
-from repro.errors import SimulationError
+from repro.perf.compiled import available_tiers, get_kernels
 from repro.repair import NO_REPAIR
-from repro.simulation.campaign import CampaignSimulation, run_campaign
+from repro.simulation.campaign import run_campaign
 
 ARCH = SOSArchitecture(
     layers=3,
@@ -22,12 +23,15 @@ ATTACK = SuccessiveAttack(
 
 
 def test_reports_are_bit_identical_across_tiers():
-    reports = {
-        tier: run_campaign(ARCH, ATTACK, NO_REPAIR, seed=11, tier=tier)
-        for tier in ("scalar", "numpy", "compiled")
-    }
-    assert reports["scalar"] == reports["numpy"]
-    assert reports["scalar"] == reports["compiled"]
+    # The campaign folds with the numpy set's Welford; every kernel set's
+    # fold of the same series must land on the identical moments.
+    report = run_campaign(ARCH, ATTACK, NO_REPAIR, seed=11)
+    values = np.asarray(report.p_s, dtype=np.float64)
+    for tier in available_tiers():
+        count, mean, m2, _ = get_kernels(tier).welford(
+            values, 0, 0.0, 0.0, float("-inf")
+        )
+        assert (mean, m2 / count) == (report.p_s_mean, report.p_s_variance)
 
 
 def test_p_s_moments_match_the_trajectory():
@@ -39,8 +43,3 @@ def test_p_s_moments_match_the_trajectory():
     )
     assert report.p_s_variance == pytest.approx(variance)
     assert report.p_s_variance > 0.0  # the attack visibly moves p_s
-
-
-def test_unknown_tier_rejected():
-    with pytest.raises(SimulationError, match="tier"):
-        CampaignSimulation(ARCH, ATTACK, NO_REPAIR, tier="gpu")

@@ -39,13 +39,24 @@ class TestConfigValidation:
         with pytest.raises(SimulationError):
             PacketSimConfig(clients=-1)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name",
+        ["duration", "hop_latency", "client_rate", "node_capacity", "flood_rate"],
+    )
+    def test_non_finite_settings_rejected(self, name, value):
+        with pytest.raises(SimulationError, match=f"{name} must be finite"):
+            PacketSimConfig(**{name: value})
+
     def test_zero_clients_allowed(self):
         assert PacketSimConfig(clients=0).clients == 0
 
     def test_tier_validated(self):
         with pytest.raises(SimulationError):
             PacketSimConfig(tier="turbo")
-        for tier in ("scalar", "numpy", "compiled"):
+        with pytest.raises(SimulationError, match="tier"):
+            PacketSimConfig(tier="scalar")  # retired: no per-event tier
+        for tier in ("numpy", "compiled"):
             assert PacketSimConfig(tier=tier).tier == tier
 
 

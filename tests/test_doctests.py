@@ -27,12 +27,7 @@ MODULES = sorted(set(_iter_modules()))
 
 @pytest.mark.parametrize("module_name", MODULES)
 def test_module_doctests(module_name):
-    try:
-        module = importlib.import_module(module_name)
-    except ModuleNotFoundError as exc:
-        # Optional-backend modules (e.g. repro.perf._numba_kernels) only
-        # import when their extra is installed.
-        pytest.skip(f"optional dependency missing: {exc.name}")
+    module = importlib.import_module(module_name)
     results = doctest.testmod(module, verbose=False)
     assert results.failed == 0, f"{module_name}: {results.failed} doctest failures"
 

@@ -53,9 +53,6 @@ class TestTruePositives:
         "rngflow/rawseed_tp.py": "rng-raw-seed",
         "rngflow/unordered_tp.py": "rng-unordered-iter",
         "simulation/wallclock_tp.py": "wallclock",
-        # Decorated but not jitted: the compiled-boundary mark must not
-        # swallow ordinary decorators.
-        "perf/compiled_tp.py": "wallclock",
     }
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -84,7 +81,6 @@ class TestGuardedFalsePositives:
         "rngflow/rawseed_fp.py",
         "rngflow/unordered_fp.py",
         "simulation/wallclock_fp.py",
-        "perf/compiled_fp.py",
     ]
 
     @pytest.mark.parametrize("name", CLEAN)
@@ -96,43 +92,6 @@ class TestGuardedFalsePositives:
         for name in self.CLEAN:
             report = report_for(result, name)
             assert report.findings == []
-
-
-class TestCompiledBoundary:
-    """Jitted bodies are a compiled boundary the hygiene passes stop at."""
-
-    def test_jitted_bodies_marked_compiled(self):
-        import ast
-
-        from repro_lint.callgraph import ProjectGraph
-
-        path = FIXTURES / "perf" / "compiled_fp.py"
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        graph = ProjectGraph.build([(path, tree)])
-        compiled = {
-            info.name
-            for info in graph.functions.values()
-            if info.is_compiled
-        }
-        assert compiled == {
-            "raw_seed_kernel",
-            "qualified_decorator_kernel",
-            "wallclock_spelling",
-            "closure_host",
-            "accumulate",  # nested def inherits the enclosing jit
-        }
-
-    def test_non_jit_decorators_not_marked(self):
-        import ast
-
-        from repro_lint.callgraph import ProjectGraph
-
-        path = FIXTURES / "perf" / "compiled_tp.py"
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        graph = ProjectGraph.build([(path, tree)])
-        assert not any(
-            info.is_compiled for info in graph.functions.values()
-        )
 
 
 class TestScoping:

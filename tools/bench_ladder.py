@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Run the hot-path benchmarks at every available kernel tier.
 
-The perf ladder measures the same four workloads the pytest-benchmark
-suite tracks — the 1000-client flooded packet run, 10k Chord lookups,
-change-point detection over a large monitor, and the 100k-node scale
-run — once per tier (``scalar`` | ``numpy`` | ``compiled``), verifies
-that the tiers produce identical results where bit-identity is
-promised, and prints a tier x speedup table.
+The perf ladder measures the fast packet engine — the 1000-client
+flooded packet run and the 100k-node scale run — once per tier
+(``numpy`` | ``compiled``), verifies that the tiers produce identical
+results (bit-identity is promised), and prints a tier x speedup table.
+Change-point detection over a large monitor rides along as a
+numpy-only row: the detector scan has one implementation.
 
 Usage::
 
@@ -19,11 +19,8 @@ Usage::
 report into the next ``BENCH_<n>.json`` as its ``tiers`` block, and
 ``tools/bench_compare.py`` gates per-tier regressions from there (so a
 compiled-tier regression cannot hide behind a numpy improvement).
-
-Chord lookups have no compiled kernel; the ladder maps its natural
-implementation pair (per-key ``lookup`` loop vs ``lookup_batch``) onto
-the ``scalar``/``numpy`` rungs and reports the ``compiled`` cell as
-absent rather than silently re-timing numpy.
+Chord's per-key loop vs ``lookup_batch`` pair is measured by
+``benchmarks/bench_chord.py``, not here: it is not a kernel tier.
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ import numpy as np
 
 from repro.core import SOSArchitecture
 from repro.detection.monitor import MonitorConfig, TrafficMonitor
-from repro.overlay.chord import ChordRing
 from repro.perf.compiled import TIERS, available_tiers, compiled_backend
 from repro.perf.fastsim import encode_deployment, run_fast
 from repro.simulation.packet_sim import PacketSimConfig, flood_layer
@@ -127,34 +123,6 @@ def _run_flooded(state: Dict[str, Any], tier: str) -> Tuple[Any, ...]:
     )
 
 
-def _prepare_chord(bits: int, nodes: int, queries: int) -> Dict[str, Any]:
-    rng = np.random.default_rng(11)
-    ids = sorted(
-        int(i) for i in rng.choice(2**bits, size=nodes, replace=False)
-    )
-    ring = ChordRing.build(ids, bits=bits)
-    query_rng = np.random.default_rng(12)
-    keys = [int(k) for k in query_rng.integers(0, 2**bits, size=queries)]
-    starts = [
-        int(s) for s in query_rng.choice(ring.live_node_ids, size=queries)
-    ]
-    return {"ring": ring, "keys": keys, "starts": starts}
-
-
-def _run_chord_loop(state: Dict[str, Any]) -> Tuple[Any, ...]:
-    ring = state["ring"]
-    return tuple(
-        ring.lookup(key, start).owner
-        for key, start in zip(state["keys"], state["starts"])
-    )
-
-
-def _run_chord_batch(state: Dict[str, Any]) -> Tuple[Any, ...]:
-    ring = state["ring"]
-    batch = ring.lookup_batch(state["keys"], state["starts"])
-    return tuple(int(owner) for owner in batch.owners)
-
-
 def _prepare_detection(nodes: int, offers: int) -> Dict[str, Any]:
     rng = np.random.default_rng(3)
     node_ids = rng.integers(0, nodes, size=offers).astype(np.int64)
@@ -177,8 +145,8 @@ def _prepare_detection(nodes: int, offers: int) -> Dict[str, Any]:
     }
 
 
-def _run_detection(state: Dict[str, Any], tier: str) -> Tuple[Any, ...]:
-    monitor = TrafficMonitor(state["config"], tier=tier)
+def _run_detection(state: Dict[str, Any]) -> Tuple[Any, ...]:
+    monitor = TrafficMonitor(state["config"])
     monitor.observe_batch(state["nodes"], state["times"], state["accepted"])
     bins = monitor.detection_bins()
     return tuple(sorted(bins.items()))
@@ -190,7 +158,6 @@ def build_benchmarks(quick: bool) -> List[Dict[str, Any]]:
                    duration=50.0)
     scale = dict(clients=200, nodes=100_000, sos_nodes=3_000, filters=8,
                  duration=6.0, flood_rate=200.0)
-    chord = dict(bits=24, nodes=2000, queries=2_000 if quick else 10_000)
     detection = dict(nodes=1_000, offers=50_000 if quick else 400_000)
     if quick:
         flooded.update(clients=200, nodes=500, sos_nodes=60, duration=20.0)
@@ -204,25 +171,11 @@ def build_benchmarks(quick: bool) -> List[Dict[str, Any]]:
                 tier: (lambda state, tier=tier: _run_flooded(state, tier))
                 for tier in TIERS
             },
-            "identical": True,
-        },
-        {
-            "name": "chord_10k_lookup",
-            "prepare": lambda: _prepare_chord(**chord),
-            "tiers": {
-                "scalar": _run_chord_loop,
-                "numpy": _run_chord_batch,
-            },
-            "identical": True,
         },
         {
             "name": "detection_flagging",
             "prepare": lambda: _prepare_detection(**detection),
-            "tiers": {
-                tier: (lambda state, tier=tier: _run_detection(state, tier))
-                for tier in TIERS
-            },
-            "identical": True,
+            "tiers": {"numpy": _run_detection},
         },
         {
             "name": "scale_100k_flooded" if not quick else "scale_quick",
@@ -231,7 +184,6 @@ def build_benchmarks(quick: bool) -> List[Dict[str, Any]]:
                 tier: (lambda state, tier=tier: _run_flooded(state, tier))
                 for tier in TIERS
             },
-            "identical": True,
         },
     ]
 
@@ -275,7 +227,7 @@ def run_ladder(rounds: int, quick: bool) -> Dict[str, Any]:
             seconds, fingerprint = _time_best(runner, state, rounds)
             cells[tier] = {"mean": seconds, "rounds": rounds}
             fingerprints[tier] = fingerprint
-        if bench["identical"] and len(set(fingerprints.values())) > 1:
+        if len(set(fingerprints.values())) > 1:
             raise AssertionError(
                 f"{bench['name']}: tiers disagree on results — "
                 "bit-identity contract violated"
@@ -350,8 +302,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.require_compiled and compiled_backend() is None:
         print(
-            "bench-ladder: no compiled backend (numba missing and no "
-            "working C compiler) but --require-compiled was set",
+            "bench-ladder: no compiled backend (no working C compiler) "
+            "but --require-compiled was set",
             file=sys.stderr,
         )
         return 1

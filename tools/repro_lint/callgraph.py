@@ -46,16 +46,6 @@ EXECUTOR_FUNCTIONS = frozenset({"asyncio.to_thread", "to_thread"})
 #: there, not on the caller's loop).
 PROCESS_FACTORIES = frozenset({"Process", "Pool", "ProcessPoolExecutor"})
 
-#: Decorator names that compile the function body to machine code
-#: (numba's jit family). A jitted body is a *compiled boundary*: the
-#: Python-hygiene passes must not look inside, because the lowered code
-#: cannot call the sanctioned helpers they would demand (a kernel can't
-#: reach ``repro.utils.seeding`` or the engine's sim-time — its callers
-#: own those contracts and hand plain arrays across the boundary).
-COMPILED_DECORATORS = frozenset(
-    {"njit", "jit", "vectorize", "guvectorize", "cfunc"}
-)
-
 
 def dotted_name(node: ast.AST) -> Optional[str]:
     """Render ``a.b.c`` attribute/name chains; ``None`` for anything else."""
@@ -67,27 +57,6 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
-
-
-def is_compiled_decorator(node: ast.AST) -> bool:
-    """True when ``node`` (a decorator expression) jit-compiles the body.
-
-    Matches the numba jit family both bare (``@njit``, ``@njit(cache=
-    True)``) and qualified (``@numba.njit``, ``@numba.core.decorators.
-    jit``): any dotted decorator rooted at ``numba``, or whose last
-    segment is one of :data:`COMPILED_DECORATORS`. Syntactic on purpose
-    — fixture/vendored code may alias numba in ways import resolution
-    cannot see, and a false "compiled" mark only silences hygiene passes
-    on code CPython never executes anyway.
-    """
-    if isinstance(node, ast.Call):
-        node = node.func
-    name = dotted_name(node)
-    if name is None:
-        return False
-    if name == "numba" or name.startswith("numba."):
-        return True
-    return name.rsplit(".", 1)[-1] in COMPILED_DECORATORS
 
 
 def module_name_for(path: Path) -> Tuple[str, bool]:
@@ -146,9 +115,6 @@ class FunctionInfo:
     node: FunctionNode
     is_async: bool
     class_name: Optional[str] = None
-    #: Body is jit-compiled (numba decorator on it or on an enclosing
-    #: def): a compiled boundary the Python-hygiene passes stop at.
-    is_compiled: bool = False
     calls: List[CallSite] = dataclasses.field(default_factory=list)
     #: Immediate nested function definitions (local-name -> qualname).
     locals_functions: Dict[str, str] = dataclasses.field(default_factory=dict)
@@ -239,10 +205,6 @@ class ProjectGraph:
             node=node,
             is_async=isinstance(node, ast.AsyncFunctionDef),
             class_name=class_name,
-            # Nested defs inherit the mark: numba lowers closures with
-            # their enclosing jitted function.
-            is_compiled=(parent is not None and parent.is_compiled)
-            or any(is_compiled_decorator(d) for d in node.decorator_list),
         )
         self.functions[qualname] = info
         # Index nested defs so helper-indirection is still traversable.

@@ -8,11 +8,7 @@ couples results to the host clock (and to NTP steps mid-run);
 sim-time is the sanctioned timestamp source.
 
 Service/tooling code is out of scope — deadlines and SLO reports are
-*supposed* to read real clocks. Jit-compiled bodies (``@numba.njit``
-and friends, see ``FunctionInfo.is_compiled``) are a compiled boundary:
-whatever such a kernel spells as ``time.*`` is lowered by numba, not
-executed by CPython, and its determinism contract is enforced at the
-call boundary (bit-identity property tests), so the pass skips them.
+*supposed* to read real clocks.
 """
 
 from __future__ import annotations
@@ -58,8 +54,6 @@ class WallclockPass(ProjectPass):
     def run(self, graph: ProjectGraph) -> Iterator[Finding]:
         for function in graph.functions.values():
             if not self.scope & set(module_segments(function.module.name)):
-                continue
-            if function.is_compiled:
                 continue
             for site in function.calls:
                 target = site.target()

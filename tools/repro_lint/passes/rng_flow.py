@@ -15,10 +15,7 @@ function can break the bit-identity contract:
   sequence depends on interpreter state rather than the seed.
 
 All three apply to library code under ``src/`` only; the sanctioned
-seeding module is exempt from ``rng-raw-seed``, as are jit-compiled
-bodies (``FunctionInfo.is_compiled``) — a numba kernel cannot call the
-seeding helpers across the compiled boundary, and the streams it uses
-are seeded by its (lint-checked) Python callers.
+seeding module is exempt from ``rng-raw-seed``.
 """
 
 from __future__ import annotations
@@ -117,8 +114,6 @@ class RngRawSeedPass(ProjectPass):
     def run(self, graph: ProjectGraph) -> Iterator[Finding]:
         for function in graph.functions.values():
             if not _in_scope(function) or _is_seeding_module(function):
-                continue
-            if function.is_compiled:
                 continue
             tracker = track_function(function)
             for event in tracker.events:
