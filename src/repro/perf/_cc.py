@@ -29,6 +29,12 @@ stable bottom-up mergesort covers arbitrary inputs. The resulting
 permutation is element-for-element the one ``np.lexsort((times, slots))``
 produces (slot, then time, then original index), so downstream accept
 decisions see events in the identical order.
+
+Routing is one time-ordered sweep rather than a per-packet rescan of
+the neighbor row: every table row keeps a live bitmap and count, only
+congestion-flag *flips* (a handful per call) touch them through a
+slot -> (row, col) reverse index, and each packet's pick is the
+``min(int(u * k), k - 1)``-th set bit of its row, found by popcount.
 """
 
 from __future__ import annotations
@@ -220,95 +226,155 @@ void repro_bucket_scan(
 }
 
 /* ------------------------------------------------------------------ */
-/* Fused congestion lookup + uniform routing (fastsim._congested_at +  */
-/* fastsim._route_uniform).                                            */
+/* Congestion-aware uniform routing over a neighbor table: one         */
+/* time-ordered sweep of congestion-flag flips.                        */
 /* ------------------------------------------------------------------ */
 
-void repro_route(
-    const double *u, const int64_t *nbr, const uint8_t *healthy,
-    const double *decision_t, int64_t rows, int64_t cols, int64_t m,
-    const int64_t *tl_offsets, /* m + 1; NULL-free: pass zeros for none */
+/* Returns 0, or -1 when a table entry is not a slot in 0..m-1, or -2
+   when a packet's row is not a table row; nothing is routed then. */
+int64_t repro_route(
+    const double *u, const int64_t *rows, const double *decision_t,
+    int64_t n,
+    const int64_t *nbr, int64_t table_rows, int64_t cols,
+    const uint8_t *is_bad, int64_t m,
+    const int64_t *tl_offsets, /* m + 1 */
     const double *tl_times, const uint8_t *tl_flags,
-    int64_t *cursor,       /* m scratch */
-    uint8_t *live_scratch, /* cols scratch */
-    uint8_t *routable,     /* rows out */
-    int64_t *chosen        /* rows out */
+    uint64_t *live_bits,  /* table_rows * ceil(cols / 64) scratch */
+    int64_t *live_count,  /* table_rows scratch */
+    int64_t *rev_offsets, /* m + 1 scratch */
+    int64_t *cursor,      /* m scratch */
+    int64_t *rev_pos,     /* table_rows * cols scratch */
+    int64_t *flips,       /* tl_offsets[m] scratch */
+    int64_t *visit,       /* n scratch */
+    int64_t *tmp,         /* max(n, tl_offsets[m]) scratch */
+    uint8_t *routable,    /* n out */
+    int64_t *chosen       /* n out */
 )
 {
-    int64_t r, c, s;
-    int64_t have_events = tl_offsets[m];
-    /* Decision times arrive nondecreasing from the hop-synchronous
-       engine, so each slot's timeline can be consumed by a marching
-       cursor instead of a fresh binary search per (row, col):
-       amortized O(rows * cols + events) instead of
-       O(rows * cols * log events). Unsorted inputs keep the exact
-       searchsorted semantics via the fallback branch. */
-    int monotone = 1;
-    for (r = 1; r < rows; r++) {
-        if (decision_t[r] < decision_t[r - 1]) {
-            monotone = 0;
-            break;
-        }
-    }
-    if (monotone && have_events) {
-        for (s = 0; s < m; s++)
-            cursor[s] = tl_offsets[s];
-    }
-    for (r = 0; r < rows; r++) {
-        double t = decision_t[r];
-        int64_t live_count = 0;
-        int64_t pick, seen, col;
+    int64_t words = (cols + 63) / 64;
+    int64_t nflips = 0, f = 0;
+    int64_t i, j, r, c, s;
+
+    for (i = 0; i < table_rows * cols; i++)
+        if (nbr[i] < 0 || nbr[i] >= m)
+            return -1;
+    for (i = 0; i < n; i++)
+        if (rows[i] < 0 || rows[i] >= table_rows)
+            return -2;
+
+    /* Live bitmaps at t = -inf: every healthy neighbor, none congested
+       yet (a slot's state before its first event is "not congested").
+       rev_offsets[s + 1] counts the healthy table positions of s. */
+    memset(rev_offsets, 0, (size_t)(m + 1) * sizeof(int64_t));
+    for (r = 0; r < table_rows; r++) {
+        uint64_t *bits = live_bits + r * words;
+        int64_t count = 0;
+        memset(bits, 0, (size_t)words * sizeof(uint64_t));
         for (c = 0; c < cols; c++) {
-            int64_t slot = nbr[r * cols + c];
-            uint8_t ok = healthy[r * cols + c];
-            if (ok && have_events) {
-                /* searchsorted(times, t, side="right") - 1, then flag */
-                int64_t base = tl_offsets[slot];
-                int64_t b = tl_offsets[slot + 1];
-                int64_t a;
-                if (monotone) {
-                    a = cursor[slot];
-                    while (a < b && tl_times[a] <= t)
-                        a++;
-                    cursor[slot] = a;
-                } else {
-                    a = base;
-                    while (a < b) {
-                        int64_t mid = a + (b - a) / 2;
-                        if (tl_times[mid] <= t)
-                            a = mid + 1;
-                        else
-                            b = mid;
-                    }
-                }
-                if (a > base && tl_flags[a - 1])
-                    ok = 0;
+            s = nbr[r * cols + c];
+            if (!is_bad[s]) {
+                bits[c >> 6] |= (uint64_t)1 << (c & 63);
+                count++;
+                rev_offsets[s + 1]++;
             }
-            live_scratch[c] = ok;
-            live_count += ok;
         }
-        if (live_count == 0) {
-            routable[r] = 0;
-            chosen[r] = -1;
+        live_count[r] = count;
+    }
+
+    /* Every change of a referenced slot's congestion flag, slot-major and
+       time-ordered within a slot; slots that never flip drop out of the
+       reverse index. */
+    for (s = 0; s < m; s++) {
+        uint8_t prev = 0;
+        int64_t before = nflips;
+        if (rev_offsets[s + 1] == 0)
+            continue;
+        for (j = tl_offsets[s]; j < tl_offsets[s + 1]; j++) {
+            if (tl_flags[j] != prev) {
+                flips[nflips++] = j;
+                prev = tl_flags[j];
+            }
+        }
+        if (nflips == before)
+            rev_offsets[s + 1] = 0;
+    }
+
+    /* slot -> table positions (row * cols + col) of the flipping slots */
+    if (nflips) {
+        sort_group(tl_times, flips, nflips, tmp); /* stable: by time */
+        for (s = 0; s < m; s++)
+            rev_offsets[s + 1] += rev_offsets[s];
+        memcpy(cursor, rev_offsets, (size_t)m * sizeof(int64_t));
+        for (r = 0; r < table_rows; r++) {
+            for (c = 0; c < cols; c++) {
+                s = nbr[r * cols + c];
+                if (!is_bad[s] && cursor[s] < rev_offsets[s + 1])
+                    rev_pos[cursor[s]++] = r * cols + c;
+            }
+        }
+    }
+
+    /* Visit packets in a stable argsort of their decision times (the
+       identity for the hop-synchronous engine's nondecreasing input). */
+    for (i = 0; i < n; i++)
+        visit[i] = i;
+    sort_group(decision_t, visit, n, tmp);
+
+    for (i = 0; i < n; i++) {
+        int64_t p = visit[i];
+        double t = decision_t[p];
+        int64_t k, pick, w;
+        uint64_t word;
+        const uint64_t *bits;
+        /* apply every flip at or before t: afterwards each slot's state
+           is the flag of its last event with time <= t, which is
+           searchsorted(times, t, side="right") - 1 */
+        while (f < nflips && tl_times[flips[f]] <= t) {
+            int64_t e = flips[f++];
+            int64_t a = 0, b = m, q;
+            uint8_t congested = tl_flags[e];
+            while (b - a > 1) { /* the slot s with offsets[s] <= e < offsets[s + 1] */
+                int64_t mid = a + (b - a) / 2;
+                if (tl_offsets[mid] <= e)
+                    a = mid;
+                else
+                    b = mid;
+            }
+            /* a slot's flips alternate, starting from "not congested",
+               so each one toggles every healthy position of the slot */
+            for (q = rev_offsets[a]; q < rev_offsets[a + 1]; q++) {
+                int64_t row = rev_pos[q] / cols;
+                int64_t col = rev_pos[q] % cols;
+                live_bits[row * words + (col >> 6)] ^= (uint64_t)1 << (col & 63);
+                live_count[row] += congested ? -1 : 1;
+            }
+        }
+        r = rows[p];
+        k = live_count[r];
+        if (k == 0) {
+            routable[p] = 0;
+            chosen[p] = -1;
             continue;
         }
-        routable[r] = 1;
         /* min(int(u * k), k - 1): identical truncation to
            (u * counts).astype(int64) */
-        pick = (int64_t)(u[r] * (double)live_count);
-        if (pick > live_count - 1)
-            pick = live_count - 1;
-        seen = 0;
-        col = cols - 1;
-        for (c = 0; c < cols; c++) {
-            seen += live_scratch[c];
-            if (seen == pick + 1) {
-                col = c;
-                break;
-            }
+        pick = (int64_t)(u[p] * (double)k);
+        if (pick > k - 1)
+            pick = k - 1;
+        /* the pick-th set bit of the row, in table order */
+        bits = live_bits + r * words;
+        w = 0;
+        while (pick >= (int64_t)__builtin_popcountll(bits[w])) {
+            pick -= (int64_t)__builtin_popcountll(bits[w]);
+            w++;
         }
-        chosen[r] = nbr[r * cols + col];
+        word = bits[w];
+        while (pick-- > 0)
+            word &= word - 1;
+        routable[p] = 1;
+        chosen[p] = nbr[r * cols + w * 64 + __builtin_ctzll(word)];
     }
+    return 0;
 }
 
 /* ------------------------------------------------------------------ */
@@ -391,11 +457,14 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
         ctypes.c_double, ctypes.c_double, ctypes.c_int32,
         u8p, i64p, i64p, i64p, i64p, u8p, f64p, i64p, i64p, f64p,
     ]
-    library.repro_route.restype = None
+    library.repro_route.restype = ctypes.c_int64
     library.repro_route.argtypes = [
-        f64p, i64p, u8p, f64p,
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        i64p, f64p, u8p, i64p, u8p, u8p, i64p,
+        f64p, i64p, f64p, ctypes.c_int64,
+        i64p, ctypes.c_int64, ctypes.c_int64,
+        u8p, ctypes.c_int64,
+        i64p, f64p, u8p,
+        ctypes.POINTER(ctypes.c_uint64), i64p, i64p, i64p, i64p, i64p,
+        i64p, i64p, u8p, i64p,
     ]
     library.repro_welford.restype = None
     library.repro_welford.argtypes = [f64p, ctypes.c_int64, i64p, f64p, f64p, f64p]

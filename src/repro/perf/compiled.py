@@ -8,7 +8,8 @@ kernel interface, four methods:
 ``timeline_table``
     Per-slot congestion timelines (congested-after-event flags).
 ``route``
-    Congestion-aware uniform routing over a neighbor matrix.
+    Congestion-aware uniform routing over a layer's neighbor table:
+    each packet names its table row, never a copy of it.
 ``welford``
     Streaming Welford fold of delivered-packet latencies.
 
@@ -253,17 +254,20 @@ class NumpyKernels:
     def route(
         self,
         u: np.ndarray,
-        neighbor_slots: np.ndarray,
-        healthy: np.ndarray,
+        rows: np.ndarray,
+        neighbor_table: np.ndarray,
+        is_bad: np.ndarray,
         decision_t: np.ndarray,
         table: Any,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Uniform pick among each row's live neighbors.
+        """Uniform pick among each packet's live next-hop neighbors.
 
-        A neighbor is live when ``healthy`` and not congested at the
-        row's decision time in ``table`` (this set's
-        :meth:`timeline_table` result). ``u`` holds each packet's
-        pre-assigned uniform draw for this hop; the pick is
+        Packet ``i`` sits at table row ``rows[i]`` of ``neighbor_table``
+        (a layer's ``(size_h, m_{h+1})`` slot matrix); its candidates are
+        that row's slots. A neighbor is live when ``is_bad`` (per slot)
+        is false and it is not congested at ``decision_t[i]`` in
+        ``table`` (this set's :meth:`timeline_table` result). ``u`` holds
+        each packet's pre-assigned uniform draw for this hop; the pick is
         ``min(int(u * k), k - 1)`` over the row's ``k`` live neighbors
         in table order — the same arithmetic the event engine applies to
         the same per-packet uniform (see
@@ -272,8 +276,11 @@ class NumpyKernels:
         refined table consumes nothing. Returns ``(routable, chosen)``:
         rows with no live neighbor are marked unroutable and their
         ``chosen`` entry is meaningless — callers must mask with
-        ``routable``.
+        ``routable``. This oracle gathers each packet's row; the C set
+        never does.
         """
+        neighbor_slots = neighbor_table[rows]
+        healthy = ~is_bad[neighbor_slots]
         congested = np.zeros(neighbor_slots.shape, dtype=bool)
         for slot, (times, flags) in table.items():
             hit = neighbor_slots == slot
@@ -346,6 +353,7 @@ def _as_c(array: np.ndarray, dtype: Any) -> np.ndarray:
 _I64P = ctypes.POINTER(ctypes.c_int64)
 _F64P = ctypes.POINTER(ctypes.c_double)
 _U8P = ctypes.POINTER(ctypes.c_uint8)
+_U64P = ctypes.POINTER(ctypes.c_uint64)
 
 
 class KernelSet:
@@ -446,39 +454,81 @@ class KernelSet:
     def route(
         self,
         u: np.ndarray,
-        neighbor_slots: np.ndarray,
-        healthy: np.ndarray,
+        rows: np.ndarray,
+        neighbor_table: np.ndarray,
+        is_bad: np.ndarray,
         decision_t: np.ndarray,
         table: Any,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(routable, chosen)`` — :meth:`NumpyKernels.route` fused;
-        ``table`` is a :class:`CongestionTable`."""
+        """``(routable, chosen)`` — :meth:`NumpyKernels.route` as one
+        time-ordered sweep; ``table`` is a :class:`CongestionTable`.
+
+        Each table row keeps a live bitmap and live count, built once
+        from ``is_bad``; packets are visited in a stable argsort of
+        ``decision_t`` and, before each one, every congestion-flag flip
+        at or before its decision time is applied through a
+        slot -> (row, col) reverse index. The pick is the
+        ``min(int(u * k), k - 1)``-th set bit of the packet's row, found
+        by popcount. Work is O(table + events + packets + flips x
+        fan-in) — never packets x table width.
+        """
         u = _as_c(u, np.float64)
-        nbr = _as_c(neighbor_slots, np.int64)
-        healthy8 = _as_c(healthy, np.uint8)
+        rows = _as_c(rows, np.int64)
+        nbr = _as_c(neighbor_table, np.int64)
+        bad8 = _as_c(is_bad, np.uint8)
         decision_t = _as_c(decision_t, np.float64)
-        rows, cols = nbr.shape
+        n = len(u)
+        table_rows, cols = nbr.shape
         m = len(table.offsets) - 1
-        routable = np.zeros(rows, dtype=np.uint8)
-        chosen = np.empty(rows, dtype=np.int64)
+        events = len(table.times)
+        if len(rows) != n or len(decision_t) != n or len(bad8) != m:
+            raise SimulationError(
+                "route needs one row and decision time per packet and one "
+                f"is_bad entry per slot ({m})"
+            )
+        words = (cols + 63) // 64
+        routable = np.zeros(n, dtype=np.uint8)
+        chosen = np.empty(n, dtype=np.int64)
+        live_bits = np.empty(max(table_rows * words, 1), dtype=np.uint64)
+        live_count = np.empty(max(table_rows, 1), dtype=np.int64)
+        rev_offsets = np.empty(m + 1, dtype=np.int64)
         cursor = np.empty(max(m, 1), dtype=np.int64)
-        scratch = np.empty(max(cols, 1), dtype=np.uint8)
-        self._library.repro_route(
+        rev_pos = np.empty(max(table_rows * cols, 1), dtype=np.int64)
+        flips = np.empty(max(events, 1), dtype=np.int64)
+        visit = np.empty(max(n, 1), dtype=np.int64)
+        tmp = np.empty(max(n, events, 1), dtype=np.int64)
+        status = self._library.repro_route(
             u.ctypes.data_as(_F64P),
-            nbr.ctypes.data_as(_I64P),
-            healthy8.ctypes.data_as(_U8P),
+            rows.ctypes.data_as(_I64P),
             decision_t.ctypes.data_as(_F64P),
-            rows,
+            n,
+            nbr.ctypes.data_as(_I64P),
+            table_rows,
             cols,
+            bad8.ctypes.data_as(_U8P),
             m,
             table.offsets.ctypes.data_as(_I64P),
             table.times.ctypes.data_as(_F64P),
             table.flags.ctypes.data_as(_U8P),
+            live_bits.ctypes.data_as(_U64P),
+            live_count.ctypes.data_as(_I64P),
+            rev_offsets.ctypes.data_as(_I64P),
             cursor.ctypes.data_as(_I64P),
-            scratch.ctypes.data_as(_U8P),
+            rev_pos.ctypes.data_as(_I64P),
+            flips.ctypes.data_as(_I64P),
+            visit.ctypes.data_as(_I64P),
+            tmp.ctypes.data_as(_I64P),
             routable.ctypes.data_as(_U8P),
             chosen.ctypes.data_as(_I64P),
         )
+        if status == -1:
+            raise SimulationError(
+                f"route: neighbor table entries must be slots in 0..{m - 1}"
+            )
+        if status == -2:
+            raise SimulationError(
+                f"route: packet rows must be table rows in 0..{table_rows - 1}"
+            )
         return routable.astype(bool), chosen
 
     def welford(

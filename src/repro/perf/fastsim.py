@@ -62,7 +62,7 @@ from repro.simulation.packet_sim import (
     PacketSimReport,
     flood_layer,
 )
-from repro.sos.deployment import SOSDeployment
+from repro.sos.deployment import SOSDeployment, sample_contact_matrix
 from repro.utils.seeding import make_rng
 
 __all__ = [
@@ -323,18 +323,76 @@ def _flood_events(
     flood_times: Sequence[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Flatten per-target flood rows into parallel (slots, times) arrays."""
-    populated = [
-        (slot, times)
-        for slot, times in zip(flood_slots, flood_times)
-        if len(times)
-    ]
-    if not populated:
+    if not flood_slots:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-    slots = np.concatenate(
-        [np.full(len(times), slot, dtype=np.int64) for slot, times in populated]
+    slots = np.repeat(
+        np.asarray(flood_slots, dtype=np.int64),
+        [len(times) for times in flood_times],
     )
-    times_flat = np.concatenate([times for _, times in populated])
-    return slots, times_flat
+    return slots, np.concatenate(flood_times)
+
+
+def _contact_slots(
+    arrays: DeploymentArrays,
+    client_contacts: Any,
+    surge_sources: Sequence[Any],
+    clients: int,
+) -> np.ndarray:
+    """Entry-contact slots, one row per source: baseline clients first,
+    then surge sources.
+
+    Baseline rows are layer-1 positions, which already are layer-1 slots
+    (layer 1 opens the slot order of :func:`encode_deployment`), so they
+    are used as they stand. Surge contacts are node ids and go through
+    the slot index.
+    """
+    malformed = SimulationError(
+        "client_contacts must be a (clients, m_1) matrix of layer-1 positions"
+    )
+    try:
+        baseline = np.asarray(client_contacts, dtype=np.int64)
+    except (TypeError, ValueError):
+        raise malformed from None
+    rows = len(baseline) if baseline.ndim else 0
+    if rows != clients:
+        raise SimulationError(
+            f"client_contacts has {rows} rows for {clients} clients"
+        )
+    parts = []
+    degrees = set()
+    if clients:
+        layer_one = len(arrays.members[1])
+        if baseline.ndim != 2 or baseline.size == 0:
+            raise malformed
+        if int(baseline.min()) < 0 or int(baseline.max()) >= layer_one:
+            raise SimulationError(
+                f"client_contacts must hold layer-1 positions in "
+                f"0..{layer_one - 1}"
+            )
+        parts.append(baseline)
+        degrees.add(baseline.shape[1])
+    if surge_sources:
+        surge_rows = [list(source.contacts) for source in surge_sources]
+        degrees.update(len(row) for row in surge_rows)
+        if len(degrees) > 1:
+            raise SimulationError(
+                "surge sources and baseline clients must share one "
+                "contact degree; was the schedule compiled against a "
+                "different architecture?"
+            )
+        try:
+            parts.append(
+                arrays.slot_of.lookup(np.asarray(surge_rows, dtype=np.int64))
+            )
+        except KeyError as exc:
+            raise SimulationError(
+                f"surge contact {exc.args[0]} is not an SOS node or filter"
+            ) from None
+    if not parts:
+        # Zero sources: keep the matrix 2-D so the entry-choice
+        # arithmetic stays shape-correct on empty inputs.
+        return np.zeros((0, 1), dtype=np.int64)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 # ----------------------------------------------------------------------
@@ -347,7 +405,7 @@ def run_fast(
     config: PacketSimConfig,
     rng: Any = None,
     flood_targets: Optional[Sequence[int]] = None,
-    client_contacts: Optional[Sequence[Sequence[int]]] = None,
+    client_contacts: Optional[np.ndarray] = None,
     streams: Optional[Tuple[Sequence[np.random.Generator], np.random.Generator, np.random.Generator]] = None,
     monitor: Optional[Any] = None,
     marking: Optional[Any] = None,
@@ -363,6 +421,14 @@ def run_fast(
     token, packets route uniformly among next-layer neighbors that are
     healthy and not congested, and filter-layer acceptances count as
     deliveries at ``(layers + 1) * hop_latency`` latency.
+
+    ``client_contacts`` is the int64 ``(clients, m_1)`` matrix of each
+    client's access points as layer-1 *positions* — the
+    :meth:`~repro.sos.deployment.SOSDeployment.client_contact_matrix`
+    draw, one row per client, which the engine uses as layer-1 slots
+    with no lookup. A row count other than ``config.clients`` or a
+    position outside layer 1 raises :class:`SimulationError`. When
+    absent it is drawn here from ``rng``.
 
     ``streams`` is the ``(arrival_streams, routing_rng, flood_master)``
     triple :class:`PacketLevelSimulation` spawns; when absent it is
@@ -390,9 +456,11 @@ def run_fast(
     that runs the flood timeline, the bucket scan at each hop, both
     routing passes, and the latency fold: ``numpy`` (default) or
     ``compiled`` (C, degrading to numpy with a one-time warning when
-    it cannot be built). Both make identical RNG draws and identical
-    accept/drop/route decisions, so reports are bit-identical across
-    tiers wherever the numpy path is exact.
+    it cannot be built). Routing hands the kernels each packet's row of
+    the layer's neighbor table, never a per-packet copy of the row.
+    Both make identical RNG draws and identical accept/drop/route
+    decisions, so reports are bit-identical across tiers wherever the
+    numpy path is exact.
 
     ``schedule`` (an :class:`~repro.scenarios.schedule.InjectionSchedule`)
     contributes precompiled vector traffic: per-node attack offer rows
@@ -422,10 +490,9 @@ def run_fast(
                 "client_contacts must be supplied when running from "
                 "arrays alone"
             )
-        client_contacts = [
-            deployment.sample_client_contacts(generator)
-            for _ in range(config.clients)
-        ]
+        client_contacts = deployment.client_contact_matrix(
+            generator, config.clients
+        )
     if streams is None:
         spawned = generator.spawn(config.clients + 2)
         streams = (
@@ -463,30 +530,19 @@ def run_fast(
             sched_attack[int(node)] = row[row < config.duration]
         surge_sources = tuple(schedule.surge_sources)
 
-    contact_rows = [list(contacts) for contacts in client_contacts]
-    contact_rows += [list(source.contacts) for source in surge_sources]
-    if len({len(row) for row in contact_rows}) > 1:
-        raise SimulationError(
-            "surge sources and baseline clients must share one contact "
-            "degree; was the schedule compiled against a different "
-            "architecture?"
-        )
-    if contact_rows:
-        contact_matrix = arrays.slot_of.lookup(
-            np.asarray(contact_rows, dtype=np.int64)
-        )
-    else:
-        # Zero clients: keep the matrix 2-D so the entry-choice
-        # arithmetic below stays shape-correct on empty inputs.
-        contact_matrix = np.zeros((0, 1), dtype=np.int64)
+    contact_matrix = _contact_slots(
+        arrays, client_contacts, surge_sources, config.clients
+    )
 
     targets = sorted(flood_targets or ())
-    for target in targets:
-        if target not in arrays.slot_of:
-            raise SimulationError(
-                f"flood target {target} is not an SOS node or filter"
-            )
-    target_slots = [arrays.slot_of[t] for t in targets]
+    try:
+        target_slots = arrays.slot_of.lookup(
+            np.asarray(targets, dtype=np.int64)
+        ).tolist()
+    except KeyError as exc:
+        raise SimulationError(
+            f"flood target {exc.args[0]} is not an SOS node or filter"
+        ) from None
 
     # --- pre-sample every Poisson source -----------------------------
     injection_rows = [
@@ -551,6 +607,13 @@ def run_fast(
     flood_table = kernels.timeline_table(
         fslots, ftimes, total_slots, capacity, burst
     )
+    # Each layer's share of the flood events, in attack-slot order.
+    flood_layer_of = arrays.layer_of[fslots]
+    layer_floods = {
+        layer: (fslots[in_layer], ftimes[in_layer])
+        for layer in range(1, layers + 2)
+        for in_layer in [flood_layer_of == layer]
+    }
 
     # Surge sources ride the client injection pipeline: rows appended
     # after the baseline clients, matching their contact-matrix rows.
@@ -558,12 +621,10 @@ def run_fast(
         row = np.asarray(source.times, dtype=np.float64)
         injection_rows.append(row[row < config.duration])
 
-    client_index = np.concatenate(
-        [
-            np.full(len(row), index, dtype=np.int64)
-            for index, row in enumerate(injection_rows)
-        ]
-    ) if injection_rows else np.zeros(0, dtype=np.int64)
+    client_index = np.repeat(
+        np.arange(len(injection_rows), dtype=np.int64),
+        [len(row) for row in injection_rows],
+    )
     inject_t = (
         np.concatenate(injection_rows) if injection_rows else np.zeros(0)
     )
@@ -601,9 +662,8 @@ def run_fast(
 
     # --- hop-synchronous advance -------------------------------------
     for layer in range(1, layers + 2):
-        if len(arrive_t) == 0 and not any(
-            arrays.layer_of[slot] == layer for slot in attack_slots
-        ):
+        flood_slots, flood_times = layer_floods[layer]
+        if len(arrive_t) == 0 and len(flood_slots) == 0:
             continue
         arrive_t = arrive_t + config.hop_latency
         arrival_t = arrive_t
@@ -614,21 +674,9 @@ def run_fast(
 
         # Merge this layer's legitimate arrivals with the floods aimed
         # at its members, then replay every member's token bucket.
-        layer_flood_slots = [
-            slot for slot in attack_slots if arrays.layer_of[slot] == layer
-        ]
-        event_slots = [current]
-        event_times = [arrival_t]
         legit_count = len(arrival_t)
-        for slot in layer_flood_slots:
-            event_slots.append(
-                np.full(len(flood_by_slot[slot]), slot, dtype=np.int64)
-            )
-            event_times.append(flood_by_slot[slot])
-        slots_flat = np.concatenate(event_slots)
-        times_flat = np.concatenate(event_times)
-        if len(slots_flat) == 0:
-            continue
+        slots_flat = np.concatenate([current, flood_slots])
+        times_flat = np.concatenate([arrival_t, flood_times])
         accept_flat, unique_slots, accepted_per, dropped_per = (
             kernels.bucket_scan(
                 slots_flat, times_flat, total_slots, capacity, burst
@@ -684,8 +732,10 @@ def run_fast(
         if len(survivors) == 0:
             current = survivors
             continue
-        neighbor_slots = arrays.neighbors[layer][arrays.local_of[survivors]]
-        healthy_next = ~arrays.is_bad[neighbor_slots]
+        # Packets name their neighbor-table row; the kernels read the
+        # layer's table in place instead of a per-packet row copy.
+        rows = arrays.local_of[survivors]
+        neighbor_table = arrays.neighbors[layer]
 
         # Two-pass routing. Pass 1 routes against the flood-only
         # congestion view; pass 2 rebuilds the next layer's congestion
@@ -696,32 +746,24 @@ def run_fast(
         # second-order effect of re-routing on those arrival streams).
         hop_u = choice_u[:, layer]
         routable, chosen = kernels.route(
-            hop_u, neighbor_slots, healthy_next, decision_t, flood_table
+            hop_u, rows, neighbor_table, arrays.is_bad, decision_t,
+            flood_table,
         )
         tentative_arrival = arrive_t + config.hop_latency
-        next_flood = [
-            slot for slot in attack_slots
-            if arrays.layer_of[slot] == layer + 1
-        ]
-        ev_slots = [chosen[routable]] + [
-            np.full(len(flood_by_slot[slot]), slot, dtype=np.int64)
-            for slot in next_flood
-        ]
-        ev_times = [tentative_arrival[routable]] + [
-            flood_by_slot[slot] for slot in next_flood
-        ]
+        next_slots, next_times = layer_floods[layer + 1]
         # Same per-packet uniforms, refined live sets: re-evaluating is
         # free (no stream consumption) and rows whose live set did not
         # change keep their pass-1 choice.
         refined_table = kernels.timeline_table(
-            np.concatenate(ev_slots),
-            np.concatenate(ev_times),
+            np.concatenate([chosen[routable], next_slots]),
+            np.concatenate([tentative_arrival[routable], next_times]),
             total_slots,
             capacity,
             burst,
         )
         routable, chosen = kernels.route(
-            hop_u, neighbor_slots, healthy_next, decision_t, refined_table
+            hop_u, rows, neighbor_table, arrays.is_bad, decision_t,
+            refined_table,
         )
 
         stranded_count = int(len(routable) - int(routable.sum()))
@@ -880,23 +922,6 @@ def _flood_layer_arrays(
     return sorted(int(members[int(i)]) for i in chosen)
 
 
-def _client_contacts_arrays(
-    arrays: DeploymentArrays,
-    architecture: SOSArchitecture,
-    clients: int,
-    rng: np.random.Generator,
-) -> List[List[int]]:
-    """Per-client ``m_1`` access-point draws, one ``choice`` per client —
-    the array twin of :meth:`SOSDeployment.sample_client_contacts`."""
-    members = arrays.node_ids[arrays.members[1]]
-    degree = min(architecture.mapping_degree(1), len(members))
-    contacts: List[List[int]] = []
-    for _ in range(clients):
-        chosen = rng.choice(len(members), size=degree, replace=False)
-        contacts.append([int(members[int(i)]) for i in chosen])
-    return contacts
-
-
 def _run_one_shared_replica(
     arrays: DeploymentArrays,
     architecture: SOSArchitecture,
@@ -912,8 +937,12 @@ def _run_one_shared_replica(
     targets: List[int] = []
     if layer is not None and fraction > 0.0:
         targets = _flood_layer_arrays(arrays, layer, fraction, rng)
-    contacts = _client_contacts_arrays(
-        arrays, architecture, config.clients, rng
+    layer_one = len(arrays.members[1])
+    contacts = sample_contact_matrix(
+        rng,
+        layer_one,
+        min(architecture.mapping_degree(1), layer_one),
+        config.clients,
     )
     return run_fast(
         None,

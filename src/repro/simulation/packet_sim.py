@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from repro.errors import SimulationError
 from repro.perf.compiled import TIERS
@@ -175,17 +175,14 @@ class PacketLevelSimulation:
         self.rng = make_rng(rng)
         self.scheduler = EventScheduler()
         self.report = PacketSimReport()
+        # Per-client access points as layer-1 positions; the fast engine
+        # reads them as slots, the event engine as node ids (built with
+        # the token buckets on the event path only, see _event_state).
+        self._contacts = deployment.client_contact_matrix(
+            self.rng, config.clients
+        )
         self._capacities: Dict[int, NodeCapacity] = {}
-        for layer in range(1, deployment.architecture.layers + 2):
-            for node_id in deployment.layer_members(layer):
-                self._capacities[node_id] = NodeCapacity(
-                    capacity=config.node_capacity,
-                    burst=2 * config.node_capacity,
-                )
-        self._client_contacts = [
-            deployment.sample_client_contacts(self.rng)
-            for _ in range(config.clients)
-        ]
+        self._client_contacts: List[List[int]] = []
         # Dedicated RNG sub-streams (the PR-3 spawn pattern): one arrival
         # stream per client, one routing stream, and a master that spawns
         # one stream per flood target at run time. Both engines consume
@@ -388,6 +385,34 @@ class PacketLevelSimulation:
         layers = self.deployment.architecture.layers
         return self.config.duration + (layers + 2) * self.config.hop_latency
 
+    def _member_ids(self) -> Set[int]:
+        """Identifiers of every SOS node and filter."""
+        deployment = self.deployment
+        return {
+            node_id
+            for layer in range(1, deployment.architecture.layers + 2)
+            for node_id in deployment.member_array(layer).tolist()
+        }
+
+    def _event_state(self) -> None:
+        """Token buckets and node-id contact lists for the event engine.
+
+        Built on the first event-path run only: the fast engine keeps
+        its own bucket arrays and reads the contact matrix as slots.
+        """
+        if self._capacities:
+            return
+        deployment = self.deployment
+        for layer in range(1, deployment.architecture.layers + 2):
+            for node_id in deployment.layer_members(layer):
+                self._capacities[node_id] = NodeCapacity(
+                    capacity=self.config.node_capacity,
+                    burst=2 * self.config.node_capacity,
+                )
+        self._client_contacts = deployment.member_array(1)[
+            self._contacts
+        ].tolist()
+
     def run(
         self,
         flood_targets: Optional[Sequence[int]] = None,
@@ -419,21 +444,22 @@ class PacketLevelSimulation:
         combining ``marking`` with a schedule is rejected.
         """
         targets = sorted(flood_targets or ())
+        members = self._member_ids()
         for target in targets:
-            if target not in self._capacities:
+            if target not in members:
                 raise SimulationError(
                     f"flood target {target} is not an SOS node or filter"
                 )
         if schedule is not None:
             for node in schedule.attack_targets:
-                if node not in self._capacities:
+                if node not in members:
                     raise SimulationError(
                         f"scheduled attack target {node} is not an SOS "
                         "node or filter"
                     )
             for source in schedule.surge_sources:
                 for contact in source.contacts:
-                    if contact not in self._capacities:
+                    if contact not in members:
                         raise SimulationError(
                             f"surge contact {contact} is not an SOS node "
                             "or filter"
@@ -462,7 +488,7 @@ class PacketLevelSimulation:
                 self.config,
                 self.rng,
                 flood_targets,
-                client_contacts=self._client_contacts,
+                client_contacts=self._contacts,
                 streams=(
                     self._arrival_streams,
                     self._routing_rng,
@@ -474,6 +500,7 @@ class PacketLevelSimulation:
                 schedule=schedule,
             )
             return self.report
+        self._event_state()
         # One dedicated stream per flood target, spawned in sorted-target
         # order — the same order the fast path uses — so each target's
         # flood schedule matches across engines. Mark streams mirror the

@@ -29,6 +29,22 @@ from repro.sos.roles import Role, role_for_layer
 from repro.utils.seeding import SeedLike, make_rng
 
 
+def sample_contact_matrix(
+    generator: np.random.Generator, population: int, degree: int, clients: int
+) -> np.ndarray:
+    """Per-client access points as an int64 ``(clients, degree)`` matrix.
+
+    Row ``i`` holds client ``i``'s ``degree`` distinct layer-1 positions
+    (``0 .. population - 1``) from one ``choice`` without replacement —
+    the draw every client-contact sampler in the package makes, so one
+    generator state yields the same contacts whichever caller draws them.
+    """
+    matrix = np.empty((clients, degree), dtype=np.int64)
+    for row in matrix:
+        row[:] = generator.choice(population, size=degree, replace=False)
+    return matrix
+
+
 class SOSDeployment:
     """A generalized SOS instance deployed over an overlay network.
 
@@ -196,9 +212,22 @@ class SOSDeployment:
     def sample_client_contacts(self, generator) -> List[int]:
         """Draw the ``m_1`` access points a new client is given."""
         members = self.member_array(1)
-        degree = min(self.architecture.mapping_degree(1), len(members))
-        chosen = generator.choice(len(members), size=degree, replace=False)
-        return [int(members[int(i)]) for i in chosen]
+        return members[self.client_contact_matrix(generator, 1)[0]].tolist()
+
+    def client_contact_matrix(self, generator, clients: int) -> np.ndarray:
+        """``clients`` rows of :meth:`sample_client_contacts` draws, as
+        layer-1 positions (indices into :meth:`member_array` ``(1)``).
+
+        Same draws, same order; the fast engine uses the positions
+        directly as layer-1 slots.
+        """
+        population = len(self.member_array(1))
+        return sample_contact_matrix(
+            generator,
+            population,
+            min(self.architecture.mapping_degree(1), population),
+            clients,
+        )
 
     # ------------------------------------------------------------------
     # Columnar views (array-path consumers: fastsim, churn, repair)

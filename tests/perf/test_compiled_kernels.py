@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from repro.detection.monitor import _detect_bins
+from repro.errors import SimulationError
 from repro.perf.compiled import (
     CongestionTable,
     KernelSet,
@@ -137,62 +138,190 @@ class TestTimelineTable:
             assert _as_timelines(table, 7) == {}
 
 
+def _scalar_route(u, rows, neighbor_table, is_bad, decision_t, timelines):
+    """Per-packet reference: live set by bisecting each neighbor's
+    timeline, then the ``min(int(u * k), k - 1)``-th live neighbor."""
+    routable = np.zeros(len(u), dtype=bool)
+    chosen = np.full(len(u), -1, dtype=np.int64)
+    for i in range(len(u)):
+        live = []
+        for slot in neighbor_table[rows[i]].tolist():
+            if is_bad[slot]:
+                continue
+            if slot in timelines:
+                times, flags = timelines[slot]
+                index = int(np.searchsorted(times, decision_t[i], side="right"))
+                if index and flags[index - 1]:
+                    continue
+            live.append(slot)
+        if live:
+            routable[i] = True
+            chosen[i] = live[min(int(u[i] * len(live)), len(live) - 1)]
+    return routable, chosen
+
+
+def _route_everywhere(u, rows, neighbor_table, is_bad, decision_t, events,
+                      m, capacity=1.0, burst=2.0):
+    """Route through every kernel set (each on its own table type) and
+    require the scalar reference's answer from all of them."""
+    slots, times = events
+    expected = None
+    for kernels in KERNEL_SETS:
+        table = kernels.timeline_table(slots, times, m, capacity, burst)
+        if expected is None:
+            expected = _scalar_route(
+                u, rows, neighbor_table, is_bad, decision_t,
+                _as_timelines(table, m),
+            )
+        routable, chosen = kernels.route(
+            u, rows, neighbor_table, is_bad, decision_t, table
+        )
+        np.testing.assert_array_equal(routable, expected[0])
+        np.testing.assert_array_equal(chosen[routable], expected[1][routable])
+    return expected
+
+
+def _no_events():
+    return np.zeros(0, dtype=np.int64), np.zeros(0)
+
+
+def _flipping_events(slot):
+    """Events that congest ``slot`` at t=1 and clear it at t=35 (capacity
+    1, burst 2): 20 offers at t=1 (2 accepted, flag on from the 10th),
+    then 40 spaced, all-accepted offers that pull the drop rate under
+    one half at the 37th event."""
+    times = np.concatenate([np.full(20, 1.0), 3.0 + 2.0 * np.arange(40)])
+    return np.full(len(times), slot, dtype=np.int64), times
+
+
 class TestRoute:
+    """``route(u, rows, neighbor_table, is_bad, decision_t, table)`` on
+    both kernel sets against a per-packet scalar reference."""
+
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_two_step_numpy(self, seed):
         rng = np.random.default_rng(300 + seed)
         m = int(rng.integers(2, 40))
-        rows = int(rng.integers(1, 120))
-        cols = int(rng.integers(1, 8))
+        table_rows = int(rng.integers(1, 12))
+        cols = int(rng.integers(1, 140))
+        n = int(rng.integers(1, 120))
         capacity = float(rng.uniform(0.2, 3.0))
         burst = float(np.ceil(rng.uniform(1.0, 4.0)))
-        slots, times = _random_events(rng, m, int(rng.integers(0, 250)))
+        events = _random_events(rng, m, int(rng.integers(0, 250)))
 
-        u = rng.random(rows)
-        nbr = rng.integers(0, m, size=(rows, cols)).astype(np.int64)
-        healthy = rng.random((rows, cols)) < 0.8
-        decision_t = rng.uniform(0.0, 60.0, size=rows)
+        u = rng.random(n)
+        # Few table rows, many packets: rows are shared.
+        rows = rng.integers(0, table_rows, size=n).astype(np.int64)
+        nbr = rng.integers(0, m, size=(table_rows, cols)).astype(np.int64)
+        is_bad = rng.random(m) < 0.2
+        decision_t = rng.uniform(0.0, 60.0, size=n)
         if seed % 2 == 0:
-            # The hot engine path: nondecreasing decision times trigger
-            # the C set's marching-cursor fast path; odd seeds keep its
-            # binary-search fallback honest.
+            # The hot engine path: nondecreasing decision times.
             decision_t = np.sort(decision_t)
-
-        results = []
-        for kernels in KERNEL_SETS:
-            table = kernels.timeline_table(slots, times, m, capacity, burst)
-            results.append(kernels.route(u, nbr, healthy, decision_t, table))
-        exp_routable, exp_chosen = results[0]
-        for routable, chosen in results:
-            np.testing.assert_array_equal(routable, exp_routable)
-            np.testing.assert_array_equal(
-                chosen[routable], exp_chosen[exp_routable]
-            )
+        _route_everywhere(
+            u, rows, nbr, is_bad, decision_t, events, m, capacity, burst
+        )
 
     def test_no_events_all_healthy(self):
         u = np.array([0.0, 0.5, 0.999])
+        rows = np.array([0, 1, 2], dtype=np.int64)
         nbr = np.array([[0, 1], [2, 3], [1, 2]], dtype=np.int64)
-        healthy = np.ones((3, 2), dtype=bool)
+        is_bad = np.zeros(4, dtype=bool)
         decision_t = np.array([1.0, 2.0, 3.0])
-        for kernels in KERNEL_SETS:
-            table = kernels.timeline_table(
-                np.zeros(0, dtype=np.int64), np.zeros(0), 4, 1.0, 2.0
-            )
-            routable, chosen = kernels.route(u, nbr, healthy, decision_t, table)
-            assert routable.all()
-            np.testing.assert_array_equal(chosen, [0, 3, 2])
+        routable, chosen = _route_everywhere(
+            u, rows, nbr, is_bad, decision_t, _no_events(), 4
+        )
+        assert routable.all()
+        np.testing.assert_array_equal(chosen, [0, 3, 2])
 
     def test_unroutable_rows_flagged(self):
         u = np.array([0.3])
+        rows = np.array([0], dtype=np.int64)
         nbr = np.array([[0, 1, 2]], dtype=np.int64)
-        healthy = np.zeros((1, 3), dtype=bool)
+        is_bad = np.ones(3, dtype=bool)
         decision_t = np.array([5.0])
-        for kernels in KERNEL_SETS:
-            table = kernels.timeline_table(
-                np.zeros(0, dtype=np.int64), np.zeros(0), 3, 1.0, 2.0
+        routable, _ = _route_everywhere(
+            u, rows, nbr, is_bad, decision_t, _no_events(), 3
+        )
+        assert not routable.any()
+
+    def test_shared_rows_and_bad_slots(self):
+        # Every packet shares row 0; slot 1 is bad, so the live set is
+        # [0, 2, 3] and the pick walks it in table order.
+        u = np.array([0.0, 0.34, 0.67, 0.999, 0.5])
+        rows = np.array([0, 0, 0, 0, 1], dtype=np.int64)
+        nbr = np.array([[0, 1, 2, 3], [1, 1, 1, 3]], dtype=np.int64)
+        is_bad = np.array([False, True, False, False])
+        decision_t = np.arange(5.0)
+        routable, chosen = _route_everywhere(
+            u, rows, nbr, is_bad, decision_t, _no_events(), 4
+        )
+        assert routable.all()
+        np.testing.assert_array_equal(chosen, [0, 2, 3, 3, 3])
+
+    def test_flags_flip_zero_one_zero(self):
+        # Slot 0 is congested on [1, 35): packets decided there can only
+        # reach slot 1; before and after, u = 0 picks slot 0 again.
+        events = _flipping_events(0)
+        decision_t = np.array([0.5, 1.0, 20.0, 34.9, 35.0, 80.0])
+        u = np.zeros(len(decision_t))
+        rows = np.zeros(len(decision_t), dtype=np.int64)
+        nbr = np.array([[0, 1]], dtype=np.int64)
+        routable, chosen = _route_everywhere(
+            u, rows, nbr, np.zeros(2, dtype=bool), decision_t, events, 2
+        )
+        assert routable.all()
+        np.testing.assert_array_equal(chosen, [0, 1, 1, 1, 0, 0])
+
+    def test_equal_and_nonmonotone_times(self):
+        # Shuffled decision times with ties, straddling both flips of
+        # slot 2 (one 64-bit word boundary inside the row too).
+        rng = np.random.default_rng(7)
+        events = _flipping_events(2)
+        decision_t = rng.permutation(
+            np.repeat([0.0, 1.0, 1.0, 10.0, 35.0, 35.0, 99.0], 9)
+        )
+        n = len(decision_t)
+        nbr = rng.integers(0, 4, size=(3, 70)).astype(np.int64)
+        nbr[:, 65] = 2
+        _route_everywhere(
+            rng.random(n), rng.integers(0, 3, size=n).astype(np.int64),
+            nbr, np.zeros(4, dtype=bool), decision_t, events, 4,
+        )
+
+    def test_single_column(self):
+        events = _flipping_events(0)
+        decision_t = np.array([9.0, 0.5, 40.0, 1.0])
+        rows = np.array([0, 0, 1, 1], dtype=np.int64)
+        nbr = np.array([[0], [1]], dtype=np.int64)
+        routable, chosen = _route_everywhere(
+            np.full(4, 0.9), rows, nbr, np.zeros(2, dtype=bool),
+            decision_t, events, 2,
+        )
+        np.testing.assert_array_equal(routable, [False, True, True, True])
+        np.testing.assert_array_equal(chosen[routable], [0, 1, 1])
+
+    @pytest.mark.skipif(
+        "compiled" not in available_tiers(), reason="no compiled backend"
+    )
+    @pytest.mark.parametrize(
+        "rows,nbr,match",
+        [
+            ([0, 2], [[0, 1], [1, 0]], "packet rows"),
+            ([0, -1], [[0, 1], [1, 0]], "packet rows"),
+            ([0, 1], [[0, 1], [1, 2]], "table entries"),
+            ([0, 1], [[0, -1], [1, 0]], "table entries"),
+        ],
+    )
+    def test_compiled_rejects_out_of_range_indices(self, rows, nbr, match):
+        kernels = get_kernels("compiled")
+        table = kernels.timeline_table(*_no_events(), 2, 1.0, 2.0)
+        with pytest.raises(SimulationError, match=match):
+            kernels.route(
+                np.full(2, 0.5), np.asarray(rows, dtype=np.int64),
+                np.asarray(nbr, dtype=np.int64), np.zeros(2, dtype=bool),
+                np.zeros(2), table,
             )
-            routable, _ = kernels.route(u, nbr, healthy, decision_t, table)
-            assert not routable.any()
 
 
 class TestWelford:

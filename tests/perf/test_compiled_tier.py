@@ -34,10 +34,10 @@ from repro.sos.deployment import SOSDeployment
 from tests.perf.oracles import scalar_detection_bins
 
 
-def deployment(seed=11, nodes=400, sos_nodes=30):
+def deployment(seed=11, nodes=400, sos_nodes=30, mapping="one-to-half"):
     arch = SOSArchitecture(
         layers=3,
-        mapping="one-to-half",
+        mapping=mapping,
         total_overlay_nodes=nodes,
         sos_nodes=sos_nodes,
         filters=4,
@@ -60,12 +60,13 @@ def churn(dep, seed, fraction=0.1):
 
 
 def run_at(tier, seed, *, targets=False, clients=40, dep_seed=11,
-           churn_seed=None):
-    dep = deployment(dep_seed)
+           churn_seed=None, flood_at=1, mapping="one-to-half"):
+    dep = deployment(dep_seed, mapping=mapping)
     if churn_seed is not None:
         churn(dep, churn_seed)
     flood = (
-        flood_layer(dep, layer=1, fraction=0.5, rng=3) if targets else None
+        flood_layer(dep, layer=flood_at, fraction=0.5, rng=3)
+        if targets else None
     )
     config = PacketSimConfig(
         duration=20.0,
@@ -78,6 +79,22 @@ def run_at(tier, seed, *, targets=False, clients=40, dep_seed=11,
     return run_fast(dep, config, rng=seed, flood_targets=flood)
 
 
+#: Flooded layer x mapping x seed. Layer 1 under one-to-half — the
+#: original case — keeps its bare seed ids.
+FLOODED_CASES = [
+    pytest.param(
+        flood_at, mapping, seed,
+        id=(
+            str(seed) if (flood_at, mapping) == (1, "one-to-half")
+            else f"L{flood_at}-{mapping}-{seed}"
+        ),
+    )
+    for flood_at in range(1, 5)
+    for mapping in ("one-to-two", "one-to-half", "one-to-all")
+    for seed in range(5)
+]
+
+
 class TestPacketEngineTierEquality:
     @pytest.mark.parametrize("seed", range(5))
     def test_no_drop_runs_identical(self, seed):
@@ -88,11 +105,16 @@ class TestPacketEngineTierEquality:
         for other in reports[1:]:
             assert other == reports[0]
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_flooded_churned_runs_identical(self, seed):
+    @pytest.mark.parametrize("flood_at,mapping,seed", FLOODED_CASES)
+    def test_flooded_churned_runs_identical(self, flood_at, mapping, seed):
+        # Flooding layer h > 1 congests the targets of layer h-1's
+        # routing, so route tables see congestion flags flip mid-run.
         reports = {
             tier: dataclasses.asdict(
-                run_at(tier, seed, targets=True, churn_seed=seed + 50)
+                run_at(
+                    tier, seed, targets=True, churn_seed=seed + 50,
+                    flood_at=flood_at, mapping=mapping,
+                )
             )
             for tier in available_tiers()
         }

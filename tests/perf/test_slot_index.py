@@ -1,4 +1,4 @@
-"""SlotIndex edge cases and the arrays-only zero-client engine path."""
+"""SlotIndex edge cases, the arrays-only engine path and its contact matrix."""
 
 from __future__ import annotations
 
@@ -115,3 +115,67 @@ class TestZeroClientArraysRun:
         )
         assert report.sent == 0
         assert report.attack_packets_absorbed > 0
+
+
+class TestContactMatrix:
+    """``run_fast`` takes baseline contacts as a ``(clients, m_1)`` matrix
+    of layer-1 positions, one row per client — no more, no fewer."""
+
+    def _setup(self, clients=6):
+        arch = SOSArchitecture(
+            layers=3,
+            mapping="one-to-half",
+            total_overlay_nodes=300,
+            sos_nodes=24,
+            filters=4,
+        )
+        dep = SOSDeployment.deploy(arch, rng=5)
+        config = PacketSimConfig(
+            duration=10.0, warmup=2.0, clients=clients, client_rate=1.0
+        )
+        contacts = dep.client_contact_matrix(np.random.default_rng(3), clients)
+        return dep, encode_deployment(dep), config, contacts
+
+    def test_too_few_rows_raise(self):
+        _, arrays, config, contacts = self._setup()
+        with pytest.raises(SimulationError, match="5 rows for 6 clients"):
+            run_fast(
+                None, config, rng=9, client_contacts=contacts[:5],
+                arrays=arrays,
+            )
+
+    def test_too_many_rows_raise(self):
+        _, arrays, config, contacts = self._setup()
+        extra = np.concatenate([contacts, contacts[:1]])
+        with pytest.raises(SimulationError, match="7 rows for 6 clients"):
+            run_fast(
+                None, config, rng=9, client_contacts=extra, arrays=arrays
+            )
+
+    def test_positions_outside_layer_one_raise(self):
+        dep, arrays, config, contacts = self._setup()
+        node_ids = dep.member_array(1)[contacts]  # ids, not positions
+        with pytest.raises(SimulationError, match="layer-1 positions"):
+            run_fast(
+                None, config, rng=9, client_contacts=node_ids, arrays=arrays
+            )
+
+    def test_matrix_rows_are_sample_client_contacts_draws(self):
+        dep, _, _, contacts = self._setup()
+        rng = np.random.default_rng(3)
+        members = dep.member_array(1)
+        for row in contacts:
+            drawn = dep.sample_client_contacts(rng)
+            assert drawn == members[row].tolist()
+            assert all(type(node_id) is int for node_id in drawn)
+
+    def test_standalone_matches_supplied_matrix(self):
+        dep, arrays, config, _ = self._setup()
+        rng = np.random.default_rng(21)
+        contacts = dep.client_contact_matrix(rng, config.clients)
+        supplied = run_fast(
+            None, config, rng=rng, client_contacts=contacts, arrays=arrays
+        )
+        standalone = run_fast(dep, config, rng=np.random.default_rng(21))
+        assert supplied == standalone
+        assert supplied.sent > 0

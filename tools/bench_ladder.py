@@ -77,11 +77,9 @@ def _prepare_flooded(
     deployment = SOSDeployment.deploy(arch, rng=7)
     targets = flood_layer(deployment, layer=1, fraction=0.5, rng=2)
     arrays = encode_deployment(deployment)
-    contact_rng = np.random.default_rng(123)
-    contacts = [
-        deployment.sample_client_contacts(contact_rng)
-        for _ in range(clients)
-    ]
+    contacts = deployment.client_contact_matrix(
+        np.random.default_rng(123), clients
+    )
     return {
         "arrays": arrays,
         "targets": targets,
