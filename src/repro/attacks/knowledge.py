@@ -65,6 +65,31 @@ class AttackerKnowledge:
         if success:
             self.broken.add(node_id)
 
+    def absorb_break_ins(
+        self,
+        attempted: Iterable[int],
+        broken: Iterable[int],
+        disclosed: Iterable[int] = (),
+        disclosed_filters: Iterable[int] = (),
+    ) -> None:
+        """Absorb one batch of break-in attempts in bulk.
+
+        ``broken`` are the successful attempts; ``disclosed`` and
+        ``disclosed_filters`` are what their neighbor tables revealed.
+        The sets end exactly as :meth:`record_attempt` per attempt plus
+        :meth:`learn_disclosure` per success would leave them: a node
+        disclosed by one attempt and attacked by a later one of the same
+        batch is attempted, not known-unattacked.
+        """
+        attempted = set(attempted)
+        self.attempted |= attempted
+        self.known_unattacked -= attempted
+        self.broken.update(broken)
+        disclosed = set(disclosed)
+        self.disclosed |= disclosed
+        self.known_unattacked |= disclosed - self.attempted
+        self.disclosed_filters.update(disclosed_filters)
+
     def forfeit(self, node_ids: Iterable[int]) -> None:
         """Give up on disclosed nodes when the break-in budget runs out
         (the paper's ``f_{i,j}`` — congested instead of attacked)."""

@@ -49,17 +49,19 @@ def upstream_observer(observation_probability: float = 1.0):
             # monitoring attacker is trajectory-identical to the baseline
             # under the same seed.
             return []
-        node = deployment.network.get(node_id)
-        if node.sos_layer is None or node.sos_layer <= 1:
+        layer = deployment.network.get(node_id).sos_layer
+        if layer is None or layer <= 1:
             return []
-        observed = []
-        for upstream_id in deployment.layer_members(node.sos_layer - 1):
-            upstream = deployment.network.get(upstream_id)
-            if node_id in upstream.neighbors and (
-                rng.random() < observation_probability
-            ):
-                observed.append(upstream_id)
-        return observed
+        # One draw per upstream node that forwards into ``node_id``, in
+        # sorted member order.
+        store = deployment.network.store
+        rows = deployment.member_rows(layer - 1)
+        width = int(store.neighbor_len[rows].max(initial=0))
+        feeds = (store.neighbor_matrix(rows, width) == node_id).any(axis=1)
+        upstream = deployment.member_array(layer - 1)[feeds]
+        return upstream[
+            rng.random(len(upstream)) < observation_probability
+        ].tolist()
 
     return observe
 

@@ -14,74 +14,140 @@ Both strategies share the two-phase shape:
 2. a congestion phase that floods every disclosed-but-not-broken node and
    spends any surplus uniformly over the remaining overlay (filters are
    congested only upon disclosure, never at random).
+
+Both phases work on the deployment's columns, not on node views: a batch
+of break-ins draws its uniforms as one ``rng.random(k)``, compromises the
+successes with one health write, reads their tables from the neighbor
+matrix and absorbs the disclosures into the knowledge sets in one pass;
+the congestion phase draws its random targets from a mask over the sorted
+overlay ids and floods them with one health write per store; the outcome
+census reads the health column over each layer's rows. Every RNG draw is
+the one the node-by-node formulation made, in the same order, so Monte
+Carlo estimates are bit-identical to it. The one per-attempt loop left is
+the ``disclosure_extension`` path (:mod:`repro.attacks.monitoring`),
+whose extension draws between attempts.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Callable, List, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.attacks.knowledge import AttackerKnowledge
 from repro.attacks.outcome import AttackOutcome
 from repro.core.attack_models import OneBurstAttack, SuccessiveAttack
 from repro.errors import ConfigurationError
+from repro.overlay.arrays import HEALTH_COMPROMISED, HEALTH_CONGESTED, OverlayStore
 from repro.sos.deployment import SOSDeployment
 from repro.utils.seeding import SeedLike, make_rng
 
 
-def _sample(rng, pool: Sequence[int], count: int) -> List[int]:
-    """Uniformly sample ``count`` distinct items from ``pool``."""
-    count = min(count, len(pool))
+def _sample(rng, pool: Sequence[int], count: int) -> np.ndarray:
+    """Uniformly sample ``count`` distinct ids from ``pool``, in draw order."""
+    ids = np.asarray(pool, dtype=np.int64)
+    count = min(count, len(ids))
     if count <= 0:
-        return []
-    chosen = rng.choice(len(pool), size=count, replace=False)
-    return [pool[int(i)] for i in chosen]
+        return ids[:0]
+    return ids[rng.choice(len(ids), size=count, replace=False)]
+
+
+def _overlay_pool(deployment: SOSDeployment, excluded: Set[int]) -> np.ndarray:
+    """Overlay identifiers in ascending order, minus ``excluded``."""
+    store = deployment.network.store
+    if not excluded:
+        return store.sorted_ids
+    keep = np.ones(len(store), dtype=bool)
+    keep[
+        store.sorted_positions(
+            np.fromiter(excluded, dtype=np.int64, count=len(excluded))
+        )
+    ] = False
+    return store.sorted_ids[keep]
+
+
+def _compromise(
+    deployment: SOSDeployment, node_ids: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Break into overlay ``node_ids`` (one health write); returns the
+    ``(overlay ids, filter ids)`` their neighbor tables disclose."""
+    store = deployment.network.store
+    rows = store.rows_of(node_ids)
+    store.set_health_many(rows, HEALTH_COMPROMISED)
+    width = int(store.neighbor_len[rows].max(initial=0))
+    disclosed = store.neighbor_matrix(rows, width).ravel()
+    disclosed = disclosed[disclosed >= 0]
+    is_filter = deployment.filters.contains_many(disclosed)
+    return disclosed[~is_filter], disclosed[is_filter]
 
 
 def _attempt_break_ins(
     deployment: SOSDeployment,
     knowledge: AttackerKnowledge,
-    node_ids: Iterable[int],
+    node_ids: Sequence[int],
     p_b: float,
     rng,
     disclosure_extension=None,
 ) -> int:
     """Try to break into each node; absorb disclosures. Returns attempts.
 
+    The attempt uniforms are one ``rng.random(k)`` draw — the same stream
+    as ``k`` scalar draws — and the successes are compromised, read and
+    absorbed in bulk, which leaves the knowledge sets exactly as the
+    attempt-by-attempt loop would.
+
     ``disclosure_extension(deployment, node_id, rng)``, when given, returns
     extra overlay identifiers the attacker learns from a compromised node
     beyond its neighbor table (e.g. upstream nodes observed via traffic
-    monitoring — see :mod:`repro.attacks.monitoring`).
+    monitoring — see :mod:`repro.attacks.monitoring`). It draws between
+    attempts, so that path keeps one draw per attempt in attempt order.
     """
-    attempts = 0
-    for node_id in node_ids:
-        attempts += 1
-        success = bool(rng.random() < p_b)
-        knowledge.record_attempt(node_id, success)
-        if not success:
+    targets = np.asarray(node_ids, dtype=np.int64)
+    if disclosure_extension is None:
+        broken = targets[rng.random(len(targets)) < p_b]
+        overlay_ids, filter_ids = _compromise(deployment, broken)
+        knowledge.absorb_break_ins(
+            targets.tolist(),
+            broken.tolist(),
+            overlay_ids.tolist(),
+            filter_ids.tolist(),
+        )
+        return len(targets)
+    for node_id in targets.tolist():
+        if not rng.random() < p_b:
+            knowledge.absorb_break_ins([node_id], [])
             continue
-        disclosed = deployment.network.get(node_id).compromise()
-        overlay_ids = [i for i in disclosed if i not in deployment.filters]
-        filter_ids = [i for i in disclosed if i in deployment.filters]
-        if disclosure_extension is not None:
-            overlay_ids.extend(disclosure_extension(deployment, node_id, rng))
-        knowledge.learn_disclosure(overlay_ids, filter_ids)
-    return attempts
+        overlay_ids, filter_ids = _compromise(
+            deployment, np.array([node_id], dtype=np.int64)
+        )
+        learned = overlay_ids.tolist()
+        learned.extend(disclosure_extension(deployment, node_id, rng))
+        knowledge.absorb_break_ins(
+            [node_id], [node_id], learned, filter_ids.tolist()
+        )
+    return len(targets)
 
 
 def _random_break_in_pool(
     deployment: SOSDeployment, knowledge: AttackerKnowledge
-) -> List[int]:
+) -> np.ndarray:
     """Overlay nodes eligible for random break-in attempts.
 
     Mirrors Eq. (11)'s pool: the whole overlay minus everything already
     attempted and minus currently known (those are attacked deliberately).
     """
-    excluded = knowledge.attempted | knowledge.known_unattacked
-    return [
-        node_id
-        for node_id in deployment.network.node_ids
-        if node_id not in excluded
-    ]
+    return _overlay_pool(
+        deployment, knowledge.attempted | knowledge.known_unattacked
+    )
+
+
+def _congest(store: OverlayStore, node_ids: np.ndarray) -> None:
+    """Flood ``node_ids`` in one health write; compromised nodes stay
+    compromised (the attacker never wastes congestion on nodes it owns)."""
+    rows = store.rows_of(node_ids)
+    store.set_health_many(
+        rows[store.health[rows] != HEALTH_COMPROMISED], HEALTH_CONGESTED
+    )
 
 
 def _congestion_phase(
@@ -91,30 +157,26 @@ def _congestion_phase(
     rng,
 ) -> int:
     """Flood disclosed nodes first, then random overlay nodes. Returns spend."""
-    overlay_targets = sorted(knowledge.congestion_targets)
-    filter_targets = sorted(knowledge.congestion_filter_targets)
-    disclosed_targets = overlay_targets + filter_targets
-    spent = 0
-    if budget >= len(disclosed_targets):
-        for node_id in disclosed_targets:
-            deployment.resolve(node_id).congest()
-        spent = len(disclosed_targets)
-        surplus = budget - spent
-        if surplus > 0:
-            excluded = knowledge.broken | set(overlay_targets)
-            pool = [
-                node_id
-                for node_id in deployment.network.node_ids
-                if node_id not in excluded
-            ]
-            for node_id in _sample(rng, pool, surplus):
-                deployment.resolve(node_id).congest()
-                spent += 1
-    else:
-        for node_id in _sample(rng, disclosed_targets, budget):
-            deployment.resolve(node_id).congest()
-            spent += 1
-    return spent
+    targets = knowledge.congestion_targets
+    overlay_targets = np.array(sorted(targets), dtype=np.int64)
+    filter_targets = np.array(
+        sorted(knowledge.congestion_filter_targets), dtype=np.int64
+    )
+    surplus = budget - len(overlay_targets) - len(filter_targets)
+    if surplus > 0:
+        pool = _overlay_pool(deployment, knowledge.broken | targets)
+        overlay_targets = np.concatenate(
+            [overlay_targets, _sample(rng, pool, surplus)]
+        )
+    elif surplus < 0:
+        chosen = _sample(
+            rng, np.concatenate([overlay_targets, filter_targets]), budget
+        )
+        is_filter = deployment.filters.contains_many(chosen)
+        overlay_targets, filter_targets = chosen[~is_filter], chosen[is_filter]
+    _congest(deployment.network.store, overlay_targets)
+    _congest(deployment.filters.store, filter_targets)
+    return len(overlay_targets) + len(filter_targets)
 
 
 def _outcome(
@@ -124,21 +186,12 @@ def _outcome(
     attempts: int,
     congestion_spent: int,
 ) -> AttackOutcome:
-    layers = deployment.architecture.layers
     broken = {}
     congested = {}
-    for layer in range(1, layers + 2):
-        members = deployment.layer_members(layer)
-        broken[layer] = sum(
-            1
-            for node_id in members
-            if deployment.resolve(node_id).health.value == "compromised"
-        )
-        congested[layer] = sum(
-            1
-            for node_id in members
-            if deployment.resolve(node_id).health.value == "congested"
-        )
+    for layer in range(1, deployment.architecture.layers + 2):
+        codes = deployment.member_health(layer)
+        broken[layer] = int(np.count_nonzero(codes == HEALTH_COMPROMISED))
+        congested[layer] = int(np.count_nonzero(codes == HEALTH_CONGESTED))
     return AttackOutcome(
         broken_per_layer=broken,
         congested_per_layer=congested,
@@ -147,6 +200,28 @@ def _outcome(
         congestion_spent=congestion_spent,
         knowledge=knowledge,
     )
+
+
+def _break_in_budget(
+    deployment: SOSDeployment, attack: "OneBurstAttack | SuccessiveAttack"
+) -> int:
+    n_t = int(round(attack.n_t))
+    if n_t > len(deployment.network):
+        raise ConfigurationError(
+            f"break-in budget {n_t} exceeds overlay size "
+            f"{len(deployment.network)}"
+        )
+    return n_t
+
+
+def learn_prior_knowledge(
+    deployment: SOSDeployment, knowledge: AttackerKnowledge, p_e: float, rng
+) -> None:
+    """Round 0 of Algorithm 1: the attacker knows a ``P_E`` fraction of
+    the first layer before attacking."""
+    first_layer = deployment.member_array(1)
+    count = int(round(p_e * len(first_layer)))
+    knowledge.learn_prior(_sample(rng, first_layer, count).tolist())
 
 
 class OneBurstStrategy:
@@ -166,20 +241,16 @@ class OneBurstStrategy:
         rng: SeedLike = None,
     ) -> AttackOutcome:
         generator = make_rng(rng)
-        n_t = int(round(attack.n_t))
-        n_c = int(round(attack.n_c))
-        if n_t > len(deployment.network):
-            raise ConfigurationError(
-                f"break-in budget {n_t} exceeds overlay size "
-                f"{len(deployment.network)}"
-            )
+        n_t = _break_in_budget(deployment, attack)
         knowledge = AttackerKnowledge()
-        targets = _sample(generator, deployment.network.node_ids, n_t)
+        targets = _sample(generator, deployment.network.store.sorted_ids, n_t)
         attempts = _attempt_break_ins(
             deployment, knowledge, targets, attack.p_b, generator,
             disclosure_extension=self._disclosure_extension,
         )
-        spent = _congestion_phase(deployment, knowledge, n_c, generator)
+        spent = _congestion_phase(
+            deployment, knowledge, int(round(attack.n_c)), generator
+        )
         return _outcome(deployment, knowledge, 1, attempts, spent)
 
 
@@ -205,34 +276,51 @@ class SuccessiveStrategy:
         rng: SeedLike = None,
         on_round_end=None,
     ) -> AttackOutcome:
-        generator = make_rng(rng)
-        n_t = int(round(attack.n_t))
-        n_c = int(round(attack.n_c))
-        if n_t > len(deployment.network):
-            raise ConfigurationError(
-                f"break-in budget {n_t} exceeds overlay size "
-                f"{len(deployment.network)}"
-            )
-        knowledge = AttackerKnowledge()
-
-        # Round 0: prior knowledge of a P_E fraction of the first layer.
-        first_layer = deployment.layer_members(1)
-        prior_count = int(round(attack.p_e * len(first_layer)))
-        knowledge.learn_prior(_sample(generator, first_layer, prior_count))
-
-        # Integer per-round quotas alpha_j that sum exactly to N_T.
-        quotas = even_quotas(n_t, attack.rounds)
-        attempts, rounds_executed = run_break_in_rounds(
+        return execute_successive(
             deployment,
-            knowledge,
-            quotas,
-            attack.p_b,
-            generator,
+            attack,
+            lambda budget: even_quotas(budget, attack.rounds),
+            rng,
             on_round_end=on_round_end,
             disclosure_extension=self._disclosure_extension,
         )
-        spent = _congestion_phase(deployment, knowledge, n_c, generator)
-        return _outcome(deployment, knowledge, rounds_executed, attempts, spent)
+
+
+def execute_successive(
+    deployment: SOSDeployment,
+    attack: SuccessiveAttack,
+    quotas: Callable[[int], List[int]],
+    rng: SeedLike = None,
+    on_round_end=None,
+    disclosure_extension=None,
+) -> AttackOutcome:
+    """Algorithm 1 under any quota schedule: prior knowledge, one
+    :func:`break_in_round` per quota in ``quotas(N_T)`` (until the budget
+    runs out), then the congestion phase. Shared by
+    :class:`SuccessiveStrategy` (even quotas) and the schedule variants in
+    :mod:`repro.attacks.variants`."""
+    generator = make_rng(rng)
+    schedule = quotas(_break_in_budget(deployment, attack))
+    budget = int(sum(schedule))
+    knowledge = AttackerKnowledge()
+    learn_prior_knowledge(deployment, knowledge, attack.p_e, generator)
+    attempts = 0
+    rounds_executed = 0
+    for quota in schedule:
+        rounds_executed += 1
+        spent, budget, stop = break_in_round(
+            deployment, knowledge, quota, budget, attack.p_b, generator,
+            disclosure_extension=disclosure_extension,
+        )
+        attempts += spent
+        if on_round_end is not None:
+            on_round_end(deployment, knowledge, rounds_executed)
+        if stop or budget <= 0:
+            break
+    spent = _congestion_phase(
+        deployment, knowledge, int(round(attack.n_c)), generator
+    )
+    return _outcome(deployment, knowledge, rounds_executed, attempts, spent)
 
 
 def even_quotas(budget: int, rounds: int) -> List[int]:
@@ -243,75 +331,44 @@ def even_quotas(budget: int, rounds: int) -> List[int]:
     ]
 
 
-def run_break_in_rounds(
+def break_in_round(
     deployment: SOSDeployment,
     knowledge: AttackerKnowledge,
-    quotas: Sequence[int],
+    quota: int,
+    budget: int,
     p_b: float,
     generator,
-    on_round_end=None,
     disclosure_extension=None,
-) -> "tuple[int, int]":
-    """Execute Algorithm 1's round loop with an arbitrary quota schedule.
+) -> Tuple[int, int, bool]:
+    """One break-in round of Algorithm 1: ``(attempts, budget left, stop)``.
 
-    Returns ``(total_attempts, rounds_executed)``. The four per-round cases
-    follow the paper verbatim with ``alpha`` replaced by the round's quota;
-    the total budget is ``sum(quotas)``. Shared by the paper's
-    :class:`SuccessiveStrategy` (even quotas) and the schedule variants in
-    :mod:`repro.attacks.variants`.
+    The four cases follow the paper verbatim with ``alpha`` replaced by
+    the round's ``quota``; ``budget`` is the break-in budget still unspent
+    (the paper's ``beta``) and ``X_j`` the disclosed-but-unattacked pool.
     """
-    budget = int(sum(quotas))
-    attempts = 0
-    rounds_executed = 0
-    for quota in quotas:
-        known = sorted(knowledge.known_unattacked)
-        rounds_executed += 1
-        stop = False
-        if len(known) >= budget:
-            # Case X_j >= beta: attack a budget-sized subset, forfeit
-            # the rest to the congestion phase, and stop.
-            attacked = _sample(generator, known, budget)
-            knowledge.forfeit(set(known) - set(attacked))
-            attempts += _attempt_break_ins(
-                deployment, knowledge, attacked, p_b, generator,
-                disclosure_extension=disclosure_extension,
-            )
-            budget = 0
-            stop = True
-        elif budget <= quota:
-            # Case X_j < beta <= alpha: final, budget-limited round.
-            extra = _sample(
-                generator,
-                _random_break_in_pool(deployment, knowledge),
-                budget - len(known),
-            )
-            attempts += _attempt_break_ins(
-                deployment, knowledge, known + extra, p_b, generator,
-                disclosure_extension=disclosure_extension,
-            )
-            budget = 0
-            stop = True
-        elif len(known) >= quota:
-            # Case alpha <= X_j < beta: disclosed nodes exceed the quota.
-            attempts += _attempt_break_ins(
-                deployment, knowledge, known, p_b, generator,
-                disclosure_extension=disclosure_extension,
-            )
-            budget -= len(known)
-        else:
-            # General case X_j < alpha < beta.
-            extra = _sample(
-                generator,
-                _random_break_in_pool(deployment, knowledge),
-                quota - len(known),
-            )
-            attempts += _attempt_break_ins(
-                deployment, knowledge, known + extra, p_b, generator,
-                disclosure_extension=disclosure_extension,
-            )
-            budget -= quota
-        if on_round_end is not None:
-            on_round_end(deployment, knowledge, rounds_executed)
-        if stop or budget <= 0:
-            break
-    return attempts, rounds_executed
+    known = np.array(sorted(knowledge.known_unattacked), dtype=np.int64)
+
+    def attempt(node_ids: np.ndarray) -> int:
+        return _attempt_break_ins(
+            deployment, knowledge, node_ids, p_b, generator,
+            disclosure_extension=disclosure_extension,
+        )
+
+    def with_random(count: int) -> np.ndarray:
+        pool = _random_break_in_pool(deployment, knowledge)
+        return np.concatenate([known, _sample(generator, pool, count)])
+
+    if len(known) >= budget:
+        # Case X_j >= beta: attack a budget-sized subset, forfeit the
+        # rest to the congestion phase, and stop.
+        attacked = _sample(generator, known, budget)
+        knowledge.forfeit(set(known.tolist()) - set(attacked.tolist()))
+        return attempt(attacked), 0, True
+    if budget <= quota:
+        # Case X_j < beta <= alpha: final, budget-limited round.
+        return attempt(with_random(budget - len(known))), 0, True
+    if len(known) >= quota:
+        # Case alpha <= X_j < beta: disclosed nodes exceed the quota.
+        return attempt(known), budget - len(known), False
+    # General case X_j < alpha < beta.
+    return attempt(with_random(quota - len(known))), budget - quota, False

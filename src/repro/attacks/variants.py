@@ -18,22 +18,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from repro.attacks.knowledge import AttackerKnowledge
 from repro.attacks.outcome import AttackOutcome
-from repro.attacks.strategies import (
-    _congestion_phase,
-    _outcome,
-    _sample,
-    even_quotas,
-    run_break_in_rounds,
-)
+from repro.attacks.strategies import execute_successive
 from repro.core.architecture import SOSArchitecture
 from repro.core.attack_models import SuccessiveAttack
 from repro.errors import ConfigurationError
 from repro.overlay.network import OverlayNetwork
 from repro.sos.deployment import SOSDeployment
 from repro.sos.protocol import SOSProtocol
-from repro.utils.seeding import SeedLike, SeedSequenceFactory, make_rng
+from repro.utils.seeding import SeedLike, SeedSequenceFactory
 
 
 def front_loaded_weights(rounds: int, decay: float = 0.5) -> List[float]:
@@ -90,27 +83,14 @@ class ScheduledSuccessiveStrategy:
         rng: SeedLike = None,
         on_round_end=None,
     ) -> AttackOutcome:
-        generator = make_rng(rng)
-        n_t = int(round(attack.n_t))
-        n_c = int(round(attack.n_c))
-        if n_t > len(deployment.network):
-            raise ConfigurationError("break-in budget exceeds overlay size")
-        knowledge = AttackerKnowledge()
-        first_layer = deployment.layer_members(1)
-        prior_count = int(round(attack.p_e * len(first_layer)))
-        knowledge.learn_prior(_sample(generator, first_layer, prior_count))
-        quotas = quotas_from_weights(n_t, self.weights)
-        attempts, rounds_executed = run_break_in_rounds(
+        return execute_successive(
             deployment,
-            knowledge,
-            quotas,
-            attack.p_b,
-            generator,
+            attack,
+            lambda budget: quotas_from_weights(budget, self.weights),
+            rng,
             on_round_end=on_round_end,
             disclosure_extension=self._disclosure_extension,
         )
-        spent = _congestion_phase(deployment, knowledge, n_c, generator)
-        return _outcome(deployment, knowledge, rounds_executed, attempts, spent)
 
 
 def compare_schedules(

@@ -156,14 +156,19 @@ class OverlayStore:
 
     def rows_of(self, node_ids: Sequence[int]) -> np.ndarray:
         """Rows of many identifiers at once; unknown ids raise."""
+        return self._order[self.sorted_positions(node_ids)]
+
+    def sorted_positions(self, node_ids: Sequence[int]) -> np.ndarray:
+        """Positions of many identifiers in :attr:`sorted_ids`; unknown
+        ids raise."""
         wanted = np.asarray(node_ids, dtype=np.int64)
         index = np.searchsorted(self._sorted_ids, wanted)
         clipped = np.minimum(index, max(len(self._sorted_ids) - 1, 0))
         if len(self._sorted_ids) == 0 or bool(
             (self._sorted_ids[clipped] != wanted).any()
         ):
-            raise ConfigurationError("unknown node identifier in rows_of")
-        return self._order[clipped]
+            raise ConfigurationError("unknown node identifier")
+        return clipped
 
     @property
     def sorted_ids(self) -> np.ndarray:
@@ -203,30 +208,32 @@ class OverlayStore:
         self.health[row] = code
 
     def set_health_many(self, rows: np.ndarray, code: int) -> None:
-        """Bulk health write with one counter pass (vectorized churn)."""
+        """Bulk health write over distinct ``rows`` with one counter pass
+        (vectorized churn, break-ins and congestion)."""
         rows = np.asarray(rows, dtype=np.int64)
-        if len(rows) == 0:
-            return
         old = self.health[rows]
-        changed = rows[old != code]
-        if len(changed) == 0:
+        moved = old != code
+        if not moved.any():
             return
-        old = self.health[changed]
-        layers = self.layer[changed].astype(np.int64)
-        self._ensure_layer_capacity(int(layers.max(initial=0)))
+        changed = rows[moved]
+        old = old[moved]
+        layers = self.layer[changed]
+        self._ensure_layer_capacity(int(layers.max()))
         width = len(self._bad_per_layer)
-        bad_delta = (np.int64(code != HEALTH_GOOD) - (old != HEALTH_GOOD)).astype(
-            np.int64
-        )
-        crash_delta = (
-            np.int64(code == HEALTH_CRASHED) - (old == HEALTH_CRASHED)
-        ).astype(np.int64)
-        self._bad_per_layer += np.bincount(
-            layers, weights=bad_delta, minlength=width
-        ).astype(np.int64)
-        self._crashed_per_layer += np.bincount(
-            layers, weights=crash_delta, minlength=width
-        ).astype(np.int64)
+        # Every changed row leaves ``old`` for ``code``: it turns bad iff
+        # it was GOOD, turns GOOD iff it was bad, and likewise for CRASHED.
+        if code == HEALTH_GOOD:
+            self._bad_per_layer -= np.bincount(layers, minlength=width)
+        else:
+            self._bad_per_layer += np.bincount(
+                layers[old == HEALTH_GOOD], minlength=width
+            )
+        if code == HEALTH_CRASHED:
+            self._crashed_per_layer += np.bincount(layers, minlength=width)
+        else:
+            self._crashed_per_layer -= np.bincount(
+                layers[old == HEALTH_CRASHED], minlength=width
+            )
         self.health[changed] = code
 
     def reset_health(self) -> None:
@@ -288,6 +295,30 @@ class OverlayStore:
         self.layer[row] = layer
         self.wiring_epoch += 1
 
+    def set_layer_many(self, rows: np.ndarray, layers: np.ndarray) -> None:
+        """Bulk :meth:`set_layer`: distinct ``rows[i]`` moves to ``layers[i]``.
+
+        One column write; the health tallies of non-GOOD rows migrate in
+        one counter pass, exactly as a per-row replay would leave them.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) == 0:
+            return
+        new = np.asarray(layers, dtype=np.int64)
+        old = self.layer[rows].astype(np.int64)
+        self._ensure_layer_capacity(int(max(old.max(), new.max())))
+        width = len(self._bad_per_layer)
+        codes = self.health[rows]
+        for counters, hit in (
+            (self._bad_per_layer, codes != HEALTH_GOOD),
+            (self._crashed_per_layer, codes == HEALTH_CRASHED),
+        ):
+            if hit.any():
+                counters -= np.bincount(old[hit], minlength=width)
+                counters += np.bincount(new[hit], minlength=width)
+        self.layer[rows] = new
+        self.wiring_epoch += 1
+
     def reset_roles(self) -> None:
         """Clear enrollment and neighbor tables on every node."""
         self.layer[:] = NO_LAYER
@@ -309,26 +340,66 @@ class OverlayStore:
             grown[:, : self._nbr_table.shape[1]] = self._nbr_table
             self._nbr_table = grown
 
+    def _ensure_neighbor_rows(self, needed: int) -> None:
+        capacity = self._nbr_table.shape[0]
+        if needed <= capacity:
+            return
+        capacity = max(8, capacity)
+        while capacity < needed:
+            capacity *= 2
+        grown = np.full(
+            (capacity, self._nbr_table.shape[1]), -1, dtype=np.int64
+        )
+        grown[: self._nbr_used] = self._nbr_table[: self._nbr_used]
+        self._nbr_table = grown
+
     def set_neighbors(self, row: int, neighbor_ids: Sequence[int]) -> None:
         values = np.asarray(tuple(neighbor_ids), dtype=np.int64)
         self._ensure_neighbor_width(len(values))
         index = int(self._nbr_index[row])
         if index == 0:
-            if self._nbr_used == self._nbr_table.shape[0]:
-                grown = np.full(
-                    (max(8, 2 * self._nbr_used), self._nbr_table.shape[1]),
-                    -1,
-                    dtype=np.int64,
-                )
-                grown[: self._nbr_used] = self._nbr_table[: self._nbr_used]
-                self._nbr_table = grown
             index = self._nbr_used
+            self._ensure_neighbor_rows(index + 1)
             self._nbr_used += 1
             self._nbr_index[row] = index
         self._nbr_table[index, : len(values)] = values
         self._nbr_table[index, len(values):] = -1
         self.neighbor_len[row] = len(values)
         self._nbr_tuples.pop(row, None)
+        self.wiring_epoch += 1
+
+    def set_neighbors_many(
+        self, rows: np.ndarray, neighbor_ids: np.ndarray
+    ) -> None:
+        """Install ``neighbor_ids[i]`` as the table of distinct ``rows[i]``.
+
+        ``neighbor_ids`` is a ``(len(rows), width)`` id matrix, so every
+        row gets a table of ``width`` entries. Rows without a table take
+        compact slots in ``rows`` order, as a per-row replay would.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        values = np.asarray(neighbor_ids, dtype=np.int64)
+        if values.ndim != 2 or len(values) != len(rows):
+            raise ConfigurationError(
+                f"need one neighbor row per store row: {len(rows)} rows, "
+                f"neighbor matrix of shape {values.shape}"
+            )
+        width = values.shape[1]
+        self._ensure_neighbor_width(width)
+        index = self._nbr_index[rows]
+        fresh = np.flatnonzero(index == 0)
+        if len(fresh):
+            start = self._nbr_used
+            self._ensure_neighbor_rows(start + len(fresh))
+            index[fresh] = np.arange(start, start + len(fresh))
+            self._nbr_index[rows[fresh]] = index[fresh]
+            self._nbr_used = start + len(fresh)
+        self._nbr_table[index, :width] = values
+        self._nbr_table[index, width:] = -1
+        self.neighbor_len[rows] = width
+        if self._nbr_tuples:
+            for row in rows.tolist():
+                self._nbr_tuples.pop(row, None)
         self.wiring_epoch += 1
 
     def neighbors_of(self, row: int) -> Tuple[int, ...]:

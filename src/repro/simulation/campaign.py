@@ -6,11 +6,10 @@ the congestion phase fires when the break-in budget is spent, the defender
 scans periodically, and a measurement process probes client success
 throughout — producing the ``P_S(t)`` trajectory of the engagement.
 
-Built on :class:`~repro.simulation.engine.EventScheduler`; attack rounds
-reuse the exact Algorithm 1 case logic via
-:class:`~repro.attacks.strategies.SuccessiveStrategy` internals (one round
-per event), so the campaign's endpoint matches the one-shot executable
-attack.
+Built on :class:`~repro.simulation.engine.EventScheduler`; each attack
+round is one :func:`~repro.attacks.strategies.break_in_round` event — the
+step :class:`~repro.attacks.strategies.SuccessiveStrategy` loops over — so
+the campaign's endpoint matches the one-shot executable attack.
 """
 
 from __future__ import annotations
@@ -22,10 +21,10 @@ import numpy as np
 
 from repro.attacks.knowledge import AttackerKnowledge
 from repro.attacks.strategies import (
-    _attempt_break_ins,
     _congestion_phase,
-    _random_break_in_pool,
-    _sample,
+    break_in_round,
+    even_quotas,
+    learn_prior_knowledge,
 )
 from repro.core.architecture import SOSArchitecture
 from repro.core.attack_models import SuccessiveAttack
@@ -142,11 +141,7 @@ class CampaignSimulation:
         self.knowledge = AttackerKnowledge()
 
         self._budget = int(round(attack.n_t))
-        self._quotas = [
-            (self._budget * j) // attack.rounds
-            - (self._budget * (j - 1)) // attack.rounds
-            for j in range(1, attack.rounds + 1)
-        ]
+        self._quotas = even_quotas(self._budget, attack.rounds)
         self._round_index = 0
         self._round_times: List[float] = []
         self._congestion_time: float = float("nan")
@@ -158,55 +153,23 @@ class CampaignSimulation:
     # Attack process (Algorithm 1, one round per event)
     # ------------------------------------------------------------------
     def _prior_knowledge_phase(self) -> None:
-        first_layer = self.deployment.layer_members(1)
-        count = int(round(self.attack.p_e * len(first_layer)))
-        self.knowledge.learn_prior(_sample(self._rng, first_layer, count))
+        learn_prior_knowledge(
+            self.deployment, self.knowledge, self.attack.p_e, self._rng
+        )
 
     def _attack_round(self) -> None:
         if self._done_attacking:
             return
         self._round_index += 1
         self._round_times.append(self.scheduler.now)
-        known = sorted(self.knowledge.known_unattacked)
-        quota = self._quotas[self._round_index - 1]
-        stop = False
-        if len(known) >= self._budget:
-            attacked = _sample(self._rng, known, self._budget)
-            self.knowledge.forfeit(set(known) - set(attacked))
-            _attempt_break_ins(
-                self.deployment, self.knowledge, attacked, self.attack.p_b, self._rng
-            )
-            self._budget = 0
-            stop = True
-        elif self._budget <= quota:
-            extra = _sample(
-                self._rng,
-                _random_break_in_pool(self.deployment, self.knowledge),
-                self._budget - len(known),
-            )
-            _attempt_break_ins(
-                self.deployment, self.knowledge, known + extra,
-                self.attack.p_b, self._rng,
-            )
-            self._budget = 0
-            stop = True
-        elif len(known) >= quota:
-            _attempt_break_ins(
-                self.deployment, self.knowledge, known, self.attack.p_b, self._rng
-            )
-            self._budget -= len(known)
-        else:
-            extra = _sample(
-                self._rng,
-                _random_break_in_pool(self.deployment, self.knowledge),
-                quota - len(known),
-            )
-            _attempt_break_ins(
-                self.deployment, self.knowledge, known + extra,
-                self.attack.p_b, self._rng,
-            )
-            self._budget -= quota
-
+        _, self._budget, stop = break_in_round(
+            self.deployment,
+            self.knowledge,
+            self._quotas[self._round_index - 1],
+            self._budget,
+            self.attack.p_b,
+            self._rng,
+        )
         if stop or self._budget <= 0 or self._round_index >= self.attack.rounds:
             self._done_attacking = True
             self.scheduler.schedule_after(

@@ -44,6 +44,7 @@ from repro.attacks.attacker import IntelligentAttacker
 from repro.core.architecture import SOSArchitecture
 from repro.core.attack_models import OneBurstAttack, SuccessiveAttack
 from repro.errors import CampaignInterrupted, SimulationError
+from repro.overlay.arrays import HEALTH_CRASHED, HEALTH_GOOD
 from repro.overlay.network import OverlayNetwork
 from repro.resilience.checkpoint import CampaignCheckpoint, fingerprint
 from repro.simulation.results import PsEstimate, summarize_indicators
@@ -60,6 +61,11 @@ TrialOutcome = Tuple[int, Optional[float], Optional[Dict[int, int]], Optional[st
 #: ``(trial_index, trial_seed)`` jobs handed to the execution paths.
 TrialJob = Tuple[int, np.random.SeedSequence]
 
+#: Most trials one estimate may run. Every trial's RNG stream is spawned
+#: up front (about 0.85 s and a few tens of MB per 10⁵ streams), so the
+#: cap bounds that work before any of it starts.
+MAX_TRIALS = 100_000
+
 
 @dataclasses.dataclass(frozen=True)
 class MonteCarloConfig:
@@ -73,6 +79,10 @@ class MonteCarloConfig:
     ``checkpoint_path`` persists per-trial results as JSON so an
     interrupted campaign resumes — with per-trial RNG streams, resumption
     is bit-identical to an uninterrupted run with the same seed.
+
+    ``trials``, ``clients_per_trial``, ``workers``, ``chunk_size`` and
+    ``checkpoint_every`` must be ints (not bools); ``trials`` is capped at
+    :data:`MAX_TRIALS`.
 
     ``workers`` dispatches trials over a process pool (``0`` means "all
     cores"); results are bit-identical to ``workers=1`` because every
@@ -96,8 +106,19 @@ class MonteCarloConfig:
     checkpoint_every: int = 32
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise SimulationError("trials must be >= 1")
+        for name in (
+            "trials", "clients_per_trial", "workers", "chunk_size",
+            "checkpoint_every",
+        ):
+            value = getattr(self, name)
+            if name == "chunk_size" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise SimulationError(f"{name} must be an int, got {value!r}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise SimulationError(
+                f"trials must be in [1, {MAX_TRIALS}], got {self.trials}"
+            )
         if self.clients_per_trial < 1:
             raise SimulationError("clients_per_trial must be >= 1")
         if self.metric not in ("forward", "reachability"):
@@ -160,11 +181,13 @@ def _inject_churn(
     """
     if config.churn_fraction <= 0.0:
         return
-    members = deployment.sos_member_ids()
+    members = deployment.sos_member_array()
     order = rng.permutation(len(members))
     count = int(round(config.churn_fraction * len(members)))
-    for index in order[:count]:
-        deployment.resolve(members[int(index)]).crash()
+    store = deployment.network.store
+    rows = store.rows_of(members[order[:count]])
+    # A crash takes down GOOD nodes only, as ``OverlayNode.crash`` does.
+    store.set_health_many(rows[store.health[rows] == HEALTH_GOOD], HEALTH_CRASHED)
 
 
 def _client_success(

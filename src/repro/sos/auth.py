@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import secrets
-from typing import Dict, Set
+from typing import Dict, Iterable, Set
 
 from repro.errors import ProtocolError
 
@@ -45,8 +45,12 @@ class HopAuthenticator:
 
     def enroll(self, layer: int, member_id: int) -> None:
         """Register ``member_id`` as a legitimate layer member."""
+        self.enroll_many(layer, (member_id,))
+
+    def enroll_many(self, layer: int, member_ids: Iterable[int]) -> None:
+        """Register many legitimate members of ``layer`` at once."""
         self._check_layer(layer)
-        self._members[layer].add(member_id)
+        self._members[layer].update(member_ids)
 
     def revoke(self, layer: int, member_id: int) -> None:
         """Remove a member (e.g. after detection of a compromise)."""

@@ -3,12 +3,15 @@
 :class:`SOSDeployment` turns an abstract :class:`~repro.core.SOSArchitecture`
 into running state: it enrolls ``n`` overlay nodes into layers, wires the
 random neighbor tables that realize the mapping degrees ``m_i``, stands up
-the filter ring, registers everyone with the hop authenticator, and builds
-a Chord ring over the SOS membership (the lookup substrate beacons use).
+the filter ring, registers everyone with the hop authenticator, and offers
+a Chord ring over the SOS membership (the lookup substrate beacons use),
+built on first access.
 
 This is the object both the executable attacker (:mod:`repro.attacks`) and
 the packet forwarder (:mod:`repro.sos.protocol`) operate on, and the thing
-the Monte Carlo validator repeatedly instantiates.
+the Monte Carlo validator repeatedly instantiates — so enrollment and
+wiring are bulk column writes on the overlay store, not per-node view
+calls.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from repro.core.architecture import SOSArchitecture
 from repro.errors import ConfigurationError, RoutingError
-from repro.overlay.arrays import HEALTH_GOOD
+from repro.overlay.arrays import HEALTH_GOOD, OverlayStore
 from repro.overlay.chord import ChordRing
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
@@ -38,6 +41,11 @@ def sample_contact_matrix(
     (``0 .. population - 1``) from one ``choice`` without replacement —
     the draw every client-contact sampler in the package makes, so one
     generator state yields the same contacts whichever caller draws them.
+    Neighbor wiring draws its tables the same way, one row per node.
+
+    The per-row ``choice`` calls are the floor: the RNG contract fixes
+    each row's draw, and ``choice`` without replacement has no batched
+    form that consumes the stream the same way.
     """
     matrix = np.empty((clients, degree), dtype=np.int64)
     for row in matrix:
@@ -66,15 +74,12 @@ class SOSDeployment:
         network: OverlayNetwork,
         filters: FilterRing,
         authenticator: HopAuthenticator,
-        chord: ChordRing,
-        layer_membership: Dict[int, List[int]],
     ) -> None:
         self.architecture = architecture
         self.network = network
         self.filters = filters
         self.authenticator = authenticator
-        self.chord = chord
-        self._layer_membership = layer_membership
+        self._layer_membership: Dict[int, List[int]] = {}
         # Lazily-built columnar caches (member id arrays / store rows per
         # layer); invalidated whenever the membership mapping changes.
         self._member_arrays: Dict[int, np.ndarray] = {}
@@ -83,6 +88,10 @@ class SOSDeployment:
         #: Wiring-epoch-keyed structural encoding owned by
         #: :func:`repro.perf.fastsim._encode_structure`.
         self._fastsim_structure: Optional[tuple] = None
+        # The Chord ring is built on first use of :attr:`chord`, over the
+        # SOS membership as deployed.
+        self._chord: Optional[ChordRing] = None
+        self._chord_members = np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Construction
@@ -108,63 +117,83 @@ class SOSDeployment:
         network.reset_roles()
         network.reset_health()
 
-        layer_sizes = architecture.integer_layer_sizes
-        sos_nodes = network.random_nodes(sum(layer_sizes), rng=generator)
-        generator.shuffle(sos_nodes)  # type: ignore[arg-type]
-
-        layer_membership: Dict[int, List[int]] = {}
-        cursor = 0
-        for layer_index, size in enumerate(layer_sizes, start=1):
-            members = sos_nodes[cursor : cursor + size]
-            cursor += size
-            for node in members:
-                node.sos_layer = layer_index
-            layer_membership[layer_index] = sorted(n.node_id for n in members)
-
-        filters = FilterRing(
-            count=architecture.filters,
-            layer=architecture.layers + 1,
-            id_offset=network.space.size,
-        )
-        layer_membership[architecture.layers + 1] = filters.filter_ids
-
-        authenticator = HopAuthenticator(architecture.layers + 1)
-        for layer, members in layer_membership.items():
-            for member in members:
-                authenticator.enroll(layer, member)
+        # The same draws as ``network.random_nodes`` followed by a shuffle
+        # of the chosen nodes, kept as store rows.
+        count = sum(architecture.integer_layer_sizes)
+        if count > len(network):
+            raise ConfigurationError(
+                f"cannot sample {count} nodes from a pool of {len(network)}"
+            )
+        sos_rows = generator.choice(len(network), size=count, replace=False)
+        generator.shuffle(sos_rows)
 
         deployment = cls(
             architecture=architecture,
             network=network,
-            filters=filters,
-            authenticator=authenticator,
-            chord=ChordRing.build(
-                sorted(node.node_id for node in sos_nodes),
-                bits=network.space.bits,
+            filters=FilterRing(
+                count=architecture.filters,
+                layer=architecture.layers + 1,
+                id_offset=network.space.size,
             ),
-            layer_membership=layer_membership,
+            authenticator=HopAuthenticator(architecture.layers + 1),
         )
-        deployment._wire_neighbor_tables(generator)
+        deployment._enroll(sos_rows, generator)
+        deployment._chord_members = deployment.sos_member_array()
         return deployment
 
+    @property
+    def chord(self) -> ChordRing:
+        """Chord ring over the deployed SOS membership (built on first use;
+        building draws no randomness)."""
+        if self._chord is None:
+            self._chord = ChordRing.build(
+                np.sort(self._chord_members).tolist(),
+                bits=self.network.space.bits,
+            )
+        return self._chord
+
+    def _enroll(self, rows: np.ndarray, generator) -> None:
+        """Assign store ``rows`` to layers in order, enroll, and wire.
+
+        Layer sizes come from the architecture; the first ``n_1`` rows
+        form layer 1, the next ``n_2`` layer 2, and so on.
+        """
+        sizes = self.architecture.integer_layer_sizes
+        store = self.network.store
+        layer_codes = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+        store.set_layer_many(rows, layer_codes)
+        membership: Dict[int, List[int]] = {}
+        bounds = np.cumsum([0, *sizes])
+        for layer_index in range(1, len(sizes) + 1):
+            part = rows[bounds[layer_index - 1] : bounds[layer_index]]
+            membership[layer_index] = np.sort(store.ids[part]).tolist()
+        membership[self.architecture.layers + 1] = self.filters.filter_ids
+        self._layer_membership = membership
+        self._invalidate_member_caches()
+        for layer, members in membership.items():
+            self.authenticator.enroll_many(layer, members)
+        self._wire_neighbor_tables(generator)
+
     def _wire_neighbor_tables(self, generator) -> None:
-        """Give every layer-``i`` node ``m_{i+1}`` random next-layer neighbors."""
+        """Give every layer-``i`` node ``m_{i+1}`` random next-layer neighbors.
+
+        One ``choice`` per node, in sorted member order — the draws the
+        RNG contract fixes — then one table write per layer.
+        """
         arch = self.architecture
         for layer in range(1, arch.layers + 1):
             next_layer = layer + 1
-            candidates = self._layer_membership[next_layer]
-            degree = arch.mapping_degree(next_layer)
-            degree = min(degree, len(candidates))
-            for node_id in self._layer_membership[layer]:
-                chosen = generator.choice(
-                    len(candidates), size=degree, replace=False
-                )
-                neighbors = tuple(candidates[int(i)] for i in chosen)
-                self.network.get(node_id).set_neighbors(neighbors)
-                if next_layer == arch.layers + 1:
-                    for filter_id in neighbors:
-                        # Every servlet that knows a filter is whitelisted.
-                        self.filters.allow_servlet(node_id)
+            candidates = self.member_array(next_layer)
+            degree = min(arch.mapping_degree(next_layer), len(candidates))
+            chosen = sample_contact_matrix(
+                generator, len(candidates), degree, len(self.member_array(layer))
+            )
+            self.network.store.set_neighbors_many(
+                self.member_rows(layer), candidates[chosen]
+            )
+            if next_layer == arch.layers + 1 and degree:
+                # Every servlet that knows a filter is whitelisted.
+                self.filters.allow_servlets(self._layer_membership[layer])
 
     # ------------------------------------------------------------------
     # Views
@@ -248,12 +277,7 @@ class SOSDeployment:
         """
         cached = self._member_rows.get(layer)
         if cached is None:
-            store = (
-                self.filters.store
-                if layer == self.architecture.layers + 1
-                else self.network.store
-            )
-            cached = store.rows_of(self.member_array(layer))
+            cached = self._store_of(layer).rows_of(self.member_array(layer))
             self._member_rows[layer] = cached
         return cached
 
@@ -273,16 +297,21 @@ class SOSDeployment:
         self._sos_member_cache = None
         self._fastsim_structure = None
 
+    def _store_of(self, layer: int) -> OverlayStore:
+        """The store holding ``layer``'s members (filters have their own)."""
+        if layer == self.architecture.layers + 1:
+            return self.filters.store
+        return self.network.store
+
+    def member_health(self, layer: int) -> np.ndarray:
+        """Health codes of ``layer``'s members, in :meth:`member_array` order."""
+        return self._store_of(layer).health[self.member_rows(layer)]
+
     def good_members(self, layer: int) -> List[int]:
         """Identifiers of still-routable members of ``layer``."""
-        store = (
-            self.filters.store
-            if layer == self.architecture.layers + 1
-            else self.network.store
-        )
-        rows = self.member_rows(layer)
-        members = self.member_array(layer)
-        return members[store.health[rows] == 0].tolist()
+        return self.member_array(layer)[
+            self.member_health(layer) == HEALTH_GOOD
+        ].tolist()
 
     def bad_counts(self) -> Dict[int, int]:
         """Per-layer count of bad (compromised, congested, or crashed).
@@ -340,18 +369,4 @@ class SOSDeployment:
             )
         self.network.reset_roles()
         self.network.reset_health()
-        cursor = 0
-        membership: Dict[int, List[int]] = {}
-        for layer_index, size in enumerate(sizes, start=1):
-            members = list(chosen_nodes[cursor : cursor + size])
-            cursor += size
-            for node_id in members:
-                self.network.get(node_id).sos_layer = layer_index
-            membership[layer_index] = sorted(members)
-        membership[self.architecture.layers + 1] = self.filters.filter_ids
-        self._layer_membership = membership
-        self._invalidate_member_caches()
-        for layer, members in membership.items():
-            for member in members:
-                self.authenticator.enroll(layer, member)
-        self._wire_neighbor_tables(generator)
+        self._enroll(self.network.store.rows_of(chosen_nodes), generator)

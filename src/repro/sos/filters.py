@@ -15,7 +15,7 @@ with the same code paths as overlay nodes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Set
+from typing import Dict, Iterable, Iterator, List, Set
 
 import numpy as np
 
@@ -60,6 +60,10 @@ class FilterRing:
     def __contains__(self, filter_id: int) -> bool:
         return self._id_lo <= filter_id < self._id_hi
 
+    def contains_many(self, ids: np.ndarray) -> np.ndarray:
+        """Vectorized ``in``: a mask of which ``ids`` are filters."""
+        return (ids >= self._id_lo) & (ids < self._id_hi)
+
     def _view(self, row: int) -> OverlayNode:
         filter_id = int(self.store.ids[row])
         view = self._views.get(filter_id)
@@ -86,7 +90,11 @@ class FilterRing:
     # ------------------------------------------------------------------
     def allow_servlet(self, servlet_id: int) -> None:
         """Whitelist a secret servlet's traffic."""
-        self._allowed_servlets.add(servlet_id)
+        self.allow_servlets((servlet_id,))
+
+    def allow_servlets(self, servlet_ids: Iterable[int]) -> None:
+        """Whitelist many secret servlets at once."""
+        self._allowed_servlets.update(servlet_ids)
 
     def disallow_servlet(self, servlet_id: int) -> None:
         self._allowed_servlets.discard(servlet_id)

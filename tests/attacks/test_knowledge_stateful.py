@@ -5,6 +5,10 @@ forfeiting, and after every step checks the set-algebra invariants that
 the analytical model's overlap discounting relies on (Fig. 5 of the
 paper): the pools must stay disjoint where the derivation assumes
 disjointness, and nothing may be both broken and congestible.
+
+A shadow knowledge base replays every bulk ``absorb_break_ins`` batch
+attempt by attempt (``record_attempt``, then ``learn_disclosure`` for a
+success); the two must agree on every set after every step.
 """
 
 from __future__ import annotations
@@ -28,25 +32,55 @@ class KnowledgeMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
         self.knowledge = AttackerKnowledge()
+        self.replay = AttackerKnowledge()
 
     @rule(node_ids=st.lists(NODE_IDS, max_size=8))
     def learn_prior(self, node_ids):
-        self.knowledge.learn_prior(node_ids)
+        for knowledge in (self.knowledge, self.replay):
+            knowledge.learn_prior(node_ids)
 
     @rule(
         node_ids=st.lists(NODE_IDS, max_size=8),
         filter_ids=st.lists(FILTER_IDS, max_size=3),
     )
     def learn_disclosure(self, node_ids, filter_ids):
-        self.knowledge.learn_disclosure(node_ids, filter_ids)
+        for knowledge in (self.knowledge, self.replay):
+            knowledge.learn_disclosure(node_ids, filter_ids)
 
     @rule(node_id=NODE_IDS, success=st.booleans())
     def attempt(self, node_id, success):
-        self.knowledge.record_attempt(node_id, success)
+        for knowledge in (self.knowledge, self.replay):
+            knowledge.record_attempt(node_id, success)
+
+    @rule(
+        batch=st.lists(
+            st.tuples(
+                NODE_IDS,
+                st.booleans(),
+                st.lists(NODE_IDS, max_size=4),
+                st.lists(FILTER_IDS, max_size=2),
+            ),
+            max_size=6,
+            unique_by=lambda attempt: attempt[0],
+        )
+    )
+    def break_in_batch(self, batch):
+        successes = [attempt for attempt in batch if attempt[1]]
+        self.knowledge.absorb_break_ins(
+            [node_id for node_id, _, _, _ in batch],
+            [node_id for node_id, _, _, _ in successes],
+            [node for _, _, nodes, _ in successes for node in nodes],
+            [node for _, _, _, filters in successes for node in filters],
+        )
+        for node_id, success, nodes, filters in batch:
+            self.replay.record_attempt(node_id, success)
+            if success:
+                self.replay.learn_disclosure(nodes, filters)
 
     @rule(node_ids=st.lists(NODE_IDS, max_size=8))
     def forfeit(self, node_ids):
-        self.knowledge.forfeit(node_ids)
+        for knowledge in (self.knowledge, self.replay):
+            knowledge.forfeit(node_ids)
 
     # ------------------------------------------------------------------
     # Invariants the analytical bookkeeping depends on
@@ -68,6 +102,14 @@ class KnowledgeMachine(RuleBasedStateMachine):
         filters = self.knowledge.disclosed_filters
         assert not (filters & self.knowledge.known_unattacked)
         assert not (filters & self.knowledge.broken)
+
+    @invariant()
+    def bulk_batches_equal_attempt_replay(self):
+        for name in (
+            "known_unattacked", "attempted", "broken", "disclosed",
+            "disclosed_filters", "forfeited",
+        ):
+            assert getattr(self.knowledge, name) == getattr(self.replay, name)
 
     @invariant()
     def snapshot_matches_sets(self):

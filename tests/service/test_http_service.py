@@ -291,6 +291,28 @@ class TestCampaignsOverHttp:
 
         asyncio.run(scenario())
 
+    def test_campaign_with_malformed_counts_is_400(self, tmp_path):
+        async def scenario():
+            server = HttpServer(SOSEvaluationService(_config(tmp_path)))
+            async with server:
+                for field, value in (
+                    ("trials", "3"),
+                    ("trials", 2.5),
+                    ("trials", True),
+                    ("trials", 10**9),
+                    ("clients_per_trial", 1.5),
+                    ("checkpoint_every", "8"),
+                ):
+                    status, _h, body = await _request(
+                        server, "POST", "/campaign",
+                        body={"architecture": ARCH, "attack": ATTACK,
+                              "trials": 4, "seed": 5, field: value},
+                    )
+                    assert status == 400, (field, value, body)
+                    assert field in body["error"]
+
+        asyncio.run(scenario())
+
     def test_campaign_with_retired_scalar_tier_is_400(self, tmp_path):
         async def scenario():
             server = HttpServer(SOSEvaluationService(_config(tmp_path)))

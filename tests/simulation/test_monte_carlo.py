@@ -38,6 +38,54 @@ class TestConfig:
         with pytest.raises(SimulationError):
             MonteCarloConfig(metric="teleport")
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("trials", 2.5),
+            ("trials", "3"),
+            ("trials", True),
+            ("clients_per_trial", 1.5),
+            ("clients_per_trial", False),
+            ("workers", 2.0),
+            ("workers", True),
+            ("chunk_size", 4.0),
+            ("chunk_size", True),
+            ("checkpoint_every", "8"),
+            ("checkpoint_every", True),
+        ],
+    )
+    def test_rejects_non_int_counts(self, field, value):
+        with pytest.raises(SimulationError, match=field):
+            MonteCarloConfig(**{field: value})
+
+    def test_trials_capped_before_streams_spawn(self, monkeypatch):
+        from repro.simulation import monte_carlo
+
+        def no_spawn(*args, **kwargs):
+            raise AssertionError("a stream was spawned")
+
+        monkeypatch.setattr(monte_carlo.SeedSequenceFactory, "spawn", no_spawn)
+        with pytest.raises(SimulationError, match="trials"):
+            estimate_ps(
+                small_arch(), OneBurstAttack(0, 0), trials=10**9, seed=1
+            )
+        MonteCarloConfig(trials=monte_carlo.MAX_TRIALS)
+        with pytest.raises(SimulationError, match="trials"):
+            MonteCarloConfig(trials=monte_carlo.MAX_TRIALS + 1)
+
+    def test_fractional_clients_fail_before_any_trial_runs(self, monkeypatch):
+        from repro.simulation import monte_carlo
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(monte_carlo, "_run_trial", no_trial)
+        with pytest.raises(SimulationError, match="clients_per_trial"):
+            estimate_ps(
+                small_arch(), OneBurstAttack(0, 0), trials=3,
+                clients_per_trial=1.5, seed=1,
+            )
+
 
 class TestEstimator:
     def test_no_attack_gives_certainty(self):
