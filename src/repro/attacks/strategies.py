@@ -39,6 +39,7 @@ from repro.attacks.outcome import AttackOutcome
 from repro.core.attack_models import OneBurstAttack, SuccessiveAttack
 from repro.errors import ConfigurationError
 from repro.overlay.arrays import HEALTH_COMPROMISED, HEALTH_CONGESTED, OverlayStore
+from repro.perf.compiled import choice_rows
 from repro.sos.deployment import SOSDeployment
 from repro.utils.seeding import SeedLike, make_rng
 
@@ -49,7 +50,7 @@ def _sample(rng, pool: Sequence[int], count: int) -> np.ndarray:
     count = min(count, len(ids))
     if count <= 0:
         return ids[:0]
-    return ids[rng.choice(len(ids), size=count, replace=False)]
+    return ids[choice_rows(rng, len(ids), count, 1)[0]]
 
 
 def _overlay_pool(deployment: SOSDeployment, excluded: Set[int]) -> np.ndarray:

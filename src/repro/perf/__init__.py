@@ -31,12 +31,25 @@ from repro.perf.compiled import (
     compiled_backend,
     resolve_tier,
 )
-from repro.perf.fastsim import (
-    encode_deployment,
-    mean_delivery_ratio,
-    run_fast,
-    run_packet_replicas,
+
+#: Names re-exported from :mod:`repro.perf.fastsim`, imported on first
+#: access: the deployment layer that fastsim builds on imports
+#: :mod:`repro.perf.compiled` (for :func:`~repro.perf.compiled.choice_rows`),
+#: so this package must not pull fastsim in eagerly.
+_FASTSIM_EXPORTS = (
+    "encode_deployment",
+    "mean_delivery_ratio",
+    "run_fast",
+    "run_packet_replicas",
 )
+
+
+def __getattr__(name: str) -> object:
+    if name in _FASTSIM_EXPORTS:
+        from repro.perf import fastsim
+
+        return getattr(fastsim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "TIERS",

@@ -30,6 +30,12 @@ permutation is element-for-element the one ``np.lexsort((times, slots))``
 produces (slot, then time, then original index), so downstream accept
 decisions see events in the identical order.
 
+Row sampling (``repro_choice_rows``) replays numpy's
+``Generator.choice(population, size=k, replace=False)`` over the caller
+generator's own ``bitgen_t``: Floyd's sample then a shuffle, each step a
+32-bit Lemire bounded draw on ``next_uint32``, so it advances the same
+state numpy would (see :func:`repro.perf.compiled.choice_rows`).
+
 Routing is one time-ordered sweep rather than a per-packet rescan of
 the neighbor row: every table row keeps a live bitmap and count, only
 congestion-flag *flips* (a handful per call) touch them through a
@@ -51,6 +57,7 @@ __all__ = ["load_library", "build_error"]
 
 C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <float.h>
 
@@ -378,6 +385,84 @@ int64_t repro_route(
 }
 
 /* ------------------------------------------------------------------ */
+/* numpy's Generator.choice(population, k, replace=False), row by row, */
+/* over the generator's own bit generator.                             */
+/* ------------------------------------------------------------------ */
+
+/* numpy's bitgen_t (numpy/random/bitgen.h), field for field. */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} repro_bitgen_t;
+
+/* A draw on [0, rng] for rng < 0xFFFFFFFF: random_bounded_uint64(state,
+   0, rng, 0, use_masked=0), i.e. Lemire's multiply-shift over
+   next_uint32 with rejection (buffered_bounded_lemire_uint32, no
+   buffer). rng == 0 takes no draw. */
+static uint64_t bounded_draw(repro_bitgen_t *bg, uint64_t rng)
+{
+    uint32_t rng_excl, leftover;
+    uint64_t m;
+    if (rng == 0)
+        return 0;
+    rng_excl = (uint32_t)rng + 1;
+    m = (uint64_t)bg->next_uint32(bg->state) * rng_excl;
+    leftover = (uint32_t)m;
+    if (leftover < rng_excl) {
+        const uint32_t threshold = (UINT32_MAX - (uint32_t)rng) % rng_excl;
+        while (leftover < threshold) {
+            m = (uint64_t)bg->next_uint32(bg->state) * rng_excl;
+            leftover = (uint32_t)m;
+        }
+    }
+    return m >> 32;
+}
+
+/* Fills out (rows x k, row-major) with `rows` consecutive draws of
+   choice(population, size=k, replace=False): Floyd's sample over
+   j = population-k .. population-1, then a Fisher-Yates shuffle of the
+   row over i = k-1 .. 1 (numpy's _shuffle_int). Returns 0, -1 for
+   arguments outside 0 <= k <= population < 2**32 - 1 or rows < 0, -2
+   when the duplicate-mark buffer cannot be allocated. */
+int64_t repro_choice_rows(
+    repro_bitgen_t *bg, int64_t population, int64_t k, int64_t rows,
+    int64_t *out)
+{
+    uint8_t *seen;
+    int64_t r, i, j;
+    if (k < 0 || k > population || rows < 0 || population >= 0xFFFFFFFFLL)
+        return -1;
+    /* seen[v] marks v as drawn in the current row; each row clears the
+       bytes it set, so the buffer is all zeros between rows */
+    seen = (uint8_t *)calloc((size_t)(population > 0 ? population : 1), 1);
+    if (seen == NULL)
+        return -2;
+    for (r = 0; r < rows; r++) {
+        int64_t *row = out + r * k;
+        for (j = population - k; j < population; j++) {
+            int64_t v = (int64_t)bounded_draw(bg, (uint64_t)j);
+            if (seen[v])
+                v = j; /* j itself was never drawn: every earlier v < j */
+            seen[v] = 1;
+            row[j - (population - k)] = v;
+        }
+        for (i = k - 1; i >= 1; i--) {
+            int64_t s = (int64_t)bounded_draw(bg, (uint64_t)i);
+            int64_t t = row[s];
+            row[s] = row[i];
+            row[i] = t;
+        }
+        for (i = 0; i < k; i++)
+            seen[row[i]] = 0;
+    }
+    free(seen);
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
 /* Streaming Welford fold (PacketSimReport.record_latency).            */
 /* ------------------------------------------------------------------ */
 
@@ -465,6 +550,11 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
         i64p, f64p, u8p,
         ctypes.POINTER(ctypes.c_uint64), i64p, i64p, i64p, i64p, i64p,
         i64p, i64p, u8p, i64p,
+    ]
+    library.repro_choice_rows.restype = ctypes.c_int64
+    library.repro_choice_rows.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_void_p,
     ]
     library.repro_welford.restype = None
     library.repro_welford.argtypes = [f64p, ctypes.c_int64, i64p, f64p, f64p, f64p]

@@ -37,6 +37,16 @@ Tier selection is data (``PacketSimConfig.tier``), resolved here.
 Requesting ``compiled`` when the C library cannot be built degrades to
 ``numpy`` with a one-time :class:`CompiledTierUnavailableWarning` naming
 the reason, so code never has to guard on the environment.
+
+Beside the kernel sets sits one sampler, :func:`choice_rows`: ``rows``
+consecutive ``Generator.choice(population, size=k, replace=False)``
+draws as one matrix, replayed in C over the generator's own bit
+generator. It has no tier. A tier picks between two kernel sets whose
+outputs are compared; the sampler has one output, numpy's bits, and the
+C replay is only a faster way to produce them. It runs whenever the
+library loads and a first-use self-check against ``Generator.choice``
+passes, and falls back to the per-row ``choice`` loop otherwise
+(:func:`choice_sampler` says which).
 """
 
 from __future__ import annotations
@@ -55,11 +65,14 @@ from repro.perf import _cc
 
 __all__ = [
     "TIERS",
+    "ChoiceReplayDisabledWarning",
     "CompiledTierUnavailableWarning",
     "CongestionTable",
     "KernelSet",
     "NumpyKernels",
     "available_tiers",
+    "choice_rows",
+    "choice_sampler",
     "compiled_backend",
     "get_kernels",
     "resolve_tier",
@@ -575,3 +588,172 @@ def get_kernels(tier: str) -> Kernels:
             )
         kernels = _KERNELS[tier] = KernelSet()
     return kernels
+
+
+# ----------------------------------------------------------------------
+# Row sampling: numpy's without-replacement ``choice``, replayed in C.
+# ----------------------------------------------------------------------
+
+
+class ChoiceReplayDisabledWarning(RuntimeWarning):
+    """Raised (once) when the C ``choice`` replay disagrees with numpy
+    and :func:`choice_rows` falls back to per-row ``Generator.choice``."""
+
+
+#: ``Generator.choice`` draws with Floyd's algorithm unless the
+#: population exceeds this and ``k > population // _TAIL_SHUFFLE_CUTOFF``,
+#: where it tail-shuffles a full ``arange`` instead; the replay covers
+#: Floyd only.
+_FLOYD_MAX_POPULATION = 10000
+_TAIL_SHUFFLE_CUTOFF = 50
+#: The replay's bounded draw is numpy's 32-bit one, which serves ranges
+#: ``[0, j]`` with ``j < 2**32 - 1``.
+_REPLAY_POPULATION_LIMIT = 2**32 - 1
+
+#: The first-use self-check: ``(bit generator, seed, uint32 draws made
+#: first, population, k, rows)``. An odd uint32 count leaves a buffered
+#: 32-bit half in the bit generator (all but MT19937 buffer one), which
+#: the replay must consume exactly as numpy does; the ``2**28 + 20`` case
+#: hits Lemire's rejection loop on about 6% of its draws.
+_PROBE = (
+    (np.random.PCG64, 20040324, 3, 27, 2, 4),
+    (np.random.PCG64DXSM, 1, 1, 1000, 40, 2),
+    (np.random.MT19937, 2, 1, 10, 10, 2),
+    (np.random.Philox, 3, 3, 9000, 180, 1),
+    (np.random.SFC64, 4, 1, 2**28 + 20, 16, 2),
+)
+
+#: None until the self-check has run; then whether the replay passed it.
+_REPLAY_OK: Optional[bool] = None
+
+
+def _is_count(value: Any) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _choice_loop(
+    generator: Any, population: Any, k: Any, rows: Any
+) -> np.ndarray:
+    """``rows`` per-row ``choice`` calls: the fallback (it raises numpy's
+    own errors for bad arguments) and the self-check's reference."""
+    matrix = np.empty((rows, k), dtype=np.int64)
+    for row in matrix:
+        row[:] = generator.choice(population, size=k, replace=False)
+    return matrix
+
+
+def _replay(
+    library: ctypes.CDLL,
+    generator: np.random.Generator,
+    population: int,
+    k: int,
+    rows: int,
+) -> np.ndarray:
+    """``repro_choice_rows`` over ``generator``'s ``bitgen_t``, holding
+    the bit generator's lock as ``Generator.choice`` does."""
+    out = np.empty((rows, k), dtype=np.int64)
+    bit_generator = generator.bit_generator
+    with bit_generator.lock:
+        status = library.repro_choice_rows(
+            bit_generator.ctypes.bit_generator, population, k, rows,
+            out.ctypes.data,
+        )
+    if status == -2:
+        raise MemoryError(
+            f"choice_rows: cannot allocate {population} duplicate-mark bytes"
+        )
+    if status != 0:
+        raise SimulationError(
+            f"choice_rows: invalid arguments (population={population}, "
+            f"k={k}, rows={rows})"
+        )
+    return out
+
+
+def _replay_matches(library: ctypes.CDLL) -> bool:
+    """Whether the replay reproduces ``Generator.choice`` on :data:`_PROBE`:
+    the same matrices, then the same next uint32 and double draws."""
+    for bit_generator, seed, leading, population, k, rows in _PROBE:
+        ours = np.random.Generator(bit_generator(seed))
+        theirs = np.random.Generator(bit_generator(seed))
+        for generator in (ours, theirs):
+            generator.integers(0, 2**32, size=leading, dtype=np.uint32)
+        got = _replay(library, ours, population, k, rows)
+        want = _choice_loop(theirs, population, k, rows)
+        if not np.array_equal(got, want):
+            return False
+        for draw in (
+            lambda g: g.integers(0, 2**32, size=3, dtype=np.uint32),
+            lambda g: g.random(2),
+        ):
+            if not np.array_equal(draw(ours), draw(theirs)):
+                return False
+    return True
+
+
+def _replay_library() -> Optional[ctypes.CDLL]:
+    """The C library when the replay may run, else None.
+
+    The self-check runs once per process, on first use; a mismatch warns
+    once and disables the replay for the rest of the process.
+    """
+    global _REPLAY_OK
+    library = _cc.load_library()
+    if library is None:
+        return None
+    if _REPLAY_OK is None:
+        _REPLAY_OK = _replay_matches(library)
+        if not _REPLAY_OK:
+            warnings.warn(
+                f"numpy {np.__version__}'s Generator.choice no longer "
+                "matches the C replay; choice_rows falls back to per-row "
+                "choice calls (same draws, slower)",
+                ChoiceReplayDisabledWarning,
+                stacklevel=3,
+            )
+    return library if _REPLAY_OK else None
+
+
+def choice_sampler() -> str:
+    """``"cc"`` when :func:`choice_rows` runs the C replay, else
+    ``"numpy"`` (no library, or the self-check disabled the replay).
+    Calling it loads the library and runs the self-check, so a process
+    about to fork workers can pay both once."""
+    return "cc" if _replay_library() is not None else "numpy"
+
+
+def choice_rows(generator: Any, population: Any, k: Any, rows: Any) -> np.ndarray:
+    """``rows`` consecutive ``generator.choice(population, size=k,
+    replace=False)`` draws as an int64 ``(rows, k)`` matrix.
+
+    Bit for bit the per-row loop: the C replay (:mod:`repro.perf._cc`)
+    calls the generator's own ``next_uint32``, so it returns the same
+    rows and leaves the generator in the same state. It runs for a
+    :class:`numpy.random.Generator` and int arguments with ``0 <= k <=
+    population < 2**32 - 1``, outside numpy's tail-shuffle case
+    (``population > 10000`` and ``k > population // 50``); anything else
+    — including every invalid argument, which the loop reports with
+    numpy's own error — takes the per-row loop.
+    """
+    if (
+        isinstance(generator, np.random.Generator)
+        and _is_count(population)
+        and _is_count(k)
+        and _is_count(rows)
+        and 0 <= k <= population < _REPLAY_POPULATION_LIMIT
+        and rows >= 0
+        and not (
+            population > _FLOYD_MAX_POPULATION
+            and k > population // _TAIL_SHUFFLE_CUTOFF
+        )
+    ):
+        library = _replay_library()
+        if library is not None:
+            return _replay(library, generator, int(population), int(k), int(rows))
+    return _choice_loop(generator, population, k, rows)
+
+
+def _reset_replay_for_tests() -> None:
+    """Forget the self-check verdict (test hook)."""
+    global _REPLAY_OK
+    _REPLAY_OK = None

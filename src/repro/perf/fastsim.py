@@ -62,7 +62,11 @@ from repro.simulation.packet_sim import (
     PacketSimReport,
     flood_layer,
 )
-from repro.sos.deployment import SOSDeployment, sample_contact_matrix
+from repro.sos.deployment import (
+    SOSDeployment,
+    choose_fraction,
+    sample_contact_matrix,
+)
 from repro.utils.seeding import make_rng
 
 __all__ = [
@@ -905,8 +909,8 @@ def _flood_layer_arrays(
     rng: np.random.Generator,
 ) -> List[int]:
     """:func:`~repro.simulation.packet_sim.flood_layer` over the encoded
-    arrays — same draw (one ``choice`` over the sorted members), no
-    deployment object needed."""
+    arrays — same draw (:func:`~repro.sos.deployment.choose_fraction` over
+    the sorted members), no deployment object needed."""
     if not 0.0 < fraction <= 1.0:
         raise SimulationError(f"fraction must be in (0, 1], got {fraction}")
     member_slots = arrays.members.get(layer)
@@ -914,12 +918,7 @@ def _flood_layer_arrays(
         raise SimulationError(
             f"layer {layer} out of range 1..{arrays.layers + 1}"
         )
-    members = arrays.node_ids[member_slots]
-    count = max(1, int(round(fraction * len(members))))
-    chosen = rng.choice(
-        len(members), size=min(count, len(members)), replace=False
-    )
-    return sorted(int(members[int(i)]) for i in chosen)
+    return choose_fraction(rng, arrays.node_ids[member_slots], fraction)
 
 
 def _run_one_shared_replica(

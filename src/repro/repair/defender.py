@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.attacks.knowledge import AttackerKnowledge
+from repro.perf.compiled import choice_rows
 from repro.repair.policy import RepairPolicy
 from repro.sos.deployment import SOSDeployment
 from repro.utils.seeding import SeedLike, make_rng
@@ -143,7 +144,7 @@ class RepairingDefender:
         degree = min(
             deployment.architecture.mapping_degree(next_layer), len(candidates)
         )
-        chosen = self._rng.choice(len(candidates), size=degree, replace=False)
+        chosen = choice_rows(self._rng, len(candidates), degree, 1)[0]
         node.set_neighbors(tuple(candidates[int(i)] for i in chosen))
         if next_layer == deployment.architecture.layers + 1:
             deployment.filters.allow_servlet(node_id)

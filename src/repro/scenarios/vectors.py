@@ -33,7 +33,7 @@ import numpy.typing as npt
 
 from repro.contracts import Field, check_schema
 from repro.errors import ScenarioError
-from repro.sos.deployment import SOSDeployment
+from repro.sos.deployment import SOSDeployment, choose_fraction, choose_members
 
 __all__ = [
     "AttackVector",
@@ -141,23 +141,6 @@ def _layer_members(
     return np.asarray(deployment.layer_members(layer), dtype=np.int64)
 
 
-def _choose_fraction_targets(
-    deployment: SOSDeployment,
-    layer: int,
-    fraction: float,
-    stream: np.random.Generator,
-    kind: str,
-) -> List[int]:
-    """The :func:`~repro.simulation.packet_sim.flood_layer` draw, off the
-    vector's dedicated target stream."""
-    members = _layer_members(deployment, layer, kind)
-    count = max(1, int(round(fraction * len(members))))
-    chosen = stream.choice(
-        len(members), size=min(count, len(members)), replace=False
-    )
-    return sorted(int(members[int(i)]) for i in chosen)
-
-
 class AttackVector:
     """Base class for scenario vectors. Subclasses are frozen dataclasses.
 
@@ -240,8 +223,10 @@ class PulsingFlood(AttackVector):
         target_stream: np.random.Generator,
         time_stream: np.random.Generator,
     ) -> CompiledVector:
-        targets = _choose_fraction_targets(
-            deployment, self.layer, self.fraction, target_stream, self.kind
+        targets = choose_fraction(
+            target_stream,
+            _layer_members(deployment, self.layer, self.kind),
+            self.fraction,
         )
         # One child stream per target, spawned in sorted-target order —
         # the flood-master discipline — so a target's schedule depends
@@ -314,8 +299,10 @@ class BotnetWave(AttackVector):
         target_stream: np.random.Generator,
         time_stream: np.random.Generator,
     ) -> CompiledVector:
-        targets = _choose_fraction_targets(
-            deployment, self.layer, self.fraction, target_stream, self.kind
+        targets = choose_fraction(
+            target_stream,
+            _layer_members(deployment, self.layer, self.kind),
+            self.fraction,
         )
         subs = time_stream.spawn(len(targets))
         share, remainder = divmod(self.bots, max(len(targets), 1))
@@ -385,11 +372,11 @@ class TargetedLowRate(AttackVector):
         target_stream: np.random.Generator,
         time_stream: np.random.Generator,
     ) -> CompiledVector:
-        members = _layer_members(deployment, self.layer, self.kind)
-        chosen = target_stream.choice(
-            len(members), size=min(self.count, len(members)), replace=False
+        targets = choose_members(
+            target_stream,
+            _layer_members(deployment, self.layer, self.kind),
+            self.count,
         )
-        targets = sorted(int(members[int(i)]) for i in chosen)
         subs = time_stream.spawn(len(targets))
         attack = {
             target: poisson_times(

@@ -46,6 +46,7 @@ from repro.core.attack_models import OneBurstAttack, SuccessiveAttack
 from repro.errors import CampaignInterrupted, SimulationError
 from repro.overlay.arrays import HEALTH_CRASHED, HEALTH_GOOD
 from repro.overlay.network import OverlayNetwork
+from repro.perf.compiled import choice_sampler
 from repro.resilience.checkpoint import CampaignCheckpoint, fingerprint
 from repro.simulation.results import PsEstimate, summarize_indicators
 from repro.sos.deployment import SOSDeployment
@@ -437,6 +438,9 @@ class MonteCarloEstimator:
             1, math.ceil(len(jobs) / (workers * 4))
         )
         chunks = [jobs[i : i + chunk] for i in range(0, len(jobs), chunk)]
+        # Load the C library and run the sampler's self-check here, so
+        # forked workers inherit both instead of each paying for them.
+        choice_sampler()
         with ProcessPoolExecutor(
             max_workers=min(workers, len(chunks)),
             initializer=_init_worker,

@@ -18,19 +18,32 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 from repro.errors import SimulationError
 from repro.perf.compiled import TIERS
 from repro.simulation.capacity import NodeCapacity
 from repro.simulation.engine import EventScheduler
-from repro.sos.deployment import SOSDeployment
+from repro.sos.deployment import SOSDeployment, choose_fraction
 from repro.utils.seeding import SeedLike, make_rng
 
 if TYPE_CHECKING:  # imported lazily to keep repro.detection optional here
     from repro.detection.marking import MarkCollector
     from repro.detection.monitor import TrafficMonitor
     from repro.scenarios.schedule import InjectionSchedule
+
+
+#: Largest ``PacketSimConfig.clients``: one client per node of a
+#: 10**6-node overlay. Each client is a spawned stream and a contact row
+#: before any packet moves, so the cap bounds set-up memory.
+MAX_CLIENTS = 1_000_000
+
+#: Largest expected arrival count ``rate * (duration - start)`` of one
+#: Poisson source (a client, or a flooded node from ``flood_start``).
+#: The fast engine pre-samples each source's arrivals as one float64 row,
+#: so this caps a row near 80 MB.
+MAX_SOURCE_ARRIVALS = 10_000_000
 
 
 def uniform_index(u: float, count: int) -> int:
@@ -86,8 +99,27 @@ class PacketSimConfig:
         for name in ("hop_latency", "client_rate", "node_capacity", "flood_rate"):
             if getattr(self, name) <= 0:
                 raise SimulationError(f"{name} must be > 0")
+        # A float, bool or string count fails deep inside an engine;
+        # a huge one allocates without limit. Both fail here instead.
+        if not isinstance(self.clients, numbers.Integral) or isinstance(
+            self.clients, bool
+        ):
+            raise SimulationError(
+                f"clients must be an int, got {self.clients!r}"
+            )
         if self.clients < 0:
             raise SimulationError("clients must be >= 0")
+        if self.clients > MAX_CLIENTS:
+            raise SimulationError(
+                f"clients must be <= {MAX_CLIENTS}, got {self.clients}"
+            )
+        for name, start in (("client_rate", 0.0), ("flood_rate", self.flood_start)):
+            expected = getattr(self, name) * (self.duration - start)
+            if expected > MAX_SOURCE_ARRIVALS:
+                raise SimulationError(
+                    f"{name} x (duration - start) = {expected:.3g} expected "
+                    f"arrivals per source exceeds {MAX_SOURCE_ARRIVALS}"
+                )
         if self.tier not in TIERS:
             raise SimulationError(
                 f"tier must be one of {TIERS}, got {self.tier!r}"
@@ -540,8 +572,4 @@ def flood_layer(
     """Pick a ``fraction`` of ``layer``'s members as flood targets."""
     if not 0.0 < fraction <= 1.0:
         raise SimulationError(f"fraction must be in (0, 1], got {fraction}")
-    generator = make_rng(rng)
-    members = deployment.layer_members(layer)
-    count = max(1, int(round(fraction * len(members))))
-    chosen = generator.choice(len(members), size=min(count, len(members)), replace=False)
-    return sorted(members[int(i)] for i in chosen)
+    return choose_fraction(make_rng(rng), deployment.layer_members(layer), fraction)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.core.architecture import SOSArchitecture
 from repro.errors import ConfigurationError, RoutingError
@@ -26,6 +27,7 @@ from repro.overlay.arrays import HEALTH_GOOD, OverlayStore
 from repro.overlay.chord import ChordRing
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.node import OverlayNode
+from repro.perf.compiled import choice_rows
 from repro.sos.auth import HopAuthenticator
 from repro.sos.filters import FilterRing
 from repro.sos.roles import Role, role_for_layer
@@ -43,14 +45,29 @@ def sample_contact_matrix(
     generator state yields the same contacts whichever caller draws them.
     Neighbor wiring draws its tables the same way, one row per node.
 
-    The per-row ``choice`` calls are the floor: the RNG contract fixes
-    each row's draw, and ``choice`` without replacement has no batched
-    form that consumes the stream the same way.
+    The RNG contract fixes each row's draw; :func:`choice_rows` makes all
+    of them in one C call that replays numpy's ``choice`` bit for bit.
     """
-    matrix = np.empty((clients, degree), dtype=np.int64)
-    for row in matrix:
-        row[:] = generator.choice(population, size=degree, replace=False)
-    return matrix
+    return choice_rows(generator, population, degree, clients)
+
+
+def choose_members(
+    generator: np.random.Generator, members: npt.ArrayLike, count: int
+) -> List[int]:
+    """``min(count, len(members))`` distinct ``members``, ascending — one
+    ``choice`` without replacement over their positions."""
+    ids = np.asarray(members, dtype=np.int64)
+    chosen = choice_rows(generator, len(ids), min(count, len(ids)), 1)[0]
+    return np.sort(ids[chosen]).tolist()
+
+
+def choose_fraction(
+    generator: np.random.Generator, members: npt.ArrayLike, fraction: float
+) -> List[int]:
+    """A ``fraction`` of ``members`` (at least one), ascending: the flood
+    target draw of both packet engines and the scenario vectors."""
+    ids = np.asarray(members, dtype=np.int64)
+    return choose_members(generator, ids, max(1, int(round(fraction * len(ids)))))
 
 
 class SOSDeployment:
@@ -124,7 +141,7 @@ class SOSDeployment:
             raise ConfigurationError(
                 f"cannot sample {count} nodes from a pool of {len(network)}"
             )
-        sos_rows = generator.choice(len(network), size=count, replace=False)
+        sos_rows = choice_rows(generator, len(network), count, 1)[0]
         generator.shuffle(sos_rows)
 
         deployment = cls(
@@ -177,8 +194,9 @@ class SOSDeployment:
     def _wire_neighbor_tables(self, generator) -> None:
         """Give every layer-``i`` node ``m_{i+1}`` random next-layer neighbors.
 
-        One ``choice`` per node, in sorted member order — the draws the
-        RNG contract fixes — then one table write per layer.
+        One ``choice`` row per node, in sorted member order — the draws
+        the RNG contract fixes, made in one :func:`sample_contact_matrix`
+        call per layer — then one table write per layer.
         """
         arch = self.architecture
         for layer in range(1, arch.layers + 1):

@@ -167,6 +167,15 @@ def test_non_finite_sim_settings_rejected():
         ScenarioSpec.from_json(payload)
 
 
+def test_unrunnable_client_count_rejected():
+    # 10**12 passes the schema's ``>= 0`` check; the sim config must
+    # refuse it before any stream or array is allocated.
+    payload = tiny_spec().to_dict()
+    payload["sim"]["clients"] = 10**12
+    with pytest.raises(ScenarioError, match="clients must be <="):
+        ScenarioSpec.from_dict(payload)
+
+
 def test_sim_config_tier_override_does_not_mutate_spec():
     spec = tiny_spec()
     assert spec.sim_config().tier == spec.tier

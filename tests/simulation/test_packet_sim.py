@@ -7,6 +7,8 @@ import pytest
 from repro.core import SOSArchitecture
 from repro.errors import SimulationError
 from repro.simulation.packet_sim import (
+    MAX_CLIENTS,
+    MAX_SOURCE_ARRIVALS,
     PacketLevelSimulation,
     PacketSimConfig,
     flood_layer,
@@ -50,6 +52,33 @@ class TestConfigValidation:
 
     def test_zero_clients_allowed(self):
         assert PacketSimConfig(clients=0).clients == 0
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"clients": 2.5}, "clients must be an int"),
+            ({"clients": True}, "clients must be an int"),
+            ({"clients": "3"}, "clients must be an int"),
+            ({"clients": 10**12}, "clients must be <="),
+            ({"client_rate": 1e300}, "client_rate x"),
+            ({"duration": 1e15}, "client_rate x"),
+        ],
+    )
+    def test_counts_it_cannot_run_are_refused(self, settings, message):
+        # Each of these used to construct and then fail at run time with
+        # a bare TypeError, MemoryError or numpy ValueError.
+        with pytest.raises(SimulationError, match=message):
+            PacketSimConfig(**settings)
+
+    def test_caps_are_inclusive_and_flood_counts_from_its_start(self):
+        assert PacketSimConfig(clients=MAX_CLIENTS).clients == MAX_CLIENTS
+        duration = 50.0
+        rate = MAX_SOURCE_ARRIVALS / duration
+        PacketSimConfig(duration=duration, client_rate=rate, flood_rate=rate)
+        with pytest.raises(SimulationError, match="flood_rate x"):
+            PacketSimConfig(duration=duration, flood_rate=rate * 2)
+        # Flooding from t=25 halves the flood source's expected arrivals.
+        PacketSimConfig(duration=duration, flood_rate=rate * 2, flood_start=25.0)
 
     def test_tier_validated(self):
         with pytest.raises(SimulationError):

@@ -313,3 +313,24 @@ class TestMemoizationContract:
         info = all_bad_cache_info()
         assert info.hits >= 9  # z=0 short-circuits before the cache
         assert info.currsize <= info.maxsize
+
+
+class TestLadderSampler:
+    """``bench_ladder`` records the choice sampler and, under
+    ``--require-compiled``, fails when the C replay is disengaged."""
+
+    def test_report_records_the_sampler(self, monkeypatch):
+        import bench_ladder
+
+        monkeypatch.setattr(bench_ladder, "build_benchmarks", lambda quick: [])
+        report = bench_ladder.run_ladder(rounds=1, quick=True)
+        assert report["sampler"] == bench_ladder.choice_sampler()
+        assert report["sampler"] in ("cc", "numpy")
+
+    def test_disengaged_replay_fails_require_compiled(self, monkeypatch, capsys):
+        import bench_ladder
+
+        monkeypatch.setattr(bench_ladder, "compiled_backend", lambda: "cc")
+        monkeypatch.setattr(bench_ladder, "choice_sampler", lambda: "numpy")
+        assert bench_ladder.main(["--require-compiled", "--quick"]) == 1
+        assert "Generator.choice" in capsys.readouterr().err

@@ -15,6 +15,11 @@ Usage::
     python tools/bench_ladder.py --quick         # 1 round per cell (CI smoke)
     python tools/bench_ladder.py --require-compiled  # fail if degraded
 
+``--require-compiled`` also fails when the C kernels load but
+``choice_rows``'s self-check disengaged its C replay of numpy's
+``choice`` (a numpy release changed the algorithm); the report's
+``sampler`` field records which sampler ran (``cc`` or ``numpy``).
+
 ``tools/bench_snapshot.py --ladder .bench_ladder.json`` merges the
 report into the next ``BENCH_<n>.json`` as its ``tiers`` block, and
 ``tools/bench_compare.py`` gates per-tier regressions from there (so a
@@ -40,7 +45,12 @@ import numpy as np
 
 from repro.core import SOSArchitecture
 from repro.detection.monitor import MonitorConfig, TrafficMonitor
-from repro.perf.compiled import TIERS, available_tiers, compiled_backend
+from repro.perf.compiled import (
+    TIERS,
+    available_tiers,
+    choice_sampler,
+    compiled_backend,
+)
 from repro.perf.fastsim import encode_deployment, run_fast
 from repro.simulation.packet_sim import PacketSimConfig, flood_layer
 from repro.sos.deployment import SOSDeployment
@@ -211,6 +221,7 @@ def run_ladder(rounds: int, quick: bool) -> Dict[str, Any]:
         "version": LADDER_VERSION,
         "available": list(tiers_here),
         "backend": compiled_backend(),
+        "sampler": choice_sampler(),
         "rounds": rounds,
         "benchmarks": {},
     }
@@ -251,7 +262,8 @@ def format_table(report: Dict[str, Any]) -> str:
     width = max(len(name) for name in names) if names else 9
     lines = [
         "tier backend: "
-        + (report["backend"] or "none (compiled tier unavailable)"),
+        + (report["backend"] or "none (compiled tier unavailable)")
+        + f"; choice sampler: {report['sampler']}",
         f"{'benchmark'.ljust(width)}  "
         + "".join(f"{tier:>12}" for tier in TIERS)
         + f"{'compiled/numpy':>16}",
@@ -294,7 +306,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--require-compiled",
         action="store_true",
-        help="exit non-zero when no compiled backend is available",
+        help="exit non-zero when no compiled backend is available or "
+        "the choice sampler's C replay is disengaged",
     )
     args = parser.parse_args(argv)
 
@@ -302,6 +315,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(
             "bench-ladder: no compiled backend (no working C compiler) "
             "but --require-compiled was set",
+            file=sys.stderr,
+        )
+        return 1
+    if args.require_compiled and choice_sampler() != "cc":
+        print(
+            "bench-ladder: the C kernels load but choice_rows's self-check "
+            "disengaged the C replay of Generator.choice (numpy "
+            f"{np.__version__}); --require-compiled was set",
             file=sys.stderr,
         )
         return 1
