@@ -1,14 +1,15 @@
-"""Fast packet engine vs event-driven oracle: the ISSUE 4 criterion.
+"""Packet engine vs the event-driven oracle on a large flooded run.
 
 A 1000-client flooded run (half the entry layer under attack, ~45k
 legitimate packets, ~1.1M attack packets) must be >= 10x faster on the
-vectorized engine than on the event-driven oracle, while reproducing
-the oracle's injection schedule bit for bit (both engines consume the
-same per-source RNG sub-streams).
+library's hop-synchronous engine than on the event-driven oracle from
+``tests/perf/event_oracle.py``, while reproducing the oracle's report
+bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 from repro.core import SOSArchitecture
@@ -18,6 +19,7 @@ from repro.simulation.packet_sim import (
     flood_layer,
 )
 from repro.sos.deployment import SOSDeployment
+from tests.perf.event_oracle import EventPacketSimulation
 
 ARCH = SOSArchitecture(
     layers=3,
@@ -35,8 +37,9 @@ SEED = 1
 def _run(fast: bool):
     deployment = SOSDeployment.deploy(ARCH, rng=7)
     targets = flood_layer(deployment, layer=1, fraction=0.5, rng=2)
-    simulation = PacketLevelSimulation(deployment, CONFIG, rng=SEED)
-    return simulation.run(flood_targets=targets, fast=fast)
+    engine = PacketLevelSimulation if fast else EventPacketSimulation
+    simulation = engine(deployment, CONFIG, rng=SEED)
+    return simulation.run(flood_targets=targets)
 
 
 def test_flooded_1000_clients_fast(benchmark):
@@ -60,9 +63,11 @@ def test_fast_speedup_at_least_10x():
     event = _run(False)
     event_seconds = time.perf_counter() - start
 
-    # Shared sub-streams: the injection schedules must agree exactly.
+    # Shared sub-streams and fixed-point routing: the whole report
+    # must agree exactly, the injection schedule included.
     assert fast.sent == event.sent
     assert fast.attack_packets_absorbed == event.attack_packets_absorbed
+    assert dataclasses.asdict(fast) == dataclasses.asdict(event)
     speedup = event_seconds / fast_seconds
     assert speedup >= 10.0, (
         f"fast engine speedup {speedup:.1f}x below the 10x criterion "

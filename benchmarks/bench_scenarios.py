@@ -93,7 +93,7 @@ def test_pulsing_flood_fast(benchmark):
     report = benchmark.pedantic(
         run_scenario,
         args=(_pulsing_spec(),),
-        kwargs={"mode": "none", "phases": 1, "engine": "fast"},
+        kwargs={"mode": "none", "phases": 1},
         rounds=1,
         iterations=1,
     )
@@ -105,7 +105,7 @@ def test_botnet_wave_fast(benchmark):
     report = benchmark.pedantic(
         run_scenario,
         args=(_botnet_spec(),),
-        kwargs={"mode": "none", "phases": 1, "engine": "fast"},
+        kwargs={"mode": "none", "phases": 1},
         rounds=1,
         iterations=1,
     )

@@ -11,14 +11,10 @@ Every node has finite capacity (token bucket); flooded nodes drop most
 traffic, and delivery degrades exactly as the binary model predicts once
 the flood saturates node capacity.
 
-Runs on the vectorized fast engine (``run(fast=True)``, see
-``repro.perf.fastsim``); pass ``--event`` to use the event-driven
-oracle instead and compare.
+Runs on the library's packet engine (see ``repro.perf.fastsim``).
 """
 
 from __future__ import annotations
-
-import sys
 
 from repro.core import SOSArchitecture
 from repro.simulation import PacketLevelSimulation, PacketSimConfig, flood_layer
@@ -28,7 +24,6 @@ from repro.utils.tables import format_table
 
 
 def main() -> None:
-    fast = "--event" not in sys.argv[1:]
     architecture = SOSArchitecture(
         layers=3,
         mapping="one-to-half",
@@ -49,7 +44,7 @@ def main() -> None:
             if fraction > 0
             else []
         )
-        report = simulation.run(flood_targets=targets, fast=fast)
+        report = simulation.run(flood_targets=targets)
         rows.append(
             [
                 fraction,
@@ -76,7 +71,7 @@ def main() -> None:
             ],
             rows,
             title="Flooding the beacon layer (layer 2) at increasing "
-            f"intensity ({'fast' if fast else 'event'} engine)\n",
+            "intensity (fast engine)\n",
         )
     )
     print(

@@ -39,7 +39,7 @@ class CongestionCostModel:
         Background legitimate load per node (``lam``).
     congestion_threshold:
         Drop-rate fraction at which the node counts as congested
-        (``theta``; matches :class:`repro.simulation.capacity.NodeCapacity`).
+        (``theta``; matches the packet engine's 0.5 congestion rule).
     """
 
     node_capacity: float = 100.0

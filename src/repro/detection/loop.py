@@ -23,9 +23,7 @@ curve pays relative to the oracle.
 Seeding follows the library-wide discipline: one
 :class:`~numpy.random.SeedSequence` fans out into deployment, target
 selection, defender, and per-phase simulation streams, so phase 0 is
-bit-comparable across modes (they diverge only through repair) and
-``fast=True``/``fast=False`` runs are engine-equivalent in the usual
-two-tier sense.
+bit-comparable across modes (they diverge only through repair).
 """
 
 from __future__ import annotations
@@ -79,8 +77,8 @@ class PhaseOutcome:
     flagged: Tuple[int, ...]
     repaired: Tuple[int, ...]
     #: Injection-schedule identity markers (legitimate packets sent and
-    #: attack packets absorbed) — bit-identical across engines on a
-    #: matched (spec, seed), which the scenario smoke harness asserts.
+    #: attack packets absorbed) — bit-identical across tiers and against
+    #: the event-driven oracle on a matched (spec, seed).
     sent: int = 0
     attack_packets: int = 0
 
@@ -169,7 +167,6 @@ class DetectionRepairLoop:
         phases: int = 3,
         flood_layer_index: int = 1,
         flood_fraction: float = 0.5,
-        fast: bool = True,
     ) -> LoopResult:
         """Run ``phases`` flood phases under the given repair ``mode``."""
         if mode not in LOOP_MODES:
@@ -220,7 +217,7 @@ class DetectionRepairLoop:
                 monitor=monitor,
                 marking=collector if phase == 0 else None,
             )
-            report = simulation.run(flood_targets=active, fast=fast)
+            report = simulation.run(flood_targets=active)
             flagged = tuple(monitor.flagged_nodes())
 
             repaired: Tuple[int, ...] = ()
@@ -297,7 +294,6 @@ class DetectionRepairLoop:
         spec: "ScenarioSpec",
         mode: str = "detected",
         phases: int = 3,
-        fast: Optional[bool] = None,
         abort_check: Optional[Callable[[], None]] = None,
     ) -> LoopResult:
         """Run ``phases`` repair rounds of a compiled scenario campaign.
@@ -306,9 +302,8 @@ class DetectionRepairLoop:
         and surge traffic, *identical* target selection — the target
         streams are salt-independent) and subtracts every node repaired
         so far from the schedule, mirroring the classic loop's
-        "repaired nodes leave the active flood set". ``fast=None``
-        follows the spec's engine knob; ``abort_check`` is called before
-        each round (the service's cooperative-cancel hook).
+        "repaired nodes leave the active flood set". ``abort_check`` is
+        called before each round (the service's cooperative-cancel hook).
 
         Ground truth for detection quality is the schedule's attack
         target set; a benign-only scenario has an empty truth set, so
@@ -327,7 +322,6 @@ class DetectionRepairLoop:
                 "scenario campaigns do not support packet marking; run "
                 "marking against a classic flood_layer campaign instead"
             )
-        engine_fast = (spec.engine == "fast") if fast is None else fast
         seed = self.seed if self.seed is not None else spec.seed
         # Same seed layout as :meth:`run` (deployment, target-picker,
         # defender, then one per phase); slot 1 goes unused because the
@@ -372,7 +366,7 @@ class DetectionRepairLoop:
                 rng=make_rng(seeds[3 + phase]),
                 monitor=monitor,
             )
-            report = simulation.run(fast=engine_fast, schedule=schedule)
+            report = simulation.run(schedule=schedule)
             flagged = tuple(monitor.flagged_nodes())
 
             repaired: Tuple[int, ...] = ()

@@ -18,16 +18,14 @@ module supplies that missing piece as *synthetic attack paths*: each
 flood target (victim) is assiged a small set of attack sources, each
 reaching the victim through its own chain of ``path_depth`` synthetic
 routers. Construction is deterministic (sequential synthetic ids, no
-RNG), so both packet engines agree on the ground truth exactly.
+RNG), so every run over the same targets agrees on the ground truth.
 
 The per-packet randomness — which source emitted the packet and which
 router's mark survived — is driven by uniforms from dedicated RNG
-sub-streams owned by the simulation engines, two per flood packet. The
-scalar entry point delegates to the batch entry point with a length-1
-array, so the event-driven and vectorized engines produce bit-identical
-mark tallies whenever they draw the same uniforms (they do: the flood
-streams are bit-identical by construction, see
-``tests/detection/test_equivalence.py``).
+sub-streams owned by the simulation, two per flood packet. The scalar
+entry point delegates to the batch entry point with a length-1 array,
+so the packet engine and the event-driven test oracle produce
+bit-identical mark tallies (see ``tests/detection/test_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -167,9 +165,9 @@ def build_attack_graph(
 
     Each victim gets ``sources_per_target`` sources, each with its own
     disjoint chain of ``path_depth`` routers, with ids assigned
-    sequentially in sorted-victim order — so both engines (and every
-    replica of a run) construct the identical ground truth without
-    consuming any RNG stream.
+    sequentially in sorted-victim order — so every replica of a run
+    constructs the identical ground truth without consuming any RNG
+    stream.
     """
     if not targets:
         raise DetectionError("cannot build an attack graph for no targets")
@@ -221,8 +219,8 @@ class MarkTally:
 class MarkCollector:
     """Victim-side accumulator of packet marks.
 
-    The engines call :meth:`observe` (event-driven) or
-    :meth:`observe_batch` (vectorized) once per flood packet *arriving
+    The packet engine calls :meth:`observe_batch` (the event-driven
+    test oracle :meth:`observe`) once per flood packet *arriving
     at* a victim, passing two uniforms: ``u_source`` selects which of
     the victim's sources emitted the packet, ``u_mark`` drives the
     geometric edge-sampling outcome. State is per-victim packet counts

@@ -4,8 +4,8 @@ The resilience subsystem's :class:`~repro.resilience.detector.FailureDetector`
 observes node *health* — an oracle bit the packet level never exposes. A
 real SOS operator only sees traffic: how many packets each overlay node
 was offered and how many it dropped. :class:`TrafficMonitor` is that
-operator's view. Both packet engines feed it the same per-node offer
-stream (accept/drop results of every token-bucket offer), it folds the
+operator's view. The packet engine feeds it the per-node offer stream
+(accept/drop results of every token-bucket offer), it folds the
 stream into fixed-width time bins, and classical change-point statistics
 over the binned load — EWMA with an adaptive baseline, or a one-sided
 CUSUM — flag the nodes whose offered load jumped, with **no access to
@@ -13,17 +13,16 @@ attacker state**.
 
 Design constraints, in order:
 
-1. **Order-insensitive state.** The event-driven engine observes offers
-   one at a time in global time order; the vectorized engine observes
-   them in per-layer batches. Monitor state is therefore pure per-bin
-   *counts* — integer sums commute — so the two engines produce
-   bit-identical monitors whenever they produce identical offer streams
-   (always at layer 1, everywhere when nothing drops; see
+1. **Order-insensitive state.** The engine observes offers in
+   per-layer batches, not in global time order. Monitor state is
+   therefore pure per-bin *counts* — integer sums commute — so any
+   batching of the same offers yields a bit-identical monitor (the
+   event-driven oracle feeds one batch per run; see
    ``tests/detection/test_equivalence.py``).
-2. **Off the hot path.** ``observe``/``observe_batch`` only append to
-   buffers; binning and the change-point scans run lazily at the first
-   statistics query. Attaching a monitor must not erode the fast
-   engine's throughput (``benchmarks/bench_detection.py`` bounds the
+2. **Off the hot path.** ``observe_batch`` only appends to buffers;
+   binning and the change-point scans run lazily at the first
+   statistics query. Attaching a monitor must not erode the engine's
+   throughput (``benchmarks/bench_detection.py`` bounds the
    overhead).
 3. **Determinism.** Detection is a pure function of the binned counts
    and the :class:`MonitorConfig`; no RNG stream is consumed, so an
@@ -213,9 +212,9 @@ def _detect_bins(
 class TrafficMonitor:
     """Per-node binned traffic counters with change-point detection.
 
-    Attach one instance to a single simulation run (either engine); the
-    engines call :meth:`observe` / :meth:`observe_batch` for every
-    token-bucket offer. All statistics queries aggregate lazily.
+    Attach one instance to a single simulation run; the engine calls
+    :meth:`observe_batch` with every token-bucket offer. All statistics
+    queries aggregate lazily.
     """
 
     def __init__(self, config: MonitorConfig = MonitorConfig()) -> None:
@@ -232,27 +231,17 @@ class TrafficMonitor:
         self._buffer_nodes: List[npt.NDArray[np.int64]] = []
         self._buffer_times: List[npt.NDArray[np.float64]] = []
         self._buffer_accepted: List[npt.NDArray[np.bool_]] = []
-        self._scalar_nodes: List[int] = []
-        self._scalar_times: List[float] = []
-        self._scalar_accepted: List[bool] = []
 
     # ------------------------------------------------------------------
     # Observation (hot path: append only)
     # ------------------------------------------------------------------
-    def observe(self, node_id: int, time: float, accepted: bool) -> None:
-        """Record one offer at ``node_id``: accepted or dropped."""
-        self._scalar_nodes.append(node_id)
-        self._scalar_times.append(time)
-        self._scalar_accepted.append(accepted)
-        self.observations += 1
-
     def observe_batch(
         self,
         node_ids: npt.NDArray[np.int64],
         times: npt.NDArray[np.float64],
         accepted: npt.NDArray[np.bool_],
     ) -> None:
-        """Record a batch of offers (vectorized engine entry point)."""
+        """Record a batch of offers: node ids, times, accepted flags."""
         if not (len(node_ids) == len(times) == len(accepted)):
             raise DetectionError("observe_batch arrays must align")
         if len(node_ids) == 0:
@@ -266,26 +255,13 @@ class TrafficMonitor:
     # Aggregation
     # ------------------------------------------------------------------
     def _drain(self) -> None:
-        """Fold every buffered observation into the per-bin counters.
+        """Fold every buffered batch into the per-bin counters.
 
-        The scalar and batch buffers go through the identical numpy
-        binning arithmetic (``int64(time / bin_width)``), so a monitor
-        fed one offer at a time and a monitor fed the same offers in
-        batches end up bit-identical.
+        Every batch goes through the same binning arithmetic
+        (``int64(time / bin_width)``) and integer sums, so how offers
+        are split into batches, and in which order, cannot change the
+        counters.
         """
-        if self._scalar_nodes:
-            self._buffer_nodes.append(
-                np.asarray(self._scalar_nodes, dtype=np.int64)
-            )
-            self._buffer_times.append(
-                np.asarray(self._scalar_times, dtype=np.float64)
-            )
-            self._buffer_accepted.append(
-                np.asarray(self._scalar_accepted, dtype=np.bool_)
-            )
-            self._scalar_nodes = []
-            self._scalar_times = []
-            self._scalar_accepted = []
         if not self._buffer_nodes:
             return
         nodes = np.concatenate(self._buffer_nodes)

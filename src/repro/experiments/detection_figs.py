@@ -23,8 +23,7 @@ Detection latency is *exactly* non-decreasing and the false-positive
 count *exactly* non-increasing in the threshold (the statistic
 trajectory does not depend on it), so the claims are structural.
 
-All three accept ``fast=`` and run identically on either packet engine
-(``repro-experiments --event-engine`` flips the default).
+All three run the library's one packet engine.
 """
 
 from __future__ import annotations
@@ -95,7 +94,6 @@ def _flooded_run(
     seed: int,
     marking: Optional[MarkingConfig],
     monitor_config: MonitorConfig,
-    fast: bool,
     flood_fraction: float = 0.5,
 ):
     """One reference flood: returns (monitor, collector, graph, report)."""
@@ -115,13 +113,11 @@ def _flooded_run(
         monitor=monitor,
         marking=collector,
     )
-    report = simulation.run(flood_targets=targets, fast=fast)
+    report = simulation.run(flood_targets=targets)
     return monitor, collector, graph, targets, report
 
 
-def det_traceback(
-    trials: int = 2, seed: int = 101, fast: bool = True
-) -> FigureResult:
+def det_traceback(trials: int = 2, seed: int = 101) -> FigureResult:
     """Delivery per flood phase: no repair vs oracle vs detection-driven."""
     loop = DetectionRepairLoop(
         _architecture(),
@@ -152,7 +148,7 @@ def det_traceback(
                 loop.policy,
                 marking_config=loop.marking_config,
                 seed=seed + offset,
-            ).run(mode=mode, phases=phases, flood_fraction=0.5, fast=fast)
+            ).run(mode=mode, phases=phases, flood_fraction=0.5)
             for phase, value in enumerate(run.delivery_per_phase):
                 series[label][phase] += value / trials
             if mode == "detected":
@@ -212,18 +208,18 @@ def det_traceback(
         f"{full.recovery_rate:.0%} of {full.total_paths} paths recovered "
         f"from {full.packets_observed} flood packets; >= 90% reconstruct "
         f"within a per-victim budget of {budget} packets. "
-        f"{'Vectorized fast' if fast else 'Event-driven'} engine.",
+        "Vectorized fast engine.",
     )
 
 
-def det_ppm(seed: int = 101, fast: bool = True) -> FigureResult:
+def det_ppm(seed: int = 101) -> FigureResult:
     """Traceback accuracy vs per-victim packet budget, two marking rates."""
     series: Dict[str, List[float]] = {}
     probabilities = (0.03, 0.10)
     for probability in probabilities:
         marking = dataclasses.replace(REFERENCE_MARKING, probability=probability)
         _, collector, graph, _, _ = _flooded_run(
-            seed, marking, REFERENCE_MONITOR, fast
+            seed, marking, REFERENCE_MONITOR
         )
         if collector is None or graph is None:
             raise DetectionError("marking run produced no collector")
@@ -263,15 +259,13 @@ def det_ppm(seed: int = 101, fast: bool = True) -> FigureResult:
         f"{REFERENCE_MARKING.sources_per_target} sources per victim. "
         "Curves are evaluated post-hoc from recorded first-arrival "
         "packet indices, so every budget shares one simulation. "
-        f"{'Vectorized fast' if fast else 'Event-driven'} engine.",
+        "Vectorized fast engine.",
     )
 
 
-def det_sweep(seed: int = 107, fast: bool = True) -> FigureResult:
+def det_sweep(seed: int = 107) -> FigureResult:
     """Detection latency and false positives vs CUSUM threshold."""
-    monitor, _, _, targets, _ = _flooded_run(
-        seed, None, REFERENCE_MONITOR, fast
-    )
+    monitor, _, _, targets, _ = _flooded_run(seed, None, REFERENCE_MONITOR)
     flooded = set(targets)
     # Any real detection happens by the drain horizon, strictly inside
     # duration + 1; undetected nodes are charged this cap so per-node
@@ -329,5 +323,5 @@ def det_sweep(seed: int = 107, fast: bool = True) -> FigureResult:
         "the same recorded per-bin counters (a sweep costs one "
         f"simulation). Undetected nodes are charged the {latency_cap} "
         "latency cap. "
-        f"{'Vectorized fast' if fast else 'Event-driven'} engine.",
+        "Vectorized fast engine.",
     )

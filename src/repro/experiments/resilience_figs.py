@@ -18,8 +18,7 @@ accumulate unrepaired.
 ``res-flood`` drops to the packet level: it sweeps the fraction of the
 first SOS layer under flooding attack and measures the delivered
 fraction of legitimate traffic across independent deployments, using
-the vectorized fast engine (:mod:`repro.perf.fastsim`) by default with
-the event-driven simulator available as the oracle via ``fast=False``.
+the packet engine in :mod:`repro.perf.fastsim`.
 """
 
 from __future__ import annotations
@@ -199,16 +198,9 @@ def resilience_detection(trials: int = 5, seed: int = 31) -> FigureResult:
 def resilience_flooding(
     trials: int = 6,
     seed: int = 47,
-    fast: bool = True,
     workers: int = 1,
 ) -> FigureResult:
-    """Packet-level delivery ratio vs flooded fraction of the first layer.
-
-    ``fast=True`` (default) runs the vectorized engine from
-    :mod:`repro.perf.fastsim`; ``fast=False`` runs the event-driven
-    oracle — both are statistically equivalent on matched seeds, so the
-    claims below must pass either way.
-    """
+    """Packet-level delivery ratio vs flooded fraction of the first layer."""
     from repro.perf.fastsim import mean_delivery_ratio, run_packet_replicas
     from repro.simulation.packet_sim import PacketSimConfig
 
@@ -227,7 +219,6 @@ def resilience_flooding(
             flood_fraction=fraction if fraction > 0 else 1.0,
             seed=seed,
             workers=workers,
-            fast=fast,
         )
         delivery.append(mean_delivery_ratio(reports))
         absorbed.append(
@@ -260,7 +251,7 @@ def resilience_flooding(
         series={"delivery ratio": delivery, "attack packets": absorbed},
         claims=claims,
         notes=f"{trials} independent deployments per point; "
-        f"{'vectorized fast' if fast else 'event-driven'} engine, "
+        "vectorized fast engine, "
         "Poisson clients at rate 2 per unit time, flood rate 500 per "
         "target node.",
     )

@@ -60,18 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the seed on figures that sample",
     )
     parser.add_argument(
-        "--engine",
-        choices=("fast", "event"),
-        help="packet engine for figures with an engine choice: the "
-        "vectorized fast path (default) or the event-driven oracle "
-        "(figures without an engine choice ignore this)",
-    )
-    parser.add_argument(
-        "--event-engine",
-        action="store_true",
-        help="deprecated alias for --engine event",
-    )
-    parser.add_argument(
         "--tier",
         choices=TIERS,
         help="execution tier for figures that accept one "
@@ -107,17 +95,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         overrides["trials"] = args.trials
     if args.seed is not None:
         overrides["seed"] = args.seed
-    if args.engine is not None and args.event_engine:
-        if args.engine != "event":
-            print(
-                "--engine and --event-engine disagree; pick one",
-                file=sys.stderr,
-            )
-            return 2
-    if args.engine is not None:
-        overrides["fast"] = args.engine == "fast"
-    elif args.event_engine:
-        overrides["fast"] = False
     if args.tier is not None:
         overrides["tier"] = args.tier
     for figure_id in targets:

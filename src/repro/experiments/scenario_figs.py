@@ -9,9 +9,8 @@ deliberately structural/conservative: repair must never cost delivery,
 removing repaired targets can only shrink the attack, and the benign
 flash crowd must not degrade delivery at all.
 
-Accepts ``fast=``/``tier=``/``seed=`` (the shared
-``repro-experiments --engine/--tier/--seed`` options), so the whole
-matrix can be replayed on the event-driven oracle engine.
+Accepts ``tier=``/``seed=`` (the shared ``repro-experiments
+--tier/--seed`` options).
 """
 
 from __future__ import annotations
@@ -25,26 +24,22 @@ from repro.scenarios.zoo import list_scenarios
 
 def scenario_zoo(
     seed: Optional[int] = None,
-    fast: bool = True,
     tier: Optional[str] = None,
     phases: int = 3,
 ) -> FigureResult:
     """Delivery and detection quality for every committed zoo scenario."""
-    engine = "fast" if fast else "event"
     names = list_scenarios()
     none_runs: List[ScenarioRunReport] = []
     detected_runs: List[ScenarioRunReport] = []
     for name in names:
         none_runs.append(
             run_scenario(
-                name, mode="none", phases=phases,
-                engine=engine, tier=tier, seed=seed,
+                name, mode="none", phases=phases, tier=tier, seed=seed,
             )
         )
         detected_runs.append(
             run_scenario(
-                name, mode="detected", phases=phases,
-                engine=engine, tier=tier, seed=seed,
+                name, mode="detected", phases=phases, tier=tier, seed=seed,
             )
         )
 
@@ -124,6 +119,5 @@ def scenario_zoo(
         + ". Precision/recall measured against the injection schedule's "
         "ground-truth target set (nothing flagged counts as precision "
         "1.0; an attack-free campaign as recall 1.0). "
-        f"{'Vectorized fast' if fast else 'Event-driven'} engine, "
-        f"{resolved_tier} tier.",
+        f"Vectorized fast engine, {resolved_tier} tier.",
     )

@@ -4,15 +4,16 @@
 model at once with numpy, mirroring the scalar kernels in
 :mod:`repro.core` operation for operation so batch results agree with the
 scalar oracle to within 1e-12 (property-tested).
-:mod:`repro.perf.fastsim` is the vectorized fast path for the
-packet-level flooding simulation (hop-synchronous numpy batches with the
-event-driven engine as oracle) plus process-parallel replica sweeps.
+:mod:`repro.perf.fastsim` is the packet engine of the packet-level
+flooding simulation (hop-synchronous numpy batches, checked bit for bit
+against an event-driven oracle in the test suite) plus process-parallel
+replica sweeps.
 The process-parallel Monte Carlo dispatcher lives with its estimator in
 :mod:`repro.simulation.monte_carlo` (``MonteCarloConfig.workers``);
 ``docs/PERFORMANCE.md`` documents both together with the ``BENCH_*.json``
 benchmark-snapshot workflow.
 
-:mod:`repro.perf.compiled` holds the fast engine's kernel sets, one per
+:mod:`repro.perf.compiled` holds the packet engine's kernel sets, one per
 tier: numpy (the default and oracle) and C (``compiled``), both behind
 one four-method interface and bit-identical, selected per run via
 ``PacketSimConfig.tier``. ``tools/bench_ladder.py`` benchmarks the two

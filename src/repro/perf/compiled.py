@@ -147,10 +147,9 @@ class NumpyKernels:
 
         ``slots``/``times`` are flat parallel event arrays (any order;
         ``m`` bounds the slot ids and is unused here). Events are
-        grouped by slot and replayed chronologically with the exact
-        :class:`~repro.simulation.capacity.NodeCapacity` arithmetic —
-        continuous refill at ``capacity`` clipped to ``burst``, one
-        token per accepted offer.
+        grouped by slot and replayed chronologically with exact
+        token-bucket arithmetic — continuous refill at ``capacity``
+        clipped to ``burst``, one token per accepted offer.
 
         The recursion is solved in *deficit* space (``z = burst -
         tokens``, rescaled so refill rate is 1): ``z_i = max(0, z_{i-1}
@@ -235,9 +234,8 @@ class NumpyKernels:
         """Per slot: (chronological event times, congested-after-event flags).
 
         Replays the merged event stream of every slot through its token
-        bucket and evaluates the :attr:`NodeCapacity.is_congested`
-        predicate (>= 10 offers observed and cumulative drop rate >=
-        0.5) after every event, so forwarding decisions can look up a
+        bucket and evaluates the congestion predicate (>= 10 offers
+        observed and cumulative drop rate >= 0.5) after every event, so forwarding decisions can look up a
         node's congestion state at any instant with one
         ``searchsorted``.
         """
@@ -282,11 +280,8 @@ class NumpyKernels:
         ``table`` (this set's :meth:`timeline_table` result). ``u`` holds
         each packet's pre-assigned uniform draw for this hop; the pick is
         ``min(int(u * k), k - 1)`` over the row's ``k`` live neighbors
-        in table order — the same arithmetic the event engine applies to
-        the same per-packet uniform (see
-        :func:`repro.simulation.packet_sim.uniform_index`), so matching
-        live sets yield matching choices, and re-evaluating with a
-        refined table consumes nothing. Returns ``(routable, chosen)``:
+        in table order, so matching live sets yield matching choices,
+        and re-evaluating with a refined table consumes nothing. Returns ``(routable, chosen)``:
         rows with no live neighbor are marked unroutable and their
         ``chosen`` entry is meaningless — callers must mask with
         ``routable``. This oracle gathers each packet's row; the C set

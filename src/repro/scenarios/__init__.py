@@ -7,8 +7,8 @@ Three layers (see ``docs/SCENARIOS.md``):
   benign surges) compiling to engine-agnostic offer streams.
 * :mod:`repro.scenarios.spec` / :mod:`repro.scenarios.schedule` — the
   declarative :class:`ScenarioSpec` (JSON round-trip, validated) and its
-  deterministic lowering to an :class:`InjectionSchedule` both packet
-  engines consume.
+  deterministic lowering to the :class:`InjectionSchedule` the packet
+  engine consumes.
 * :mod:`repro.scenarios.zoo` / :mod:`repro.scenarios.runner` — the
   committed named-scenario zoo and the detection→repair harness that
   runs a spec end to end (CLI: ``repro-scenarios``; HTTP:

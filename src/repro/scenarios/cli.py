@@ -4,7 +4,7 @@ Installed as ``repro-scenarios``::
 
     repro-scenarios list [--verbose]
     repro-scenarios show pulsing-shrew
-    repro-scenarios run pulsing-shrew --mode detected --engine event
+    repro-scenarios run pulsing-shrew --mode detected --tier compiled
     repro-scenarios run --spec my-campaign.json --json report.json
 
 ``show`` prints the committed spec JSON; ``run`` replays a campaign
@@ -22,7 +22,7 @@ from repro.detection.loop import LOOP_MODES
 from repro.errors import ReproError
 from repro.perf.compiled import TIERS
 from repro.scenarios.runner import ScenarioRunReport, run_scenario
-from repro.scenarios.spec import SCENARIO_ENGINES, ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.zoo import list_scenarios, load_scenario, scenario_path
 
 
@@ -58,11 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--phases", type=int, default=3, help="repair phases (default: 3)"
     )
     run_cmd.add_argument(
-        "--engine",
-        choices=SCENARIO_ENGINES,
-        help="packet engine (default: the spec's)",
-    )
-    run_cmd.add_argument(
         "--tier",
         choices=TIERS,
         help="execution tier (default: the spec's)",
@@ -79,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _render_report(report: ScenarioRunReport) -> str:
     lines = [
         f"scenario {report.scenario}: mode={report.mode} "
-        f"engine={report.engine} tier={report.tier} seed={report.seed}",
+        f"tier={report.tier} seed={report.seed}",
         f"  initial targets ({len(report.initial_targets)}): "
         f"{list(report.initial_targets)}",
     ]
@@ -137,7 +132,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             scenario,
             mode=args.mode,
             phases=args.phases,
-            engine=args.engine,
             tier=args.tier,
             seed=args.seed,
         )

@@ -20,7 +20,7 @@ from repro.detection.monitor import MonitorConfig
 from repro.errors import ScenarioError
 from repro.perf.compiled import TIERS
 from repro.repair.policy import RepairPolicy
-from repro.scenarios.spec import SCENARIO_ENGINES, ScenarioSpec
+from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.zoo import load_scenario
 
 __all__ = ["ScenarioRunReport", "run_scenario"]
@@ -32,7 +32,6 @@ class ScenarioRunReport:
 
     scenario: str
     mode: str
-    engine: str
     tier: str
     seed: int
     phases: int
@@ -57,7 +56,6 @@ class ScenarioRunReport:
         return {
             "scenario": self.scenario,
             "mode": self.mode,
-            "engine": self.engine,
             "tier": self.tier,
             "seed": self.seed,
             "phases": self.phases,
@@ -79,7 +77,7 @@ class ScenarioRunReport:
 
 
 def _summarize(
-    result: LoopResult, spec: ScenarioSpec, engine: str, tier: str, seed: int
+    result: LoopResult, spec: ScenarioSpec, tier: str, seed: int
 ) -> ScenarioRunReport:
     truth = set(result.initial_targets)
     flagged_union = {
@@ -94,7 +92,6 @@ def _summarize(
     return ScenarioRunReport(
         scenario=spec.name,
         mode=result.mode,
-        engine=engine,
         tier=tier,
         seed=seed,
         phases=len(result.outcomes),
@@ -121,7 +118,6 @@ def run_scenario(
     scenario: Union[str, ScenarioSpec],
     mode: str = "detected",
     phases: int = 3,
-    engine: Optional[str] = None,
     tier: Optional[str] = None,
     seed: Optional[int] = None,
     monitor_config: Optional[MonitorConfig] = None,
@@ -130,7 +126,7 @@ def run_scenario(
 ) -> ScenarioRunReport:
     """Run ``scenario`` (a zoo name or a spec) through the repair loop.
 
-    ``engine``/``tier``/``seed`` default to the spec's own knobs, so a
+    ``tier``/``seed`` default to the spec's own knobs, so a
     bare ``run_scenario("pulsing-shrew")`` reproduces the committed
     campaign bit for bit; overrides never mutate the spec.
     """
@@ -141,15 +137,10 @@ def run_scenario(
         )
     if mode not in LOOP_MODES:
         raise ScenarioError(f"mode must be one of {LOOP_MODES}, got {mode!r}")
-    if engine is not None and engine not in SCENARIO_ENGINES:
-        raise ScenarioError(
-            f"engine must be one of {SCENARIO_ENGINES}, got {engine!r}"
-        )
     if tier is not None and tier not in TIERS:
         raise ScenarioError(
             f"tier must be one of {TIERS}, got {tier!r}"
         )
-    resolved_engine = engine if engine is not None else spec.engine
     resolved_tier = tier if tier is not None else spec.tier
     resolved_seed = seed if seed is not None else spec.seed
     loop = DetectionRepairLoop.for_scenario(
@@ -163,9 +154,6 @@ def run_scenario(
         spec,
         mode=mode,
         phases=phases,
-        fast=resolved_engine == "fast",
         abort_check=abort_check,
     )
-    return _summarize(
-        result, spec, resolved_engine, resolved_tier, resolved_seed
-    )
+    return _summarize(result, spec, resolved_tier, resolved_seed)

@@ -2,9 +2,8 @@
 
 :func:`compile_scenario` lowers every vector occurrence of a spec to
 concrete absolute-time arrays and merges them into one
-:class:`InjectionSchedule` — the single artifact both packet engines
-consume, making cross-engine injection identity structural rather than
-a sampling coincidence.
+:class:`InjectionSchedule` — the single artifact the packet engine
+consumes: injection instants are data, fixed before any engine draw.
 
 Stream derivation (the load-bearing part):
 
@@ -44,7 +43,7 @@ __all__ = [
 ]
 
 #: spawn-key domains; disjoint from every ``Generator.spawn`` fan-out in
-#: the engines (those extend a stream's own key, these root at the spec
+#: the engine (those extend a stream's own key, these root at the spec
 #: seed) and from each other.
 TARGET_DOMAIN = 0x5C01
 TIME_DOMAIN = 0x5C02
@@ -71,10 +70,10 @@ class InjectionSchedule:
     """Merged offer streams of one compiled scenario.
 
     ``attack_times`` maps node id -> sorted absolute offer instants
-    (attack packets: consume capacity, never forwarded). The engines
-    clip both kinds of rows to their config's ``duration`` with the same
-    mask, so a schedule compiled for one sim length replays consistently
-    under a shorter one.
+    (attack packets: consume capacity, never forwarded). The engine
+    clips both kinds of rows to its config's ``duration``, so a schedule
+    compiled for one sim length replays consistently under a shorter
+    one.
     """
 
     attack_times: Mapping[int, npt.NDArray[np.float64]]
@@ -107,7 +106,7 @@ class InjectionSchedule:
 
     def fingerprint(self) -> str:
         """Content hash over every target, instant, and surge source —
-        the cross-engine/cross-process identity the smoke job compares."""
+        the cross-process identity the smoke job compares."""
         digest = hashlib.sha256()
         for node in self.attack_targets:
             digest.update(str(node).encode())

@@ -30,10 +30,7 @@ __all__ = [
     "PhaseSpec",
     "ScenarioSpec",
     "SimSpec",
-    "SCENARIO_ENGINES",
 ]
-
-SCENARIO_ENGINES = ("fast", "event")
 
 
 def _positive_number() -> Field:
@@ -214,7 +211,6 @@ class ScenarioSpec:
     name: str
     description: str = ""
     seed: int = 0
-    engine: str = "fast"
     tier: str = "numpy"
     architecture: ArchitectureSpec = dataclasses.field(
         default_factory=ArchitectureSpec
@@ -227,12 +223,6 @@ class ScenarioSpec:
         "description": Field((str,), required=False),
         "seed": Field(
             (int,), required=False, check=lambda v: v >= 0, describe=">= 0"
-        ),
-        "engine": Field(
-            (str,),
-            required=False,
-            check=lambda v: v in SCENARIO_ENGINES,
-            describe=f"one of {SCENARIO_ENGINES}",
         ),
         "tier": Field(
             (str,),
@@ -250,11 +240,6 @@ class ScenarioSpec:
             raise ScenarioError("scenario name must be non-empty")
         if self.seed < 0 or isinstance(self.seed, bool):
             raise ScenarioError(f"seed must be an int >= 0, got {self.seed!r}")
-        if self.engine not in SCENARIO_ENGINES:
-            raise ScenarioError(
-                f"engine must be one of {SCENARIO_ENGINES}, got "
-                f"{self.engine!r}"
-            )
         if self.tier not in TIERS:
             raise ScenarioError(
                 f"tier must be one of {TIERS}, got {self.tier!r}"
@@ -305,7 +290,6 @@ class ScenarioSpec:
             "name": self.name,
             "description": self.description,
             "seed": self.seed,
-            "engine": self.engine,
             "tier": self.tier,
             "architecture": self.architecture.to_dict(),
             "sim": self.sim.to_dict(),
@@ -319,7 +303,6 @@ class ScenarioSpec:
             name=payload["name"],
             description=payload.get("description", ""),
             seed=payload.get("seed", 0),
-            engine=payload.get("engine", "fast"),
             tier=payload.get("tier", "numpy"),
             architecture=ArchitectureSpec.from_dict(
                 payload.get("architecture", ArchitectureSpec().to_dict())

@@ -8,11 +8,9 @@ run anything themselves: :meth:`AttackVector.compile` turns one into
 concrete per-source offer streams — absolute arrival-time arrays — as a
 pure function of ``(vector config, dedicated RNG streams, deployment)``.
 
-Both packet engines then consume those *same arrays* (the event engine
-chains them as scheduler events, the fast engine merges them into its
-pre-sampled rows), which is what makes every vector bit-identical across
-engines by construction: there is exactly one injection schedule, not
-two independently sampled ones.
+The packet engine merges those arrays into its pre-sampled rows; the
+event-driven test oracle chains the *same arrays* as scheduler events.
+There is exactly one injection schedule, fixed before any engine draw.
 
 Stream discipline mirrors the PR-4/5 per-target flood sub-streams: each
 vector occurrence in a :class:`~repro.scenarios.spec.ScenarioSpec` gets
@@ -54,11 +52,10 @@ def poisson_times(
 ) -> npt.NDArray[np.float64]:
     """Poisson arrival times in ``(start, end)`` from one dedicated stream.
 
-    Block exponential draws + cumsum, like the fast engine's
-    pre-sampler. Scenario times do not need to replicate any engine's
-    internal draw layout — both engines consume this *array*, so
-    cross-engine identity is structural — but the block pattern keeps
-    compilation O(1) stream calls per source. ``rate <= 0`` or an empty
+    Block exponential draws + cumsum, like the packet engine's
+    pre-sampler. Scenario times do not need to replicate the engine's
+    internal draw layout — the engine consumes this *array* — but the
+    block pattern keeps compilation O(1) stream calls per source. ``rate <= 0`` or an empty
     window yields no arrivals and consumes nothing.
     """
     if rate <= 0.0 or end <= start:

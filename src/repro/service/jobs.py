@@ -33,7 +33,6 @@ from repro.errors import CampaignInterrupted, ScenarioError, ServiceError
 from repro.perf.compiled import TIERS
 from repro.resilience.checkpoint import fingerprint
 from repro.scenarios.runner import run_scenario
-from repro.scenarios.spec import SCENARIO_ENGINES
 from repro.scenarios.zoo import load_scenario
 from repro.simulation.monte_carlo import MonteCarloConfig, MonteCarloEstimator
 
@@ -111,7 +110,7 @@ def build_attack(payload: Dict[str, Any]) -> "OneBurstAttack | SuccessiveAttack"
 
 
 _SCENARIO_CAMPAIGN_FIELDS = frozenset(
-    ("scenario", "mode", "phases", "engine", "tier", "seed",
+    ("scenario", "mode", "phases", "tier", "seed",
      "deadline_ms", "priority", "checkpoint_every", "chaos_fail")
 )
 
@@ -139,11 +138,6 @@ def _validate_scenario_campaign(payload: Dict[str, Any]) -> None:
             or not 1 <= phases <= 16:
         raise ServiceError(
             f"'phases' must be an integer in [1, 16], got {phases!r}"
-        )
-    engine = payload.get("engine")
-    if engine is not None and engine not in SCENARIO_ENGINES:
-        raise ServiceError(
-            f"'engine' must be one of {SCENARIO_ENGINES}, got {engine!r}"
         )
     tier = payload.get("tier")
     if tier is not None and tier not in TIERS:
@@ -312,7 +306,6 @@ def execute_job(
                 payload["scenario"],
                 mode=payload.get("mode", "detected"),
                 phases=int(payload.get("phases", 3)),
-                engine=payload.get("engine"),
                 tier=payload.get("tier"),
                 seed=payload.get("seed"),
                 abort_check=_raise_if_aborted,

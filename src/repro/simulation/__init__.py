@@ -6,7 +6,6 @@ from repro.simulation.campaign import (
     CampaignSimulation,
     run_campaign,
 )
-from repro.simulation.capacity import NodeCapacity
 from repro.simulation.engine import EventScheduler
 from repro.simulation.monte_carlo import (
     MonteCarloConfig,
@@ -26,7 +25,6 @@ __all__ = [
     "CampaignReport",
     "CampaignSimulation",
     "run_campaign",
-    "NodeCapacity",
     "EventScheduler",
     "MonteCarloConfig",
     "MonteCarloEstimator",

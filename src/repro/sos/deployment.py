@@ -65,7 +65,7 @@ def choose_fraction(
     generator: np.random.Generator, members: npt.ArrayLike, fraction: float
 ) -> List[int]:
     """A ``fraction`` of ``members`` (at least one), ascending: the flood
-    target draw of both packet engines and the scenario vectors."""
+    target draw of the packet engine and the scenario vectors."""
     ids = np.asarray(members, dtype=np.int64)
     return choose_members(generator, ids, max(1, int(round(fraction * len(ids)))))
 

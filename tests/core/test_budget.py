@@ -11,7 +11,8 @@ from repro.core.budget import (
     attack_from_resources,
 )
 from repro.errors import ConfigurationError
-from repro.simulation.capacity import NodeCapacity
+
+from tests.perf.event_oracle import NodeCapacity
 
 
 class TestCongestionCostModel:

@@ -11,6 +11,15 @@ from repro.detection.monitor import MonitorConfig, TrafficMonitor
 from repro.errors import DetectionError
 
 
+def observe(monitor, node_id, time, accepted):
+    """Feed ``monitor`` one offer as a batch of one."""
+    monitor.observe_batch(
+        np.array([node_id], dtype=np.int64),
+        np.array([time], dtype=np.float64),
+        np.array([accepted], dtype=np.bool_),
+    )
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
@@ -46,20 +55,20 @@ def step_monitor(
     monitor = TrafficMonitor(config)
     for b in range(quiet_bins):
         for k in range(quiet_rate):
-            monitor.observe(7, b + k / (quiet_rate + 1), True)
+            observe(monitor, 7, b + k / (quiet_rate + 1), True)
     for b in range(quiet_bins, quiet_bins + loud_bins):
         for k in range(loud_rate):
-            monitor.observe(7, b + k / (loud_rate + 1), k % 2 == 0)
+            observe(monitor, 7, b + k / (loud_rate + 1), k % 2 == 0)
     return monitor
 
 
 class TestBinning:
     def test_snapshot_counts(self):
         monitor = TrafficMonitor(MonitorConfig(bin_width=0.5))
-        monitor.observe(1, 0.1, True)
-        monitor.observe(1, 0.4, False)
-        monitor.observe(1, 0.6, True)
-        monitor.observe(2, 1.9, False)
+        observe(monitor, 1, 0.1, True)
+        observe(monitor, 1, 0.4, False)
+        observe(monitor, 1, 0.6, True)
+        observe(monitor, 2, 1.9, False)
         snap = monitor.snapshot()
         assert snap[1] == {0: (2, 1), 1: (1, 0)}
         assert snap[2] == {3: (1, 1)}
@@ -69,8 +78,8 @@ class TestBinning:
 
     def test_series_spans_global_horizon(self):
         monitor = TrafficMonitor(MonitorConfig(bin_width=1.0))
-        monitor.observe(1, 0.5, True)
-        monitor.observe(2, 5.5, True)
+        observe(monitor, 1, 0.5, True)
+        observe(monitor, 2, 5.5, True)
         assert monitor.series(1).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_window_counts_and_drop_rate(self):
@@ -83,7 +92,7 @@ class TestBinning:
 
     def test_negative_time_rejected(self):
         monitor = TrafficMonitor(MonitorConfig())
-        monitor.observe(1, -0.5, True)
+        observe(monitor, 1, -0.5, True)
         with pytest.raises(DetectionError):
             monitor.snapshot()
 
@@ -132,7 +141,7 @@ class TestDetection:
 
     def test_short_series_never_flags(self):
         monitor = TrafficMonitor(MonitorConfig(baseline_bins=4))
-        monitor.observe(1, 0.2, True)
+        observe(monitor, 1, 0.2, True)
         assert monitor.detection_bin(1) is None
 
 
@@ -159,7 +168,7 @@ class TestScalarBatchParity:
         scalar = TrafficMonitor(config)
         batch = TrafficMonitor(config)
         for node, time, ok in events:
-            scalar.observe(node, time, ok)
+            observe(scalar, node, time, ok)
         batch.observe_batch(
             np.array([e[0] for e in events], dtype=np.int64),
             np.array([e[1] for e in events], dtype=np.float64),
@@ -174,7 +183,7 @@ class TestScalarBatchParity:
         backward = TrafficMonitor(config)
         events = [(i % 3, 0.1 * i, i % 4 != 0) for i in range(50)]
         for node, time, ok in events:
-            forward.observe(node, time, ok)
+            observe(forward, node, time, ok)
         for node, time, ok in reversed(events):
-            backward.observe(node, time, ok)
+            observe(backward, node, time, ok)
         assert forward.snapshot() == backward.snapshot()

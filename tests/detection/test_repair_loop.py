@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core import SOSArchitecture
@@ -14,6 +15,8 @@ from repro.repair.defender import RepairingDefender
 from repro.repair.policy import RepairPolicy
 from repro.simulation.packet_sim import PacketSimConfig
 from repro.sos.deployment import SOSDeployment
+
+from tests.perf.event_oracle import event_engine
 
 ARCH = SOSArchitecture(
     layers=3,
@@ -66,12 +69,17 @@ class TestFeeds:
         deployment = SOSDeployment.deploy(ARCH, rng=1)
         target = deployment.layer_members(1)[0]
         monitor = TrafficMonitor(MONITOR)
-        for b in range(4):
-            for k in range(3):
-                monitor.observe(target, 2.0 + 0.5 * b + 0.1 * k, True)
+        times = [2.0 + 0.5 * b + 0.1 * k for b in range(4) for k in range(3)]
+        accepted = [True] * len(times)
         for b in range(8, 16):
             for k in range(60):
-                monitor.observe(target, 0.5 * b + 0.005 * k, k % 2 == 0)
+                times.append(0.5 * b + 0.005 * k)
+                accepted.append(k % 2 == 0)
+        monitor.observe_batch(
+            np.full(len(times), target, dtype=np.int64),
+            np.array(times, dtype=np.float64),
+            np.array(accepted, dtype=np.bool_),
+        )
         feed = MonitorBackedDetector()
         feed.attach(monitor)
         assert feed.scan(deployment, now=8.0) == [target]
@@ -99,7 +107,7 @@ class TestLoop:
     def test_mode_ordering(self):
         loop = make_loop()
         results = {
-            mode: loop.run(mode=mode, phases=3, flood_fraction=0.5, fast=True)
+            mode: loop.run(mode=mode, phases=3, flood_fraction=0.5)
             for mode in ("none", "oracle", "detected")
         }
         # Phase 0 is identical across modes (repair acts only between
@@ -119,12 +127,12 @@ class TestLoop:
         )
 
     def test_oracle_repairs_exactly_the_flooded_nodes(self):
-        result = make_loop().run(mode="oracle", phases=2, fast=True)
+        result = make_loop().run(mode="oracle", phases=2)
         assert set(result.outcomes[0].repaired) == set(result.initial_targets)
         assert result.outcomes[1].flooded == ()
 
     def test_detected_mode_reports_false_positives(self):
-        result = make_loop().run(mode="detected", phases=2, fast=True)
+        result = make_loop().run(mode="detected", phases=2)
         outcome = result.outcomes[0]
         assert set(outcome.detected_true) <= set(outcome.flagged)
         assert set(outcome.false_positives) == set(outcome.flagged) - set(
@@ -134,9 +142,7 @@ class TestLoop:
         assert set(outcome.repaired) <= set(outcome.flagged)
 
     def test_marking_collects_phase0_only(self):
-        result = make_loop(marking=True).run(
-            mode="detected", phases=2, fast=True
-        )
+        result = make_loop(marking=True).run(mode="detected", phases=2)
         assert result.collector is not None
         assert result.graph is not None
         first_phase_flood = result.outcomes[0].flooded
@@ -148,16 +154,12 @@ class TestLoop:
 
     def test_engines_agree_on_loop_shape(self):
         loop = make_loop()
-        fast = loop.run(mode="oracle", phases=2, fast=True)
-        event = loop.run(mode="oracle", phases=2, fast=False)
-        assert fast.initial_targets == event.initial_targets
-        assert [o.repaired for o in fast.outcomes] == [
-            o.repaired for o in event.outcomes
-        ]
-        for fast_outcome, event_outcome in zip(fast.outcomes, event.outcomes):
-            assert fast_outcome.delivery_ratio == pytest.approx(
-                event_outcome.delivery_ratio, abs=0.1
-            )
+        for mode in ("oracle", "detected"):
+            fast = loop.run(mode=mode, phases=2)
+            with event_engine():
+                event = loop.run(mode=mode, phases=2)
+            assert fast.initial_targets == event.initial_targets
+            assert fast.outcomes == event.outcomes
 
     def test_validation(self):
         with pytest.raises(DetectionError):

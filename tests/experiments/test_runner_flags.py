@@ -1,18 +1,23 @@
-"""Shared --engine / --tier options on the experiment runner."""
+"""Shared --tier option on the experiment runner."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import build_parser, main
+from repro.experiments.runner import build_parser
 
 
 def test_engine_choices():
+    # There is one packet engine: the retired --engine/--event-engine
+    # options fail loudly instead of being silently ignored.
     parser = build_parser()
-    args = parser.parse_args(["scn-zoo", "--engine", "event"])
-    assert args.engine == "event"
-    with pytest.raises(SystemExit):
-        parser.parse_args(["scn-zoo", "--engine", "warp"])
+    for argv in (
+        ["scn-zoo", "--engine", "event"],
+        ["scn-zoo", "--engine", "fast"],
+        ["scn-zoo", "--event-engine"],
+    ):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
 
 
 def test_tier_choices():
@@ -22,16 +27,3 @@ def test_tier_choices():
     with pytest.raises(SystemExit):
         parser.parse_args(["scn-zoo", "--tier", "gpu"])
 
-
-def test_event_engine_is_a_compatible_alias(capsys):
-    # --event-engine alone still works; combined with a contradictory
-    # --engine it must fail loudly instead of silently picking one.
-    assert main(["bogus-fig", "--engine", "fast", "--event-engine"]) == 2
-    assert "disagree" in capsys.readouterr().err
-
-
-def test_engine_and_alias_agreeing_is_accepted(capsys):
-    # ERROR (unknown figure) not the disagreement exit: flag handling
-    # passed and the runner proceeded to figure lookup.
-    assert main(["bogus-fig", "--engine", "event", "--event-engine"]) == 2
-    assert "ERROR" in capsys.readouterr().err

@@ -42,7 +42,6 @@ class TestWorkerInvariance:
             flood_layer_index=1,
             flood_fraction=0.5,
             seed=123,
-            fast=True,
             deployment=dep,
         )
         serial = run_packet_replicas(
@@ -94,16 +93,6 @@ class TestSharedStateSemantics:
 
 
 class TestValidation:
-    def test_shared_mode_requires_fast_engine(self):
-        with pytest.raises(SimulationError):
-            run_packet_replicas(
-                ARCH,
-                CONFIG,
-                replicas=2,
-                fast=False,
-                deployment=shared_deployment(),
-            )
-
     def test_architecture_mismatch_rejected(self):
         other = SOSArchitecture(
             layers=3,

@@ -84,8 +84,10 @@ def test_run_missing_spec_file_fails_cleanly(capsys, tmp_path):
 
 
 def test_run_rejects_bad_engine():
-    with pytest.raises(SystemExit):
-        main(["run", "pulsing-shrew", "--engine", "warp"])
+    # --engine is gone: any value, including the old ones, is refused.
+    for engine in ("warp", "event", "fast"):
+        with pytest.raises(SystemExit):
+            main(["run", "pulsing-shrew", "--engine", engine])
 
 
 def test_entry_point_is_wired():

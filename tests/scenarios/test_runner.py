@@ -14,7 +14,7 @@ from tests.scenarios.conftest import tiny_spec
 
 
 def test_detected_mode_repairs_and_recovers(spec):
-    report = run_scenario(spec, mode="detected", phases=2, engine="fast")
+    report = run_scenario(spec, mode="detected", phases=2)
     assert report.scenario == spec.name
     assert report.phases == 2
     assert report.initial_targets
@@ -28,7 +28,7 @@ def test_detected_mode_repairs_and_recovers(spec):
 
 
 def test_none_mode_never_repairs(spec):
-    report = run_scenario(spec, mode="none", phases=2, engine="fast")
+    report = run_scenario(spec, mode="none", phases=2)
     assert report.total_repaired == 0
     assert all(not flagged for flagged in report.repaired_per_phase)
     # The attack persists: both phases absorb attack traffic.
@@ -36,7 +36,7 @@ def test_none_mode_never_repairs(spec):
 
 
 def test_oracle_mode_repairs_true_targets(spec):
-    report = run_scenario(spec, mode="oracle", phases=2, engine="fast")
+    report = run_scenario(spec, mode="oracle", phases=2)
     repaired = {node for phase in report.repaired_per_phase for node in phase}
     assert repaired <= set(report.initial_targets)
     assert report.attack_packets_per_phase[1] < report.attack_packets_per_phase[0]
@@ -49,10 +49,9 @@ def test_runs_zoo_scenarios_by_name():
     assert report.recall == 1.0
 
 
-def test_engine_tier_seed_default_to_the_spec():
+def test_tier_seed_default_to_the_spec():
     spec = load_scenario("stealth-lowrate")
     report = run_scenario(spec, phases=1)
-    assert report.engine == spec.engine
     assert report.tier == spec.tier
     assert report.seed == spec.seed
 
@@ -61,9 +60,9 @@ def test_engine_tier_seed_default_to_the_spec():
     "kwargs",
     [
         {"mode": "bogus"},
-        {"engine": "warp"},
         {"tier": "gpu"},
         {"tier": "scalar"},
+        {"tier": "Compiled"},  # tier names are case-sensitive
     ],
 )
 def test_run_scenario_validates_knobs(spec, kwargs):
@@ -88,7 +87,6 @@ def test_capacity_limited_policy_bounds_repairs(spec):
         spec,
         mode="detected",
         phases=2,
-        engine="fast",
         policy=RepairPolicy(detection_probability=1.0, capacity_per_round=1),
     )
     assert all(len(phase) <= 1 for phase in report.repaired_per_phase)

@@ -1,4 +1,4 @@
-"""scn-zoo experiment: matrix shape and claims (both engines)."""
+"""scn-zoo experiment: matrix shape and claims."""
 
 from __future__ import annotations
 
@@ -26,9 +26,8 @@ def test_scn_zoo_claims_pass_on_fast_engine():
         assert name in result.notes
 
 
-def test_scn_zoo_accepts_engine_and_tier_overrides():
-    # The runner's --engine event / --tier compiled path; quick (1 phase).
-    result = run_figure("scn-zoo", fast=False, tier="compiled", phases=1)
+def test_scn_zoo_accepts_tier_override():
+    # The runner's --tier compiled path; quick (1 phase).
+    result = run_figure("scn-zoo", tier="compiled", phases=1)
     assert not result.failed_claims()
-    assert "Event-driven engine" in result.notes
-    assert "compiled tier" in result.notes
+    assert "Vectorized fast engine, compiled tier." in result.notes

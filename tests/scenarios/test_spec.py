@@ -38,13 +38,11 @@ def test_to_dict_emits_every_field_including_defaults():
         "name",
         "description",
         "seed",
-        "engine",
         "tier",
         "architecture",
         "sim",
         "phases",
     }
-    assert payload["engine"] == "fast"
     assert payload["tier"] == "numpy"
     assert payload["architecture"]["overlay_nodes"] == 2000
 
@@ -120,9 +118,9 @@ def test_vector_layer_out_of_architecture_rejected():
     [
         {"name": ""},
         {"seed": -1},
-        {"engine": "warp"},
         {"tier": "gpu"},
         {"tier": "scalar"},  # retired tier: no alias
+        {"seed": True},  # bool is not an int
     ],
 )
 def test_spec_field_validation(kwargs):
@@ -193,3 +191,21 @@ def test_specs_are_frozen():
     spec = tiny_spec()
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.seed = 99
+
+
+@pytest.mark.parametrize("engine", ["fast", "event"])
+def test_retired_engine_field_is_an_unknown_field(engine):
+    # Specs written when two packet engines existed carried "engine";
+    # it now hits the unknown-field rejection like any other typo.
+    payload = dict(tiny_spec().to_dict(), engine=engine)
+    with pytest.raises(ScenarioError, match="engine"):
+        ScenarioSpec.from_dict(payload)
+
+
+def test_unrepresentable_hop_latency_rejected():
+    # A hop latency below the clock's resolution would make a packet
+    # arrive at the instant it left; the sim config refuses it.
+    payload = tiny_spec().to_dict()
+    payload["sim"]["hop_latency"] = 1e-20
+    with pytest.raises(ScenarioError, match="clock resolution"):
+        ScenarioSpec.from_dict(payload)

@@ -24,7 +24,6 @@ class TestValidation:
                 "scenario": "flash-crowd",
                 "mode": "detected",
                 "phases": 2,
-                "engine": "event",
                 "tier": "numpy",
                 "seed": 7,
             },
@@ -41,6 +40,7 @@ class TestValidation:
             ({"phases": 0}, "phases"),
             ({"phases": 99}, "phases"),
             ({"phases": True}, "phases"),
+            # The retired engine knob is an unknown field now.
             ({"engine": "warp"}, "engine"),
             ({"tier": "gpu"}, "tier"),
             ({"seed": -1}, "seed"),

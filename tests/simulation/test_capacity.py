@@ -1,11 +1,11 @@
-"""Tests for the token-bucket capacity model."""
+"""Tests for the token-bucket capacity model of the event-driven oracle."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simulation.capacity import NodeCapacity
+from tests.perf.event_oracle import NodeCapacity
 
 
 class TestTokenBucket:

@@ -15,6 +15,8 @@ from repro.simulation.packet_sim import (
 )
 from repro.sos.deployment import SOSDeployment
 
+from tests.perf.event_oracle import EventPacketSimulation
+
 
 def deployment(seed=7, mapping="one-to-half"):
     arch = SOSArchitecture(
@@ -79,6 +81,28 @@ class TestConfigValidation:
             PacketSimConfig(duration=duration, flood_rate=rate * 2)
         # Flooding from t=25 halves the flood source's expected arrivals.
         PacketSimConfig(duration=duration, flood_rate=rate * 2, flood_start=25.0)
+
+    def test_hop_latency_below_clock_resolution_rejected(self):
+        # 10 + 1e-20 == 10: a packet would arrive at the instant it left
+        # and routing refinement would never settle.
+        with pytest.raises(SimulationError, match="clock resolution"):
+            PacketSimConfig(duration=10.0, hop_latency=1e-20)
+
+    def test_tiny_but_representable_hop_latency_runs(self):
+        config = PacketSimConfig(
+            duration=10.0, warmup=2.0, clients=20, node_capacity=15.0,
+            hop_latency=1e-9,
+        )
+        dep = deployment()
+        targets = flood_layer(dep, layer=2, fraction=0.5, rng=2)
+        report = PacketLevelSimulation(dep, config, rng=1).run(
+            flood_targets=targets
+        )
+        assert report.sent == (
+            report.delivered
+            + report.dropped_at_congested
+            + report.dropped_no_neighbor
+        )
 
     def test_tier_validated(self):
         with pytest.raises(SimulationError):
@@ -186,7 +210,8 @@ class TestFloodLayerHelper:
 
 class TestDrainHorizon:
     def test_computed_bound(self):
-        sim = PacketLevelSimulation(deployment(), CONFIG, rng=1)
+        # The oracle drains its event queue to this horizon.
+        sim = EventPacketSimulation(deployment(), CONFIG, rng=1)
         layers = sim.deployment.architecture.layers
         expected = CONFIG.duration + (layers + 2) * CONFIG.hop_latency
         assert sim.drain_horizon() == pytest.approx(expected)
@@ -237,3 +262,59 @@ class TestStreamingLatency:
         report.record_latency(0.3)
         assert report.latency_variance == 0.0
         assert report.max_latency == 0.3
+
+
+class TestOneEngine:
+    def test_fast_false_names_the_oracle(self):
+        sim = PacketLevelSimulation(deployment(), CONFIG, rng=1)
+        with pytest.raises(SimulationError, match="event_oracle"):
+            sim.run(fast=False)
+
+    def test_fast_true_is_the_default_run(self):
+        a = PacketLevelSimulation(deployment(), CONFIG, rng=4).run(fast=True)
+        b = PacketLevelSimulation(deployment(), CONFIG, rng=4).run()
+        assert a == b
+
+
+class TestSurgeContacts:
+    """Surge sources enter at layer 1, like baseline clients. A contact
+    anywhere else used to be read as a layer-1 slot by its position in
+    its own layer: on these probes the engine delivered all 40 surge
+    packets, while the event-driven oracle, entering at the contact
+    itself, delivered none."""
+
+    ARCH = SOSArchitecture(
+        layers=3,
+        mapping="one-to-two",
+        total_overlay_nodes=200,
+        sos_nodes=30,
+        filters=4,
+    )
+    CONFIG = PacketSimConfig(duration=10.0, warmup=1.0, clients=0)
+
+    def schedule(self, dep, layer):
+        import numpy as np
+
+        from repro.scenarios.schedule import InjectionSchedule
+        from repro.scenarios.vectors import SurgeSource
+
+        contacts = tuple(dep.layer_members(layer)[:2])
+        times = np.linspace(2.0, 9.0, 40)
+        return InjectionSchedule(
+            attack_times={},
+            surge_sources=(SurgeSource(contacts=contacts, times=times),),
+        )
+
+    @pytest.mark.parametrize("layer", [2, 3, 4], ids=["layer2", "layer3", "filters"])
+    def test_non_layer_one_contact_rejected(self, layer):
+        dep = SOSDeployment.deploy(self.ARCH, rng=3)
+        sim = PacketLevelSimulation(dep, self.CONFIG, rng=5)
+        with pytest.raises(SimulationError, match="not a layer-1 SOS node"):
+            sim.run(schedule=self.schedule(dep, layer))
+
+    def test_layer_one_contacts_run(self):
+        dep = SOSDeployment.deploy(self.ARCH, rng=3)
+        report = PacketLevelSimulation(dep, self.CONFIG, rng=5).run(
+            schedule=self.schedule(dep, 1)
+        )
+        assert report.sent == 40

@@ -1,13 +1,13 @@
 #!/usr/bin/env python
-"""Scenario-zoo smoke harness: every committed campaign, both engines.
+"""Scenario-zoo smoke harness: every committed campaign against the oracle.
 
-Runs each zoo scenario through the detection→repair loop on the
-vectorized fast engine AND the event-driven oracle engine, asserts the
-cross-engine contract (identical per-phase sent counts, absorbed attack
-packets, and flagged sets — the engines consume one precompiled
-injection schedule), and writes the delivery × detection-quality matrix
-as JSON. Exits non-zero on any contract violation, any failed run, or a
-blown wall-clock budget::
+Runs each zoo scenario through the detection→repair loop on the packet
+engine AND on the event-driven oracle from ``tests/perf/event_oracle.py``,
+asserts that the two full reports are equal (delivery, sent and absorbed
+attack packets, flagged and repaired sets, precision and recall, phase by
+phase), and writes the delivery × detection-quality matrix as JSON.
+Exits non-zero on any mismatch, any failed run, or a blown wall-clock
+budget::
 
     PYTHONPATH=src python tools/scenario_smoke.py --quick --budget 300 \
         --output scenario-smoke.json
@@ -20,12 +20,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import pathlib
 import sys
 import time
 from typing import Any, Dict, List
 
-from repro.scenarios.runner import run_scenario
-from repro.scenarios.zoo import list_scenarios
+# The oracle lives in the test suite, importable from the repo root.
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]))
+
+from repro.scenarios.runner import run_scenario  # noqa: E402
+from repro.scenarios.zoo import list_scenarios  # noqa: E402
+from tests.perf.event_oracle import event_engine  # noqa: E402
 
 
 def main(argv: List[str] | None = None) -> int:
@@ -62,32 +67,26 @@ def main(argv: List[str] | None = None) -> int:
     for name in names:
         row: Dict[str, Any] = {"scenario": name}
         for mode in ("none", "detected"):
-            fast = run_scenario(name, mode=mode, phases=phases, engine="fast")
-            event = run_scenario(
-                name, mode=mode, phases=phases, engine="event"
-            )
-            identical = (
-                fast.sent_per_phase == event.sent_per_phase
-                and fast.attack_packets_per_phase
-                == event.attack_packets_per_phase
-                and fast.flagged_per_phase == event.flagged_per_phase
-            )
+            fast = run_scenario(name, mode=mode, phases=phases)
+            with event_engine():
+                event = run_scenario(name, mode=mode, phases=phases)
+            identical = fast == event
             if not identical:
                 violations.append(
-                    f"{name} [{mode}]: fast and event engines disagree "
-                    f"(sent {fast.sent_per_phase} vs {event.sent_per_phase}, "
-                    f"attack {fast.attack_packets_per_phase} vs "
-                    f"{event.attack_packets_per_phase})"
+                    f"{name} [{mode}]: the engine and the oracle disagree "
+                    f"(delivery {fast.delivery_per_phase} vs "
+                    f"{event.delivery_per_phase}, flagged "
+                    f"{fast.flagged_per_phase} vs {event.flagged_per_phase})"
                 )
             row[mode] = {
                 "fast": fast.to_dict(),
                 "event": event.to_dict(),
-                "cross_engine_identical": identical,
+                "oracle_identical": identical,
             }
             print(
                 f"{name:22s} {mode:8s} delivery={fast.final_delivery:.4f} "
                 f"precision={fast.precision:.2f} recall={fast.recall:.2f} "
-                f"cross-engine={'OK' if identical else 'MISMATCH'}"
+                f"oracle={'OK' if identical else 'MISMATCH'}"
             )
         matrix.append(row)
     elapsed = time.perf_counter() - started
