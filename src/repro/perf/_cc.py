@@ -4,10 +4,14 @@ The compiled tier's kernels (:class:`repro.perf.compiled.KernelSet`) are
 C compiled once per machine with the system ``cc`` into a small shared
 library and bound through :mod:`ctypes`. The build is hermetic — one
 translation unit, no headers beyond the C standard library, no network
-— and cached on a hash of the source, so the first ``tier="compiled"``
-run pays ~1 second of compile and every later run (or process) reuses
-the ``.so``. ``REPRO_CC`` picks the compiler and ``REPRO_CC_CACHE`` the
-cache directory.
+— and links one prebuilt archive, numpy's own ``libnpyrandom.a``
+(``numpy/random/lib``), for the Poisson sampler's exponential draws.
+It is cached on a hash of the source, the numpy version and that
+archive's path and size, so the first run pays ~1 second of compile,
+every later run (or process) reuses the ``.so``, and a numpy upgrade
+rebuilds. Without the archive the library builds without the sampler.
+``REPRO_CC`` picks the compiler and ``REPRO_CC_CACHE`` the cache
+directory.
 
 Bit-identity is the whole point, so the C code replays the numpy tier's
 arithmetic operation for operation on IEEE doubles: the same multiplies,
@@ -36,6 +40,13 @@ generator's own ``bitgen_t``: Floyd's sample then a shuffle, each step a
 32-bit Lemire bounded draw on ``next_uint32``, so it advances the same
 state numpy would (see :func:`repro.perf.compiled.choice_rows`).
 
+Poisson sampling (``repro_poisson_rows``) builds, per child
+``SeedSequence`` pool, the PCG64 state ``PCG64(seed_seq)`` would build,
+and draws each gap with numpy's own ``random_exponential`` (numpy's
+documented C API, ``numpy/random/distributions.h``), so the ziggurat is
+numpy's and is not copied here (see
+:func:`repro.perf.compiled.poisson_rows`).
+
 Routing is one time-ordered sweep rather than a per-packet rescan of
 the neighbor row: every table row keeps a live bitmap and count, only
 congestion-flag *flips* (a handful per call) touch them through a
@@ -51,7 +62,9 @@ import os
 import shutil
 import subprocess
 import tempfile
-from typing import Optional
+from typing import List, Optional
+
+import numpy as np
 
 __all__ = ["load_library", "build_error"]
 
@@ -462,6 +475,147 @@ int64_t repro_choice_rows(
     return 0;
 }
 
+#ifdef REPRO_NPYRANDOM
+/* ------------------------------------------------------------------ */
+/* Poisson rows: per child SeedSequence, a PCG64 seeded as numpy seeds */
+/* it and numpy's own exponential, gap by gap.                         */
+/* ------------------------------------------------------------------ */
+
+/* numpy/random/distributions.h, linked from numpy's libnpyrandom.a:
+   scale * random_standard_exponential, numpy's ziggurat. */
+double random_exponential(repro_bitgen_t *bitgen_state, double scale);
+
+/* numpy's pcg64_state: the 128-bit LCG plus the 32-bit draw buffer. */
+typedef struct {
+    __uint128_t state, inc;
+    int has_uint32;
+    uint32_t uinteger;
+} repro_pcg64_t;
+
+/* PCG_DEFAULT_MULTIPLIER_128 */
+#define REPRO_PCG_MULT \
+    (((__uint128_t)2549297995355413924ULL << 64) + 4865540595714422341ULL)
+
+/* pcg64_next64: step, then the XSL-RR output of the new state */
+static uint64_t pcg64_next64(void *st)
+{
+    repro_pcg64_t *rng = (repro_pcg64_t *)st;
+    uint64_t x;
+    unsigned rot;
+    rng->state = rng->state * REPRO_PCG_MULT + rng->inc;
+    x = (uint64_t)(rng->state >> 64) ^ (uint64_t)rng->state;
+    rot = (unsigned)(rng->state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
+static uint32_t pcg64_next32(void *st)
+{
+    repro_pcg64_t *rng = (repro_pcg64_t *)st;
+    uint64_t next;
+    if (rng->has_uint32) {
+        rng->has_uint32 = 0;
+        return rng->uinteger;
+    }
+    next = pcg64_next64(st);
+    rng->has_uint32 = 1;
+    rng->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+static double pcg64_next_double(void *st)
+{
+    return (double)(pcg64_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* PCG64(seed_seq): generate_state(4, uint64) over the 4-word pool (two
+   hashed uint32 words per little-endian uint64), then
+   pcg64_set_seed(state = w0:w1, inc = w2:w3) and pcg_setseq_128_srandom_r. */
+static void pcg64_seed(const uint32_t *pool, repro_pcg64_t *rng)
+{
+    uint32_t hash_const = 0x8b51f9ddU, words[8];
+    uint64_t wide[4];
+    int i;
+    for (i = 0; i < 8; i++) {
+        uint32_t value = pool[i & 3];
+        value ^= hash_const;
+        hash_const *= 0x58f38dedU;
+        value *= hash_const;
+        value ^= value >> 16;
+        words[i] = value;
+    }
+    for (i = 0; i < 4; i++)
+        wide[i] = (uint64_t)words[2 * i] | ((uint64_t)words[2 * i + 1] << 32);
+    rng->state = 0;
+    rng->inc = ((((__uint128_t)wide[2] << 64) | wide[3]) << 1) | 1;
+    rng->has_uint32 = 0;
+    rng->uinteger = 0;
+    pcg64_next64(rng);
+    rng->state += ((__uint128_t)wide[0] << 64) | wide[1];
+    pcg64_next64(rng);
+}
+
+/* Arrival times in (start, end) of `rows` Poisson sources, one per
+   4-word SeedSequence pool: t = start + gap, then t + gap, ..., kept
+   while t < end. Rows are packed into `out` (capacity doubles) and
+   offsets[r] : offsets[r + 1] spans row r. When `out` fills, the rows
+   move to a heap buffer that grows by at least `width` doubles; *spill
+   then points at it (the caller copies and frees it with repro_free).
+   Returns the number of times, -1 for rows < 0 or width < 1, -2 when
+   the heap buffer cannot be allocated. */
+int64_t repro_poisson_rows(
+    const uint32_t *pools, int64_t rows, double scale, double start,
+    double end, int64_t width, double *out, int64_t capacity,
+    int64_t *offsets, double **spill)
+{
+    double *buf = out;
+    int64_t cap = capacity, used = 0, r;
+    *spill = NULL;
+    if (rows < 0 || width < 1)
+        return -1;
+    offsets[0] = 0;
+    for (r = 0; r < rows; r++) {
+        repro_pcg64_t state;
+        repro_bitgen_t bg;
+        double t = start;
+        bg.state = &state;
+        bg.next_uint64 = pcg64_next64;
+        bg.next_uint32 = pcg64_next32;
+        bg.next_double = pcg64_next_double;
+        bg.next_raw = pcg64_next64;
+        pcg64_seed(pools + 4 * r, &state);
+        for (;;) {
+            t = t + random_exponential(&bg, scale);
+            if (!(t < end))
+                break;
+            if (used == cap) {
+                int64_t grown = cap + (cap > width ? cap : width);
+                double *bigger = (double *)malloc((size_t)grown * sizeof(double));
+                if (bigger == NULL) {
+                    if (buf != out)
+                        free(buf);
+                    return -2;
+                }
+                memcpy(bigger, buf, (size_t)used * sizeof(double));
+                if (buf != out)
+                    free(buf);
+                buf = bigger;
+                cap = grown;
+            }
+            buf[used++] = t;
+        }
+        offsets[r + 1] = used;
+    }
+    if (buf != out)
+        *spill = buf;
+    return used;
+}
+
+void repro_free(void *pointer)
+{
+    free(pointer);
+}
+#endif
+
 /* ------------------------------------------------------------------ */
 /* Streaming Welford fold (PacketSimReport.record_latency).            */
 /* ------------------------------------------------------------------ */
@@ -517,14 +671,42 @@ def _find_compiler() -> Optional[str]:
     return None
 
 
-def _compile(compiler: str, directory: str, target: str) -> None:
+def _npyrandom_archive() -> Optional[str]:
+    """numpy's static ``libnpyrandom.a`` (the C API behind
+    ``numpy/random/distributions.h``), or None when numpy ships none."""
+    path = os.path.join(
+        os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a"
+    )
+    return path if os.path.isfile(path) else None
+
+
+def _build_key(archive: Optional[str]) -> str:
+    """Cache digest: the C source, the numpy version and the linked
+    archive's path and size, so a numpy upgrade rebuilds the library."""
+    archive_id = (
+        f"{archive}:{os.path.getsize(archive)}" if archive else "no-npyrandom"
+    )
+    text = "\0".join((C_SOURCE, np.__version__, archive_id))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _compile(
+    compiler: str, directory: str, target: str, archive: Optional[str]
+) -> None:
     os.makedirs(directory, exist_ok=True)
     source_path = os.path.join(directory, "repro_kernels.c")
     with open(source_path, "w", encoding="utf-8") as handle:
         handle.write(C_SOURCE)
     scratch = target + f".tmp{os.getpid()}"
+    # The archive follows the source so the linker pulls the objects it
+    # needs; libm serves numpy's exp and log1p.
+    link: List[str] = (
+        ["-DREPRO_NPYRANDOM", source_path, archive, "-lm"]
+        if archive
+        else [source_path]
+    )
     subprocess.run(
-        [compiler, *CFLAGS, "-o", scratch, source_path],
+        [compiler, *CFLAGS, "-o", scratch, *link],
         check=True,
         capture_output=True,
         text=True,
@@ -558,6 +740,16 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     ]
     library.repro_welford.restype = None
     library.repro_welford.argtypes = [f64p, ctypes.c_int64, i64p, f64p, f64p, f64p]
+    if hasattr(library, "repro_poisson_rows"):
+        library.repro_poisson_rows.restype = ctypes.c_int64
+        library.repro_poisson_rows.argtypes = [
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_double,
+            ctypes.c_double, ctypes.c_double, ctypes.c_int64,
+            ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+            ctypes.POINTER(ctypes.c_void_p),
+        ]
+        library.repro_free.restype = None
+        library.repro_free.argtypes = [ctypes.c_void_p]
     return library
 
 
@@ -567,7 +759,8 @@ def build_error() -> Optional[str]:
 
 
 def load_library() -> Optional[ctypes.CDLL]:
-    """Compile (once, cached on a source hash) and load the kernel library.
+    """Compile (once, cached on :func:`_build_key`) and load the kernel
+    library.
 
     Returns ``None`` when no C compiler is available or the build fails;
     the reason is kept for :func:`build_error` so the tier-resolution
@@ -581,12 +774,12 @@ def load_library() -> Optional[ctypes.CDLL]:
     if compiler is None:
         _BUILD_ERROR = "no C compiler on PATH (tried $REPRO_CC, cc, gcc, clang)"
         return None
-    digest = hashlib.sha256(C_SOURCE.encode("utf-8")).hexdigest()[:16]
+    archive = _npyrandom_archive()
     directory = _cache_dir()
-    target = os.path.join(directory, f"repro_kernels_{digest}.so")
+    target = os.path.join(directory, f"repro_kernels_{_build_key(archive)}.so")
     try:
         if not os.path.exists(target):
-            _compile(compiler, directory, target)
+            _compile(compiler, directory, target, archive)
         _LIBRARY = _bind(ctypes.CDLL(target))
     except (OSError, subprocess.CalledProcessError) as exc:
         detail = ""

@@ -38,15 +38,23 @@ Requesting ``compiled`` when the C library cannot be built degrades to
 ``numpy`` with a one-time :class:`CompiledTierUnavailableWarning` naming
 the reason, so code never has to guard on the environment.
 
-Beside the kernel sets sits one sampler, :func:`choice_rows`: ``rows``
-consecutive ``Generator.choice(population, size=k, replace=False)``
-draws as one matrix, replayed in C over the generator's own bit
-generator. It has no tier. A tier picks between two kernel sets whose
-outputs are compared; the sampler has one output, numpy's bits, and the
-C replay is only a faster way to produce them. It runs whenever the
-library loads and a first-use self-check against ``Generator.choice``
-passes, and falls back to the per-row ``choice`` loop otherwise
-(:func:`choice_sampler` says which).
+Beside the kernel sets sit two samplers:
+
+:func:`choice_rows`
+    ``rows`` consecutive ``Generator.choice(population, size=k,
+    replace=False)`` draws as one matrix, replayed in C over the
+    generator's own bit generator;
+:func:`poisson_rows`
+    the arrival times of many Poisson sources, one child
+    ``SeedSequence`` each, drawn in one C call over numpy's own
+    exponential.
+
+Neither has a tier. A tier picks between two kernel sets whose outputs
+are compared; a sampler has one output, numpy's bits, and its C replay
+is only a faster way to produce them. Each runs whenever the library
+loads with it and a first-use self-check against numpy passes, and
+falls back to plain numpy calls otherwise (:func:`choice_sampler` and
+:func:`poisson_sampler` say which).
 """
 
 from __future__ import annotations
@@ -54,8 +62,9 @@ from __future__ import annotations
 import bisect
 import ctypes
 import dataclasses
+import math
 import warnings
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -67,6 +76,7 @@ __all__ = [
     "TIERS",
     "ChoiceReplayDisabledWarning",
     "CompiledTierUnavailableWarning",
+    "PoissonReplayDisabledWarning",
     "CongestionTable",
     "KernelSet",
     "NumpyKernels",
@@ -75,6 +85,8 @@ __all__ = [
     "choice_sampler",
     "compiled_backend",
     "get_kernels",
+    "poisson_rows",
+    "poisson_sampler",
     "resolve_tier",
 ]
 
@@ -752,3 +764,186 @@ def _reset_replay_for_tests() -> None:
     """Forget the self-check verdict (test hook)."""
     global _REPLAY_OK
     _REPLAY_OK = None
+
+
+# ----------------------------------------------------------------------
+# Poisson sampling: numpy's exponential gaps, one C call for all sources.
+# ----------------------------------------------------------------------
+
+
+class PoissonReplayDisabledWarning(RuntimeWarning):
+    """Raised (once) when the C Poisson sampler disagrees with numpy and
+    :func:`poisson_rows` falls back to per-source ``Generator`` draws."""
+
+
+#: The Poisson self-check: ``(root seed, sources, rate, duration,
+#: start)``. About 14 000 gaps, so numpy's ziggurat leaves its fast path
+#: (~1.1% of draws) over a hundred times and takes its idx-0 tail (a
+#: standard exponential above 7.69) eight times.
+_POISSON_PROBE = (
+    (20040324, 5, 60.0, 40.0, 0.0),
+    (7, 3, 0.75, 900.0, 13.25),
+    (11, 2, 500.0, 2.0, 1.5),
+)
+
+#: None until the Poisson self-check has run; then whether it passed.
+_POISSON_OK: Optional[bool] = None
+
+
+def _block_width(expected: float) -> int:
+    """Gaps per block for a source expecting ``expected`` arrivals: ten
+    standard deviations of slack, so one block almost always covers the
+    window."""
+    return max(4, int(expected + 10.0 * math.sqrt(expected) + 16.0))
+
+
+def _poisson_row(
+    stream: np.random.Generator, rate: float, duration: float,
+    start: float = 0.0,
+) -> np.ndarray:
+    """Arrival times in ``(start, duration)`` for one Poisson source.
+
+    Draws exponential gaps in blocks from the source's dedicated stream
+    and cumulative-sums them. A block draw consumes the stream
+    identically to one-gap-at-a-time draws, and
+    prepending ``start`` to the cumsum input adds left to right exactly
+    like the scheduler's sequential ``start + gap`` then ``now + gap``
+    additions (``0.0 + x == x`` bitwise, so the default changes
+    nothing), so the kept times are bit-identical to the event-driven
+    source's emission times. The unused tail of the final block is
+    harmless: nothing else reads the stream.
+    """
+    width = _block_width(rate * max(duration - start, 0.0))
+    gaps = stream.exponential(1.0 / rate, size=width)
+    times = np.cumsum(np.concatenate([[start], gaps]))[1:]
+    while times[-1] < duration:
+        gaps = np.concatenate(
+            [gaps, stream.exponential(1.0 / rate, size=width)]
+        )
+        times = np.cumsum(np.concatenate([[start], gaps]))[1:]
+    return times[times < duration]
+
+
+def _poisson_loop(
+    seeds: Sequence[Any], rate: float, duration: float, start: float,
+    bit_generator: Any,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One :func:`_poisson_row` per seed over ``Generator(bit_generator(
+    seed))``: the fallback and the self-check's reference."""
+    rows = [
+        _poisson_row(
+            np.random.Generator(bit_generator(seed)), rate, duration, start
+        )
+        for seed in seeds
+    ]
+    offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=offsets[1:])
+    times = np.concatenate(rows) if rows else np.empty(0, dtype=np.float64)
+    return times, offsets
+
+
+def _poisson_replay(
+    library: ctypes.CDLL, seeds: Sequence[Any], rate: float,
+    duration: float, start: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``repro_poisson_rows`` over the seeds' 4-word pools."""
+    pools = np.empty((len(seeds), 4), dtype=np.uint32)
+    for row, seed in zip(pools, seeds):
+        row[:] = seed.pool
+    width = _block_width(rate * max(duration - start, 0.0))
+    times = np.empty(max(len(seeds) * width, 1), dtype=np.float64)
+    offsets = np.empty(len(seeds) + 1, dtype=np.int64)
+    spill = ctypes.c_void_p()
+    used = library.repro_poisson_rows(
+        pools.ctypes.data, len(seeds), 1.0 / rate, start, duration, width,
+        times.ctypes.data, len(times), offsets.ctypes.data,
+        ctypes.byref(spill),
+    )
+    if used == -2:
+        raise MemoryError("poisson_rows: cannot grow the arrival buffer")
+    if used < 0:
+        raise SimulationError(
+            f"poisson_rows: invalid arguments (sources={len(seeds)}, "
+            f"block width={width})"
+        )
+    if spill.value:
+        # Some rows outgrew their first blocks: the C side moved the
+        # times to a heap buffer, which is copied out and released.
+        grown = ctypes.cast(spill, ctypes.POINTER(ctypes.c_double))
+        times = np.ctypeslib.as_array(grown, shape=(used,)).copy()
+        library.repro_free(spill)
+        return times, offsets
+    return times[:used], offsets
+
+
+def _poisson_matches(library: ctypes.CDLL) -> bool:
+    """Whether the C sampler reproduces :func:`_poisson_loop` on
+    :data:`_POISSON_PROBE`."""
+    for root, sources, rate, duration, start in _POISSON_PROBE:
+        seeds = np.random.SeedSequence(root).spawn(sources)
+        got = _poisson_replay(library, seeds, rate, duration, start)
+        want = _poisson_loop(seeds, rate, duration, start, np.random.PCG64)
+        if not all(np.array_equal(a, b) for a, b in zip(got, want)):
+            return False
+    return True
+
+
+def _poisson_library() -> Optional[ctypes.CDLL]:
+    """The C library when the Poisson sampler may run, else None (no
+    library, a library built without numpy's archive, or a failed
+    self-check, which warns once per process)."""
+    global _POISSON_OK
+    library = _cc.load_library()
+    if library is None or not hasattr(library, "repro_poisson_rows"):
+        return None
+    if _POISSON_OK is None:
+        _POISSON_OK = _poisson_matches(library)
+        if not _POISSON_OK:
+            warnings.warn(
+                f"numpy {np.__version__}'s PCG64 seeding or exponential no "
+                "longer matches the C Poisson sampler; poisson_rows falls "
+                "back to per-source Generator draws (same times, slower)",
+                PoissonReplayDisabledWarning,
+                stacklevel=3,
+            )
+    return library if _POISSON_OK else None
+
+
+def poisson_sampler() -> str:
+    """``"cc"`` when :func:`poisson_rows` can run in C, else ``"numpy"``.
+    Calling it loads the library and runs the self-check, so a process
+    about to fork workers can pay both once."""
+    return "cc" if _poisson_library() is not None else "numpy"
+
+
+def poisson_rows(
+    seeds: Sequence[Any],
+    rate: float,
+    duration: float,
+    start: float = 0.0,
+    bit_generator: Any = np.random.PCG64,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Arrival times in ``(start, duration)`` of one Poisson source per
+    child seed, as ``(times, offsets)``: a flat float64 array and int64
+    row offsets, row ``i`` being ``times[offsets[i]:offsets[i + 1]]``.
+
+    Row ``i`` is bit for bit ``_poisson_row(Generator(bit_generator(
+    seeds[i])), rate, duration, start)``: the gaps of ``Generator.
+    exponential(1 / rate)`` added left to right from ``start``. The C
+    path (:mod:`repro.perf._cc`) runs when ``bit_generator`` is exactly
+    ``PCG64``, every seed is exactly a ``SeedSequence`` with
+    ``pool_size == 4``, the library was built with numpy's
+    ``libnpyrandom.a``, and the first-use self-check passed; anything
+    else takes that per-source numpy loop, with the same rows.
+    """
+    if (
+        bit_generator is np.random.PCG64
+        and all(
+            type(seed) is np.random.SeedSequence and seed.pool_size == 4
+            for seed in seeds
+        )
+    ):
+        library = _poisson_library()
+        if library is not None:
+            return _poisson_replay(library, seeds, rate, duration, start)
+    return _poisson_loop(seeds, rate, duration, start, bit_generator)

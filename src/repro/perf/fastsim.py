@@ -7,8 +7,13 @@ hundreds of thousands of packets — heap churn would dominate such a run.
 This module replays the same physics in hop-synchronous numpy batches:
 
 1. **Pre-sampling** — every Poisson arrival time (client injections and
-   per-node attack floods) is drawn up front with vectorized
-   exponentials instead of one ``rng.exponential`` per event.
+   per-node attack floods) is drawn up front, all sources in one call
+   (:func:`repro.perf.compiled.poisson_rows`): from each source's child
+   seed, a C loop over numpy's own exponential adds the gaps left to
+   right, exactly as one ``exponential`` draw per event would. Sources
+   stay seeds until then, and the times stay one flat array with row
+   offsets; a plain numpy loop gives the same rows where the C path
+   cannot run.
 2. **Integer encoding** — the deployment is flattened into contiguous
    arrays: ``node_id -> slot`` indices, one neighbor matrix per layer,
    and flat float arrays for token-bucket state.
@@ -67,7 +72,13 @@ import numpy as np
 from repro.core.architecture import SOSArchitecture
 from repro.errors import SimulationError
 from repro.overlay.arrays import attach_columns, share_columns
-from repro.perf.compiled import get_kernels, resolve_tier
+from repro.perf.compiled import (
+    choice_sampler,
+    get_kernels,
+    poisson_rows,
+    poisson_sampler,
+    resolve_tier,
+)
 from repro.simulation.packet_sim import (
     PacketLevelSimulation,
     PacketSimConfig,
@@ -79,7 +90,7 @@ from repro.sos.deployment import (
     choose_fraction,
     sample_contact_matrix,
 )
-from repro.utils.seeding import make_rng
+from repro.utils.seeding import child_generator, make_rng, spawn_seeds
 
 __all__ = [
     "DeploymentArrays",
@@ -301,53 +312,6 @@ def encode_deployment(deployment: SOSDeployment) -> DeploymentArrays:
     )
 
 
-# ----------------------------------------------------------------------
-# Poisson pre-sampling
-# ----------------------------------------------------------------------
-
-
-def _poisson_row(
-    stream: np.random.Generator, rate: float, duration: float,
-    start: float = 0.0,
-) -> np.ndarray:
-    """Arrival times in ``(start, duration)`` for one Poisson source.
-
-    Draws exponential gaps in blocks from the source's dedicated stream
-    and cumulative-sums them. A block draw consumes the stream
-    identically to one-gap-at-a-time draws, and
-    prepending ``start`` to the cumsum input adds left to right exactly
-    like the scheduler's sequential ``start + gap`` then ``now + gap``
-    additions (``0.0 + x == x`` bitwise, so the default changes
-    nothing), so the kept times are bit-identical to the event-driven
-    source's emission times. The unused tail of the final block is
-    harmless: nothing else reads the stream.
-    """
-    expected = rate * max(duration - start, 0.0)
-    width = max(4, int(expected + 10.0 * math.sqrt(expected) + 16.0))
-    gaps = stream.exponential(1.0 / rate, size=width)
-    times = np.cumsum(np.concatenate([[start], gaps]))[1:]
-    while times[-1] < duration:
-        gaps = np.concatenate(
-            [gaps, stream.exponential(1.0 / rate, size=width)]
-        )
-        times = np.cumsum(np.concatenate([[start], gaps]))[1:]
-    return times[times < duration]
-
-
-def _flood_events(
-    flood_slots: Sequence[int],
-    flood_times: Sequence[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Flatten per-target flood rows into parallel (slots, times) arrays."""
-    if not flood_slots:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
-    slots = np.repeat(
-        np.asarray(flood_slots, dtype=np.int64),
-        [len(times) for times in flood_times],
-    )
-    return slots, np.concatenate(flood_times)
-
-
 _DEGREE_MISMATCH = (
     "surge sources and baseline clients must share one contact degree; "
     "was the schedule compiled against a different architecture?"
@@ -443,7 +407,7 @@ def run_fast(
     rng: Any = None,
     flood_targets: Optional[Sequence[int]] = None,
     client_contacts: Optional[np.ndarray] = None,
-    streams: Optional[Tuple[Sequence[np.random.Generator], np.random.Generator, np.random.Generator]] = None,
+    streams: Optional[Tuple[Sequence[np.random.SeedSequence], np.random.Generator, np.random.SeedSequence]] = None,
     monitor: Optional[Any] = None,
     marking: Optional[Any] = None,
     mark_master: Optional[np.random.Generator] = None,
@@ -467,9 +431,14 @@ def run_fast(
     position outside layer 1 raises :class:`SimulationError`. When
     absent it is drawn here from ``rng``.
 
-    ``streams`` is the ``(arrival_streams, routing_rng, flood_master)``
-    triple :class:`PacketLevelSimulation` spawns; when absent it is
-    spawned here from ``rng`` with the identical construction, so a
+    ``streams`` is the ``(arrival_seeds, routing_rng, flood_master)``
+    triple :class:`PacketLevelSimulation` spawns: one child
+    ``SeedSequence`` per client, the routing ``Generator``, and the
+    ``SeedSequence`` that spawns one child per flood target. The seeds
+    are the children ``rng.spawn(clients + 2)`` would wrap, and each
+    Poisson source draws from ``Generator(type(bit_generator)(seed))``
+    with the routing stream's bit-generator type. When absent the triple
+    is spawned here from ``rng`` with the identical construction, so a
     standalone ``run_fast(dep, cfg, rng=seed)`` matches
     ``PacketLevelSimulation(dep, cfg, rng=seed).run()``.
 
@@ -576,37 +545,37 @@ def run_fast(
             generator, config.clients
         )
     if streams is None:
-        spawned = generator.spawn(config.clients + 2)
+        spawned = spawn_seeds(generator, config.clients + 2)
         streams = (
             spawned[: config.clients],
-            spawned[config.clients],
+            child_generator(generator, spawned[config.clients]),
             spawned[config.clients + 1],
         )
         # Standalone marking runs spawn the mark master *after* the main
         # streams, mirroring PacketLevelSimulation.__init__ exactly.
         if marking is not None and mark_master is None:
             mark_master = generator.spawn(1)[0]
-    arrival_streams, routing_rng, flood_master = streams
+    arrival_seeds, routing_rng, flood_master = streams
     contact_matrix = _contact_slots(
         arrays, client_contacts, surge_slots, config.clients
     )
 
     # --- pre-sample every Poisson source -----------------------------
-    injection_rows = [
-        _poisson_row(stream, config.client_rate, config.duration)
-        for stream in arrival_streams
-    ]
-    flood_streams = flood_master.spawn(len(targets)) if targets else []
-    flood_rows = [
-        _poisson_row(
-            stream,
-            config.flood_rate,
-            config.duration,
-            start=config.flood_start,
-        )
-        for stream in flood_streams
-    ]
-    report.attack_packets_absorbed = int(sum(len(row) for row in flood_rows))
+    # Each sampler call returns one flat times array and row offsets.
+    bit_generator = type(routing_rng.bit_generator)
+    inject_t, inject_offsets = poisson_rows(
+        arrival_seeds, config.client_rate, config.duration,
+        bit_generator=bit_generator,
+    )
+    flood_t, flood_offsets = poisson_rows(
+        flood_master.spawn(len(targets)) if targets else [],
+        config.flood_rate,
+        config.duration,
+        start=config.flood_start,
+        bit_generator=bit_generator,
+    )
+    flood_counts = np.diff(flood_offsets)
+    report.attack_packets_absorbed = int(flood_offsets[-1])
     if marking is not None and targets:
         if mark_master is None:
             raise SimulationError(
@@ -617,32 +586,31 @@ def run_fast(
         # block draw consumes a stream exactly like n sequential
         # ``random(2)`` calls (row-major), one per flood packet.
         mark_streams = mark_master.spawn(len(targets))
-        for target, mark_stream, row in zip(targets, mark_streams, flood_rows):
-            if len(row):
-                marking.observe_batch(
-                    target, mark_stream.random((len(row), 2))
-                )
-    flood_by_slot = {
-        slot: times for slot, times in zip(target_slots, flood_rows)
-    }
-    # Merge scheduled attack rows into the same per-slot structure the
-    # classic flood uses; downstream (bucket scans, timelines, monitor
-    # batches) cannot tell the two apart, which is the point.
-    for node, times in sched_attack.items():
-        slot = arrays.slot_of[node]
-        if slot in flood_by_slot:
-            flood_by_slot[slot] = np.sort(
-                np.concatenate([flood_by_slot[slot], times])
-            )
-        else:
-            flood_by_slot[slot] = times
-    attack_slots = sorted(flood_by_slot)
-    attack_rows = [flood_by_slot[slot] for slot in attack_slots]
-    report.attack_packets_absorbed += int(
-        sum(len(times) for times in sched_attack.values())
-    )
-    fslots, ftimes = _flood_events(attack_slots, attack_rows)
-    # Each layer's share of the flood events, in attack-slot order.
+        for target, mark_stream, count in zip(
+            targets, mark_streams, flood_counts.tolist()
+        ):
+            if count:
+                marking.observe_batch(target, mark_stream.random((count, 2)))
+    # Attack offers as flat (slot, time) events: the classic rows in
+    # sorted-target order, then the scheduled rows. Downstream (bucket
+    # scans, timelines, monitor batches) groups offers by slot and
+    # orders each slot's offers by time, so neither the row order nor
+    # where a slot's offers came from can change a result.
+    fslots = np.repeat(np.asarray(target_slots, dtype=np.int64), flood_counts)
+    ftimes = flood_t
+    if sched_attack:
+        sched_rows = list(sched_attack.values())
+        sched_slots = arrays.slot_of.lookup(
+            np.fromiter(sched_attack, dtype=np.int64, count=len(sched_attack))
+        )
+        fslots = np.concatenate(
+            [fslots, np.repeat(sched_slots, [len(row) for row in sched_rows])]
+        )
+        ftimes = np.concatenate([ftimes, *sched_rows])
+        report.attack_packets_absorbed += int(
+            sum(len(row) for row in sched_rows)
+        )
+    # Each layer's share of the flood events, in event order.
     flood_layer_of = arrays.layer_of[fslots]
     layer_floods = {
         layer: (fslots[in_layer], ftimes[in_layer])
@@ -650,18 +618,20 @@ def run_fast(
         for in_layer in [flood_layer_of == layer]
     }
 
+    row_counts = np.diff(inject_offsets)
     # Surge sources ride the client injection pipeline: rows appended
     # after the baseline clients, matching their contact-matrix rows.
-    for source in surge_sources:
-        row = np.asarray(source.times, dtype=np.float64)
-        injection_rows.append(row[row < config.duration])
-
+    if surge_sources:
+        surge_rows: List[np.ndarray] = []
+        for source in surge_sources:
+            row = np.asarray(source.times, dtype=np.float64)
+            surge_rows.append(row[row < config.duration])
+        inject_t = np.concatenate([inject_t, *surge_rows])
+        row_counts = np.concatenate(
+            [row_counts, [len(row) for row in surge_rows]]
+        )
     client_index = np.repeat(
-        np.arange(len(injection_rows), dtype=np.int64),
-        [len(row) for row in injection_rows],
-    )
-    inject_t = (
-        np.concatenate(injection_rows) if injection_rows else np.zeros(0)
+        np.arange(len(row_counts), dtype=np.int64), row_counts
     )
     warm = inject_t >= config.warmup
     inject_t = inject_t[warm]
@@ -1071,6 +1041,11 @@ def run_packet_replicas(
         import os
 
         resolved = os.cpu_count() or 1
+    if resolved > 1:
+        # Load the C library and run both samplers' self-checks here, so
+        # forked workers inherit them instead of each paying for them.
+        choice_sampler()
+        poisson_sampler()
     if deployment is not None:
         arrays = encode_deployment(deployment)
         if resolved <= 1:

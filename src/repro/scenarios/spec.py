@@ -22,7 +22,7 @@ from repro.contracts import Field, check_schema
 from repro.core.architecture import SOSArchitecture
 from repro.errors import ScenarioError
 from repro.perf.compiled import TIERS
-from repro.simulation.packet_sim import PacketSimConfig
+from repro.simulation.packet_sim import MAX_SOURCE_ARRIVALS, PacketSimConfig
 from repro.scenarios.vectors import AttackVector, vector_from_dict
 
 __all__ = [
@@ -177,6 +177,19 @@ class PhaseSpec:
                 f"phase {self.name!r}: duration must be > 0, got "
                 f"{self.duration}"
             )
+        # Compilation samples each Poisson source's arrivals in the phase
+        # as one float64 array: cap it as PacketSimConfig caps a client.
+        for vector in self.vectors:
+            expected = vector.source_rate() * self.duration
+            if not expected <= MAX_SOURCE_ARRIVALS:
+                raise ScenarioError(
+                    f"phase {self.name!r}: vector {vector.kind!r} expects "
+                    f"{expected:.3g} arrivals per source ("
+                    f"{vector.RATE_FIELD}="
+                    f"{getattr(vector, vector.RATE_FIELD)!r} x intensity="
+                    f"{vector.intensity!r} x duration={self.duration!r}), "
+                    f"above {MAX_SOURCE_ARRIVALS}"
+                )
 
     @property
     def end(self) -> float:

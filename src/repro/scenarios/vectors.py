@@ -148,7 +148,14 @@ class AttackVector:
 
     kind: ClassVar[str] = ""
     SCHEMA: ClassVar[Dict[str, Field]] = {}
+    #: The field holding one Poisson source's offer rate before
+    #: ``intensity`` scales it (a target, a bot, or a surge client).
+    RATE_FIELD: ClassVar[str] = "rate"
     intensity: float
+
+    def source_rate(self) -> float:
+        """One Poisson source's offer rate: ``RATE_FIELD x intensity``."""
+        return float(getattr(self, self.RATE_FIELD)) * float(self.intensity)
 
     def to_dict(self) -> Dict[str, Any]:
         """Full-fidelity dict (every field, defaults included)."""
@@ -251,6 +258,7 @@ class BotnetWave(AttackVector):
     """
 
     kind: ClassVar[str] = "botnet-wave"
+    RATE_FIELD: ClassVar[str] = "rate_per_bot"
     layer: int = 1
     fraction: float = 0.5
     bots: int = 40

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 from repro.errors import SimulationError
 from repro.perf.compiled import TIERS
 from repro.sos.deployment import SOSDeployment, choose_fraction
-from repro.utils.seeding import SeedLike, make_rng
+from repro.utils.seeding import SeedLike, child_generator, make_rng, spawn_seeds
 
 if TYPE_CHECKING:  # imported lazily to keep repro.detection optional here
     from repro.detection.marking import MarkCollector
@@ -214,11 +214,13 @@ class PacketLevelSimulation:
         # stream per client, one routing stream, and a master that spawns
         # one stream per flood target at run time. Each source consumes
         # only its own stream, so its arrival instants do not depend on
-        # how the engine orders its work.
-        streams = self.rng.spawn(config.clients + 2)
-        self._arrival_streams = streams[: config.clients]
-        self._routing_rng = streams[config.clients]
-        self._flood_master = streams[config.clients + 1]
+        # how the engine orders its work. The children are the seeds
+        # ``self.rng.spawn`` would wrap; only the routing stream becomes
+        # a generator, since the Poisson sampler reads seeds directly.
+        seeds = spawn_seeds(self.rng, config.clients + 2)
+        self._arrival_seeds = seeds[: config.clients]
+        self._routing_rng = child_generator(self.rng, seeds[config.clients])
+        self._flood_master = seeds[config.clients + 1]
         # Spawned only when marking is enabled, strictly *after* the
         # streams above: numpy's spawn-key fan-out means later children
         # never perturb earlier ones, so disabling detection leaves every
@@ -266,7 +268,7 @@ class PacketLevelSimulation:
             flood_targets,
             client_contacts=self._contacts,
             streams=(
-                self._arrival_streams,
+                self._arrival_seeds,
                 self._routing_rng,
                 self._flood_master,
             ),

@@ -10,7 +10,7 @@ guarantees statistical independence between streams.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Union
+from typing import Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -28,6 +28,32 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def spawn_seeds(
+    generator: np.random.Generator, count: int
+) -> List[np.random.SeedSequence]:
+    """The ``count`` child seeds ``generator.spawn(count)`` would wrap.
+
+    Spawns from the generator's own seed sequence (public numpy API), so
+    its spawn counter advances exactly as ``Generator.spawn`` advances
+    it, but no child bit generator is built: a caller that only needs
+    the seeds (the Poisson sampler hashes their pools in C) skips that
+    cost. Raises ``TypeError`` like ``Generator.spawn`` when the seed
+    sequence cannot spawn.
+    """
+    seed_seq = generator.bit_generator.seed_seq
+    if not isinstance(seed_seq, np.random.bit_generator.ISpawnableSeedSequence):
+        raise TypeError("The underlying SeedSequence does not implement spawning.")
+    return seed_seq.spawn(count)
+
+
+def child_generator(
+    parent: np.random.Generator, seed: np.random.SeedSequence
+) -> np.random.Generator:
+    """The generator ``parent.spawn`` would have built around ``seed``:
+    a new bit generator of the parent's type."""
+    return np.random.Generator(type(parent.bit_generator)(seed))
 
 
 class SeedSequenceFactory:

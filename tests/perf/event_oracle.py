@@ -13,7 +13,11 @@ It subclasses :class:`~repro.simulation.packet_sim.PacketLevelSimulation`
 and consumes the same per-source RNG sub-streams: one arrival stream per
 client, one per flood target (spawned in sorted-target order), one
 routing stream drawn as a ``(layers + 1)``-vector per packet at its
-injection instant, and one mark stream per flood target.
+injection instant, and one mark stream per flood target. The library
+hands arrival and flood sources over as child seeds; this engine builds
+its own ``Generator`` from each and draws one gap at a time, so it
+checks the library's one-call Poisson sampler
+(:func:`repro.perf.compiled.poisson_rows`) independently.
 
 :func:`event_engine` swaps it in under the detect/repair loop, so
 scenario campaigns and the scenario runner can be replayed on it
@@ -31,6 +35,7 @@ import numpy as np
 from repro.errors import SimulationError
 from repro.simulation.engine import EventScheduler
 from repro.simulation.packet_sim import PacketLevelSimulation, PacketSimReport
+from repro.utils.seeding import child_generator
 
 __all__ = ["EventPacketSimulation", "NodeCapacity", "event_engine", "uniform_index"]
 
@@ -163,7 +168,7 @@ class EventPacketSimulation(PacketLevelSimulation):
         return accepted
 
     def _start_client(self, client_index: int) -> None:
-        stream = self._arrival_streams[client_index]
+        stream = child_generator(self.rng, self._arrival_seeds[client_index])
 
         def emit():
             if self.scheduler.now >= self.config.duration:
@@ -341,7 +346,10 @@ class EventPacketSimulation(PacketLevelSimulation):
         targets = sorted(flood_targets or ())
         # One stream per flood target, spawned in sorted-target order;
         # mark streams follow the same pattern from their own master.
-        flood_streams = self._flood_master.spawn(len(targets)) if targets else []
+        flood_streams = [
+            child_generator(self.rng, seed)
+            for seed in self._flood_master.spawn(len(targets))
+        ]
         if self.marking is not None and self._mark_master is not None and targets:
             mark_streams: List = list(self._mark_master.spawn(len(targets)))
         else:

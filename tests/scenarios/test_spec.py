@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -209,3 +210,37 @@ def test_unrepresentable_hop_latency_rejected():
     payload["sim"]["hop_latency"] = 1e-20
     with pytest.raises(ScenarioError, match="clock resolution"):
         ScenarioSpec.from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("rate", 1e300), ("intensity", 1e9), ("rate", 1e12)],
+)
+def test_unbounded_source_arrivals_rejected(field, value):
+    # Each probe once surfaced at compile time as a bare ValueError
+    # ("Maximum allowed dimension exceeded") or a MemoryError for a
+    # multi-TiB arrival array; validation now refuses the spec first.
+    from repro.scenarios.zoo import load_scenario
+
+    payload = load_scenario("pulsing-shrew").to_dict()
+    vector = payload["phases"][1]["vectors"][0]
+    assert vector["kind"] == "pulsing-flood"
+    vector[field] = value
+    with pytest.raises(ScenarioError, match=re.escape(f"{field}={value!r}")):
+        ScenarioSpec.from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "vector, field",
+    [
+        (PulsingFlood(rate=2e6), "rate"),
+        (BotnetWave(rate_per_bot=2e6), "rate_per_bot"),
+        (TargetedLowRate(intensity=2e4), "intensity"),
+        (BenignSurge(rate=3e6), "rate"),
+    ],
+)
+def test_every_poisson_vector_caps_arrivals_per_source(vector, field):
+    with pytest.raises(ScenarioError, match=f"{field}="):
+        PhaseSpec(name="p", start=0.0, duration=10.0, vectors=(vector,))
+    # The same vector fits a window short enough to stay under the cap.
+    PhaseSpec(name="p", start=0.0, duration=1.0, vectors=(vector,))

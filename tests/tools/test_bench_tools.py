@@ -316,16 +316,20 @@ class TestMemoizationContract:
 
 
 class TestLadderSampler:
-    """``bench_ladder`` records the choice sampler and, under
-    ``--require-compiled``, fails when the C replay is disengaged."""
+    """``bench_ladder`` records both samplers and, under
+    ``--require-compiled``, fails when either C replay is disengaged."""
 
     def test_report_records_the_sampler(self, monkeypatch):
         import bench_ladder
 
         monkeypatch.setattr(bench_ladder, "build_benchmarks", lambda quick: [])
         report = bench_ladder.run_ladder(rounds=1, quick=True)
-        assert report["sampler"] == bench_ladder.choice_sampler()
-        assert report["sampler"] in ("cc", "numpy")
+        assert report["sampler"] == {
+            "choice": bench_ladder.choice_sampler(),
+            "poisson": bench_ladder.poisson_sampler(),
+        }
+        assert set(report["sampler"].values()) <= {"cc", "numpy"}
+        assert "poisson sampler: " in bench_ladder.format_table(report)
 
     def test_disengaged_replay_fails_require_compiled(self, monkeypatch, capsys):
         import bench_ladder
@@ -334,3 +338,14 @@ class TestLadderSampler:
         monkeypatch.setattr(bench_ladder, "choice_sampler", lambda: "numpy")
         assert bench_ladder.main(["--require-compiled", "--quick"]) == 1
         assert "Generator.choice" in capsys.readouterr().err
+
+    def test_disengaged_poisson_replay_fails_require_compiled(
+        self, monkeypatch, capsys
+    ):
+        import bench_ladder
+
+        monkeypatch.setattr(bench_ladder, "compiled_backend", lambda: "cc")
+        monkeypatch.setattr(bench_ladder, "choice_sampler", lambda: "cc")
+        monkeypatch.setattr(bench_ladder, "poisson_sampler", lambda: "numpy")
+        assert bench_ladder.main(["--require-compiled", "--quick"]) == 1
+        assert "poisson_rows" in capsys.readouterr().err

@@ -15,10 +15,13 @@ Usage::
     python tools/bench_ladder.py --quick         # 1 round per cell (CI smoke)
     python tools/bench_ladder.py --require-compiled  # fail if degraded
 
-``--require-compiled`` also fails when the C kernels load but
-``choice_rows``'s self-check disengaged its C replay of numpy's
-``choice`` (a numpy release changed the algorithm); the report's
-``sampler`` field records which sampler ran (``cc`` or ``numpy``).
+``--require-compiled`` also fails when the C kernels load but a
+sampler's self-check disengaged its C replay: ``choice_rows``'s replay
+of numpy's ``choice``, or ``poisson_rows``'s PCG64 seeding and
+exponential draws (a numpy release changed the algorithm), or the
+library was built without numpy's ``libnpyrandom.a``. The report's
+``sampler`` field records which path each sampler ran, as
+``{"choice": "cc" | "numpy", "poisson": "cc" | "numpy"}``.
 
 ``tools/bench_snapshot.py --ladder .bench_ladder.json`` merges the
 report into the next ``BENCH_<n>.json`` as its ``tiers`` block, and
@@ -50,6 +53,7 @@ from repro.perf.compiled import (
     available_tiers,
     choice_sampler,
     compiled_backend,
+    poisson_sampler,
 )
 from repro.perf.fastsim import encode_deployment, run_fast
 from repro.simulation.packet_sim import PacketSimConfig, flood_layer
@@ -221,7 +225,7 @@ def run_ladder(rounds: int, quick: bool) -> Dict[str, Any]:
         "version": LADDER_VERSION,
         "available": list(tiers_here),
         "backend": compiled_backend(),
-        "sampler": choice_sampler(),
+        "sampler": {"choice": choice_sampler(), "poisson": poisson_sampler()},
         "rounds": rounds,
         "benchmarks": {},
     }
@@ -263,7 +267,8 @@ def format_table(report: Dict[str, Any]) -> str:
     lines = [
         "tier backend: "
         + (report["backend"] or "none (compiled tier unavailable)")
-        + f"; choice sampler: {report['sampler']}",
+        + f"; choice sampler: {report['sampler']['choice']}"
+        + f"; poisson sampler: {report['sampler']['poisson']}",
         f"{'benchmark'.ljust(width)}  "
         + "".join(f"{tier:>12}" for tier in TIERS)
         + f"{'compiled/numpy':>16}",
@@ -307,7 +312,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--require-compiled",
         action="store_true",
         help="exit non-zero when no compiled backend is available or "
-        "the choice sampler's C replay is disengaged",
+        "either sampler's C replay is disengaged",
     )
     args = parser.parse_args(argv)
 
@@ -323,6 +328,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             "bench-ladder: the C kernels load but choice_rows's self-check "
             "disengaged the C replay of Generator.choice (numpy "
             f"{np.__version__}); --require-compiled was set",
+            file=sys.stderr,
+        )
+        return 1
+    if args.require_compiled and poisson_sampler() != "cc":
+        print(
+            "bench-ladder: the C kernels load but poisson_rows runs its "
+            "numpy loop (library built without numpy's libnpyrandom.a, or "
+            "the self-check found numpy "
+            f"{np.__version__}'s PCG64 seeding or exponential changed); "
+            "--require-compiled was set",
             file=sys.stderr,
         )
         return 1
