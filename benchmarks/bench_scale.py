@@ -135,8 +135,8 @@ def test_chord_10k_batch_100k_ring(benchmark):
     ring = deployment.chord
     rng = np.random.default_rng(SEED)
     live = np.asarray(ring.live_node_ids, dtype=np.int64)
-    keys = [int(k) for k in rng.integers(0, ring.space.size, size=LOOKUPS)]
-    starts = [int(s) for s in live[rng.integers(0, len(live), size=LOOKUPS)]]
+    keys = rng.integers(0, ring.space.size, size=LOOKUPS)
+    starts = live[rng.integers(0, len(live), size=LOOKUPS)]
     batch = benchmark.pedantic(
         ring.lookup_batch, args=(keys, starts), rounds=1, iterations=1
     )

@@ -16,9 +16,16 @@ from repro.errors import ConfigurationError
 #: tens of thousands of nodes while keeping identifiers readable.
 DEFAULT_ID_BITS = 32
 
+#: Widest identifier space. Node ids, keys and finger starts
+#: ``id + 2**(bits - 1)`` are int64 end to end, so they must fit in it.
+MAX_ID_BITS = 62
+
 
 class IdentifierSpace:
     """An ``m``-bit circular identifier space with SHA-1 based hashing.
+
+    ``bits`` lies in ``[1, MAX_ID_BITS]``: every identifier, and every
+    sum and difference of two, fits in int64.
 
     Examples
     --------
@@ -32,8 +39,10 @@ class IdentifierSpace:
     def __init__(self, bits: int = DEFAULT_ID_BITS) -> None:
         if not isinstance(bits, int) or isinstance(bits, bool):
             raise ConfigurationError(f"bits must be an integer, got {bits!r}")
-        if not 1 <= bits <= 160:
-            raise ConfigurationError(f"bits must be in [1, 160], got {bits}")
+        if not 1 <= bits <= MAX_ID_BITS:
+            raise ConfigurationError(
+                f"bits must be in [1, {MAX_ID_BITS}], got {bits}"
+            )
         self.bits = bits
         self.size = 1 << bits
 

@@ -117,36 +117,26 @@ class SlotIndex:
     million dict inserts. Supports ``in`` and ``[]`` like the dict it
     replaced.
 
-    Duplicate identifiers are rejected at construction (a two-slot id
-    would make every downstream slot array ambiguous). Identifiers too
-    wide for int64 (e.g. raw 2^160 hash-space names) degrade to a plain
-    dict index — correct, just without the vectorized fast path.
+    Node identifiers are int64 end to end (an overlay's identifier space
+    is at most 62 bits wide): ids of any other type, object arrays or
+    uint64 values above the int64 maximum, are refused, and so are
+    duplicate ids (a two-slot id would make every downstream slot array
+    ambiguous). Both raise :class:`SimulationError`.
     """
 
-    __slots__ = ("_sorted_ids", "_sorted_slots", "_fallback")
+    __slots__ = ("_sorted_ids", "_sorted_slots")
 
     def __init__(self, node_ids: np.ndarray) -> None:
         ids = np.asarray(node_ids)
-        wide = ids.dtype == object or (
+        if ids.dtype.kind not in "iu" or (
             ids.dtype == np.uint64
             and ids.size > 0
             and int(ids.max()) > np.iinfo(np.int64).max
-        )
-        if wide:
-            mapping: Dict[int, int] = {}
-            for slot, value in enumerate(ids.reshape(-1).tolist()):
-                value = int(value)
-                if value in mapping:
-                    raise SimulationError(
-                        f"duplicate node id {value} in deployment arrays"
-                    )
-                mapping[value] = slot
-            self._fallback: Optional[Dict[int, int]] = mapping
-            self._sorted_ids = np.empty(0, dtype=np.int64)
-            self._sorted_slots = np.empty(0, dtype=np.int64)
-            return
-        self._fallback = None
-        ids64 = np.asarray(ids, dtype=np.int64)
+        ):
+            raise SimulationError(
+                f"node ids must fit in int64, got dtype {ids.dtype}"
+            )
+        ids64 = ids.astype(np.int64, copy=False)
         order = np.argsort(ids64, kind="stable")
         self._sorted_ids = np.ascontiguousarray(ids64[order])
         self._sorted_slots = np.ascontiguousarray(order.astype(np.int64))
@@ -159,13 +149,9 @@ class SlotIndex:
                 )
 
     def __len__(self) -> int:
-        if self._fallback is not None:
-            return len(self._fallback)
         return len(self._sorted_ids)
 
     def __contains__(self, node_id: object) -> bool:
-        if self._fallback is not None:
-            return node_id in self._fallback
         index = int(np.searchsorted(self._sorted_ids, node_id))
         return (
             index < len(self._sorted_ids)
@@ -173,8 +159,6 @@ class SlotIndex:
         )
 
     def __getitem__(self, node_id: int) -> int:
-        if self._fallback is not None:
-            return self._fallback[node_id]
         index = int(np.searchsorted(self._sorted_ids, node_id))
         if (
             index < len(self._sorted_ids)
@@ -185,15 +169,6 @@ class SlotIndex:
 
     def lookup(self, node_ids: np.ndarray) -> np.ndarray:
         """Vectorized ``[]``: slots of ``node_ids`` (any shape)."""
-        if self._fallback is not None:
-            wanted = np.asarray(node_ids)
-            out = np.empty(wanted.size, dtype=np.int64)
-            for position, value in enumerate(wanted.reshape(-1).tolist()):
-                value = int(value)
-                if value not in self._fallback:
-                    raise KeyError(value)
-                out[position] = self._fallback[value]
-            return out.reshape(wanted.shape)
         wanted = np.asarray(node_ids, dtype=np.int64)
         if len(self._sorted_ids) == 0:
             if wanted.size:

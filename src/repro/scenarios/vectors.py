@@ -31,6 +31,7 @@ import numpy.typing as npt
 
 from repro.contracts import Field, check_schema
 from repro.errors import ScenarioError
+from repro.simulation.packet_sim import MAX_CLIENTS
 from repro.sos.deployment import SOSDeployment, choose_fraction, choose_members
 
 __all__ = [
@@ -115,6 +116,26 @@ def _layer_field() -> Field:
 
 def _rate_field() -> Field:
     return Field((int, float), required=False, check=_positive, describe="> 0")
+
+
+def _count_field() -> Field:
+    # Compilation loops once per bot or surge client in Python, so the
+    # packet engine's client cap bounds it too.
+    return Field(
+        (int,),
+        required=False,
+        check=lambda v: 1 <= v <= MAX_CLIENTS,
+        describe=f"in [1, {MAX_CLIENTS}]",
+    )
+
+
+def _check_count(vector: "AttackVector", name: str) -> None:
+    value = getattr(vector, name)
+    if not 1 <= value <= MAX_CLIENTS:
+        raise ScenarioError(
+            f"{vector.kind}: {name} must be in [1, {MAX_CLIENTS}], got "
+            f"{value!r}"
+        )
 
 
 def _check_positive(vector: "AttackVector", *names: str) -> None:
@@ -272,9 +293,7 @@ class BotnetWave(AttackVector):
         "fraction": Field(
             (int, float), required=False, check=_fraction, describe="in (0, 1]"
         ),
-        "bots": Field(
-            (int,), required=False, check=lambda v: v >= 1, describe=">= 1"
-        ),
+        "bots": _count_field(),
         "rate_per_bot": _rate_field(),
         "recruit_rate": _rate_field(),
         "mean_lifetime": _rate_field(),
@@ -287,8 +306,7 @@ class BotnetWave(AttackVector):
         )
         if self.layer < 1:
             raise ScenarioError(f"{self.kind}: layer must be >= 1")
-        if self.bots < 1:
-            raise ScenarioError(f"{self.kind}: bots must be >= 1")
+        _check_count(self, "bots")
         if not 0.0 < self.fraction <= 1.0:
             raise ScenarioError(
                 f"{self.kind}: fraction must be in (0, 1], got "
@@ -412,9 +430,7 @@ class BenignSurge(AttackVector):
     intensity: float = 1.0
 
     SCHEMA: ClassVar[Dict[str, Field]] = {
-        "clients": Field(
-            (int,), required=False, check=lambda v: v >= 1, describe=">= 1"
-        ),
+        "clients": _count_field(),
         "rate": _rate_field(),
         "ramp": Field(
             (int, float), required=False, check=lambda v: v >= 0, describe=">= 0"
@@ -424,8 +440,7 @@ class BenignSurge(AttackVector):
 
     def __post_init__(self) -> None:
         _check_positive(self, "rate", "intensity")
-        if self.clients < 1:
-            raise ScenarioError(f"{self.kind}: clients must be >= 1")
+        _check_count(self, "clients")
         if self.ramp < 0:
             raise ScenarioError(f"{self.kind}: ramp must be >= 0")
 

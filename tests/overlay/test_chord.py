@@ -34,6 +34,30 @@ class TestBuild:
         with pytest.raises(ConfigurationError):
             ChordRing.build([300], bits=8)
 
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_list_and_array_inputs_rejected_alike(self, as_array):
+        def build(ids):
+            ChordRing.build(np.asarray(ids) if as_array else ids, bits=8)
+
+        with pytest.raises(ConfigurationError, match="duplicate node id 18"):
+            build([200, 18, 1, 18])
+        with pytest.raises(ConfigurationError, match="identifier 300 outside"):
+            build([1, 300, 18])
+        with pytest.raises(ConfigurationError, match="identifier -1 outside"):
+            build([1, -1, 18])
+        with pytest.raises(ConfigurationError, match="2.5"):
+            build([2.5, 1])
+        with pytest.raises(ConfigurationError, match="outside ring"):
+            build([1, 2**70])
+
+    def test_array_and_list_build_the_same_ring(self):
+        ids = [200, 1, 99, 18, 36]
+        a = ChordRing.build(ids, bits=8)
+        b = ChordRing.build(np.asarray(ids, dtype=np.int32), bits=8)
+        assert a.live_node_ids == b.live_node_ids == sorted(ids)
+        for node_id in a.live_node_ids:
+            assert a.node(node_id).fingers == b.node(node_id).fingers
+
     def test_single_node_ring(self):
         ring = build_ring([42], bits=8)
         assert ring.find_successor(0) == 42
@@ -142,6 +166,25 @@ class TestJoin:
         ring = ChordRing(bits=8)
         ring.join(7)
         assert ring.lookup(200, start=7).owner == 7
+
+
+class TestStabilize:
+    @pytest.mark.parametrize(
+        "ids, bits",
+        [([0, 100, 200], 8), ([0, 1, 2, 3], 2), ([0, 5, 77, 140, 201], 8)],
+    )
+    def test_round_on_exact_ring_keeps_fingers_through_node_zero(
+        self, ids, bits
+    ):
+        # Fingers owned by node 0 used to read as a failed lookup (0 is
+        # falsy) and were replaced by the node's successor: on the first
+        # ring, node 100's last finger became 200.
+        ring = ChordRing.build(ids, bits=bits)
+        exact = {node_id: ring.node(node_id).fingers for node_id in ids}
+        assert any(0 in fingers for fingers in exact.values())
+        ring.stabilize(rounds=1)
+        for node_id in ids:
+            assert ring.node(node_id).fingers == exact[node_id]
 
 
 class TestFailures:

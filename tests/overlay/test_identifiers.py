@@ -21,6 +21,12 @@ class TestConstruction:
         with pytest.raises(ConfigurationError):
             IdentifierSpace(200)
 
+    def test_widest_space_is_62_bits(self):
+        # Node ids and finger starts id + 2**(bits - 1) stay in int64.
+        assert IdentifierSpace(62).size == 2**62
+        with pytest.raises(ConfigurationError, match=r"\[1, 62\], got 63"):
+            IdentifierSpace(63)
+
     def test_rejects_bool(self):
         with pytest.raises(ConfigurationError):
             IdentifierSpace(True)  # type: ignore[arg-type]

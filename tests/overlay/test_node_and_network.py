@@ -86,6 +86,17 @@ class TestOverlayNetwork:
         with pytest.raises(ConfigurationError):
             OverlayNetwork(300, bits=8)
 
+    @pytest.mark.parametrize("bits", [63, 64])
+    def test_identifier_space_wider_than_int64_rejected(self, bits):
+        # 64 used to die inside numpy's integer draw with a bare
+        # ValueError, and 63 built an object-dtype Chord ring.
+        with pytest.raises(ConfigurationError, match="bits must be in"):
+            OverlayNetwork(10, bits=bits)
+
+    def test_widest_identifier_space(self):
+        network = OverlayNetwork(10, bits=62, rng=1)
+        assert max(network.node_ids) < 2**62
+
     def test_get_unknown_raises(self):
         network = OverlayNetwork(10, rng=1)
         missing = next(i for i in range(2**32) if i not in network)

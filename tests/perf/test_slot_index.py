@@ -39,33 +39,27 @@ class TestSlotIndex:
         with pytest.raises(SimulationError, match="duplicate node id 7"):
             SlotIndex(np.array([3, 7, 11, 7], dtype=np.int64))
 
-    def test_duplicate_ids_rejected_in_wide_fallback(self):
-        huge = 2**80
-        with pytest.raises(SimulationError, match="duplicate node id"):
-            SlotIndex(np.array([huge, 5, huge], dtype=object))
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            np.array([2**80, 5, 2**80], dtype=object),
+            np.array([2**70, 3, 2**64 + 1], dtype=object),
+            np.array([3, 7], dtype=object),
+        ],
+        ids=["duplicate-wide", "wider-than-int64", "small-objects"],
+    )
+    def test_object_ids_rejected(self, ids):
+        with pytest.raises(SimulationError, match="dtype object"):
+            SlotIndex(ids)
 
-    def test_ids_wider_than_int64_fall_back(self):
-        # Raw hash-space names (e.g. 160-bit Chord ids) overflow int64;
-        # the index must degrade to dict semantics, not wrap or raise.
-        ids = np.array([2**70, 3, 2**64 + 1], dtype=object)
-        index = SlotIndex(ids)
-        assert len(index) == 3
-        assert index[2**70] == 0
-        assert index[2**64 + 1] == 2
-        assert 2**70 in index
-        assert 2**71 not in index
-        with pytest.raises(KeyError):
-            index[12]
-        np.testing.assert_array_equal(
-            index.lookup(np.array([3, 2**70], dtype=object)), [1, 0]
-        )
-        with pytest.raises(KeyError):
-            index.lookup(np.array([2**70, 999], dtype=object))
-
-    def test_uint64_above_int64_max_falls_back(self):
+    def test_uint64_above_int64_max_rejected(self):
         ids = np.array([np.iinfo(np.int64).max + 10, 4], dtype=np.uint64)
-        index = SlotIndex(ids)
-        assert index[int(np.iinfo(np.int64).max) + 10] == 0
+        with pytest.raises(SimulationError, match="dtype uint64"):
+            SlotIndex(ids)
+
+    def test_uint64_within_int64_accepted(self):
+        index = SlotIndex(np.array([np.iinfo(np.int64).max, 4], dtype=np.uint64))
+        assert index[int(np.iinfo(np.int64).max)] == 0
         assert index[4] == 1
 
     def test_lookup_preserves_shape(self):

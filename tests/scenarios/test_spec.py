@@ -244,3 +244,44 @@ def test_every_poisson_vector_caps_arrivals_per_source(vector, field):
         PhaseSpec(name="p", start=0.0, duration=10.0, vectors=(vector,))
     # The same vector fits a window short enough to stay under the cap.
     PhaseSpec(name="p", start=0.0, duration=1.0, vectors=(vector,))
+
+
+@pytest.mark.parametrize(
+    "scenario, kind, field",
+    [
+        ("botnet-recruitment", "botnet-wave", "bots"),
+        ("flash-crowd", "benign-surge", "clients"),
+    ],
+)
+def test_unbounded_source_counts_rejected(scenario, kind, field):
+    # Compiling loops once per bot or surge client (~5 us each), so 10**12
+    # sources would take about two months; validation refuses them first.
+    from repro.scenarios.zoo import load_scenario
+    from repro.simulation.packet_sim import MAX_CLIENTS
+
+    payload = load_scenario(scenario).to_dict()
+    vector = next(
+        vector
+        for phase in payload["phases"]
+        for vector in phase["vectors"]
+        if vector["kind"] == kind
+    )
+    vector[field] = 10**12
+    with pytest.raises(ScenarioError, match=f"'{field}'=1000000000000"):
+        ScenarioSpec.from_dict(payload)
+    vector[field] = MAX_CLIENTS + 1
+    with pytest.raises(ScenarioError, match=field):
+        ScenarioSpec.from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "vector_type, field", [(BotnetWave, "bots"), (BenignSurge, "clients")]
+)
+def test_source_count_capped_at_max_clients(vector_type, field):
+    from repro.simulation.packet_sim import MAX_CLIENTS
+
+    with pytest.raises(ScenarioError, match=f"{field} must be in"):
+        vector_type(**{field: 10**12})
+    with pytest.raises(ScenarioError, match=f"{field} must be in"):
+        vector_type(**{field: 0})
+    assert getattr(vector_type(**{field: MAX_CLIENTS}), field) == MAX_CLIENTS

@@ -100,7 +100,7 @@ def run_scale_smoke(
     live = np.asarray(ring.live_node_ids, dtype=np.int64)
     keys = rng.integers(0, ring.space.size, size=lookups)
     starts = live[rng.integers(0, len(live), size=lookups)]
-    batch = ring.lookup_batch([int(k) for k in keys], [int(s) for s in starts])
+    batch = ring.lookup_batch(keys, starts)
     phases["chord_lookup_batch"] = {
         "seconds": time.perf_counter() - start,
         "lookups": lookups,
