@@ -354,22 +354,26 @@ class TrafficMonitor:
         """Stacked :meth:`series` rows over one shared horizon.
 
         Row ``r`` is bit-identical to ``series(node_ids[r], through)``:
-        each row is scattered from the same packed counters, and a row
-        slice of the C-contiguous matrix sums exactly like the
-        standalone 1-D array, so batched baselines match the per-node
+        one scatter of the packed counters fills a row per distinct id
+        (an id never observed keeps its zero row), and one gather
+        repeats rows for duplicate ids. The matrix is C-contiguous, and
+        an ``axis=1`` mean or std of a row slice equals the standalone
+        1-D array's bit for bit, so batched baselines match the per-node
         oracle's.
         """
-        matrix = np.zeros(
-            (len(node_ids), max(through + 1, 0)), dtype=np.float64
+        wanted, inverse = np.unique(
+            np.asarray(node_ids, dtype=np.int64), return_inverse=True
         )
-        for row, node_id in enumerate(node_ids):
-            lo, hi = self._node_slice(node_id)
-            bins = self._codes[lo:hi] % _BIN_STRIDE
-            keep = bins <= through
-            matrix[row, bins[keep]] = (
-                self._offered[lo:hi][keep].astype(np.float64)
+        matrix = np.zeros((len(wanted), max(through + 1, 0)), dtype=np.float64)
+        if len(wanted) and len(self._codes):
+            nodes = self._codes // _BIN_STRIDE
+            bins = self._codes % _BIN_STRIDE
+            row = np.minimum(np.searchsorted(wanted, nodes), len(wanted) - 1)
+            keep = (wanted[row] == nodes) & (bins <= through)
+            matrix[row[keep], bins[keep]] = (
+                self._offered[keep].astype(np.float64)
             )
-        return matrix
+        return matrix[inverse.reshape(-1)]
 
     def window_counts(
         self, node_id: int, lo_bin: int, hi_bin: int
@@ -436,9 +440,12 @@ class TrafficMonitor:
         """Flagging bin per node (None = never) for many nodes at once.
 
         The multi-node twin of :meth:`detection_bin`: every node's
-        series is stacked into one matrix and all CUSUM/EWMA recursions
-        are scanned together (:func:`_detect_bins`), element for element
-        the arithmetic of the per-node loop, so results are identical.
+        series is stacked into one matrix (:meth:`_series_matrix`), the
+        baselines are one ``axis=1`` mean and std over its baseline
+        columns, and all CUSUM/EWMA recursions are scanned together
+        (:func:`_detect_bins`) — element for element the arithmetic of
+        the per-node loop, so results are identical. Ids may repeat or
+        name nodes that were never observed (their series is all zeros).
         """
         resolved = self._resolved(config)
         ids = self.nodes() if node_ids is None else list(node_ids)
@@ -455,17 +462,12 @@ class TrafficMonitor:
         if through + 1 <= base_end:
             return result
         matrix = self._series_matrix(ids, through)
-        means = np.empty(len(ids), dtype=np.float64)
-        sigmas = np.empty(len(ids), dtype=np.float64)
-        for row in range(len(ids)):
-            baseline = matrix[row, start:base_end]
-            mean = float(baseline.mean())
-            means[row] = mean
-            sigmas[row] = max(
-                float(baseline.std()),
-                math.sqrt(max(mean, 0.0)),
-                resolved.min_sigma,
-            )
+        baselines = matrix[:, start:base_end]
+        means = baselines.mean(axis=1)
+        sigmas = np.maximum(
+            np.maximum(baselines.std(axis=1), np.sqrt(np.maximum(means, 0.0))),
+            resolved.min_sigma,
+        )
         crossings = _detect_bins(
             matrix,
             means,

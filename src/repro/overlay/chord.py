@@ -472,7 +472,7 @@ class ChordRing:
 
     def find_successor(self, key: int) -> int:
         """Ground-truth owner of ``key`` among live nodes."""
-        self.space.validate(key)
+        key = self.space.validate(key)
         return self._ideal_successor(key)
 
     # ------------------------------------------------------------------
@@ -505,7 +505,7 @@ class ChordRing:
         member; fingers, predecessor, and successor list converge through
         subsequent :meth:`stabilize` rounds.
         """
-        self.space.validate(node_id)
+        node_id = self.space.validate(node_id)
         row = self._cols.row_of(node_id)
         if row >= 0 and bool(self._cols.alive[row]):
             raise ConfigurationError(f"node {node_id} already in the ring")
@@ -676,7 +676,7 @@ class ChordRing:
         after ``2 * bits + len(ring)`` hops, which only happens on heavily
         corrupted routing state.
         """
-        self.space.validate(key)
+        key = self.space.validate(key)
         if start not in self:
             raise RoutingError(f"lookup must start at a live node, got {start}")
         path = [start]
@@ -928,7 +928,7 @@ class ChordRing:
         """
         if replicas < 1:
             raise ConfigurationError("replicas must be >= 1")
-        self.space.validate(key)
+        key = self.space.validate(key)
         holders = self._replica_nodes(key, replicas)
         for node_id in holders:
             self._kv.setdefault(node_id, {})[key] = value
@@ -948,7 +948,7 @@ class ChordRing:
         not run yet), its successor list is consulted for a surviving
         replica. Raises :class:`RoutingError` when no copy is found.
         """
-        self.space.validate(key)
+        key = self.space.validate(key)
         if start is None:
             start = self._alive_sorted[0]
         result = self.lookup(key, start)

@@ -9,6 +9,7 @@ every Chord operation relies on.
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 from repro.errors import ConfigurationError
 
@@ -52,16 +53,21 @@ class IdentifierSpace:
         return int.from_bytes(digest, "big") % self.size
 
     def contains(self, identifier: int) -> bool:
-        """True when ``identifier`` is a valid point on this ring."""
-        return isinstance(identifier, int) and 0 <= identifier < self.size
+        """True when ``identifier`` is a valid point on this ring: an
+        integer (Python or numpy) in ``[0, size)``."""
+        return (
+            isinstance(identifier, numbers.Integral)
+            and 0 <= identifier < self.size
+        )
 
     def validate(self, identifier: int) -> int:
-        """Return ``identifier`` or raise if it is outside the ring."""
+        """Return ``identifier`` as a Python int, or raise if it is not a
+        point on the ring."""
         if not self.contains(identifier):
             raise ConfigurationError(
                 f"identifier {identifier!r} outside ring of size {self.size}"
             )
-        return identifier
+        return int(identifier)
 
     def distance(self, start: int, end: int) -> int:
         """Clockwise distance from ``start`` to ``end``."""

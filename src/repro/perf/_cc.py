@@ -131,8 +131,18 @@ static void sort_group(const double *t, int64_t *idx, int64_t k,
 }
 
 /* ------------------------------------------------------------------ */
-/* Grouped token-bucket Lindley replay (fastsim._grouped_bucket_scan). */
+/* Grouped token-bucket Lindley replay (NumpyKernels.bucket_scan).     */
 /* ------------------------------------------------------------------ */
+
+/* Whether an offer at rescaled time s rejects from deficit z at y: the
+   per-event test, max(z - (s - y), 0) > limit. */
+static int bucket_rejects(double z, double y, double s, double limit)
+{
+    double zp = z - (s - y);
+    if (zp < 0.0)
+        zp = 0.0;
+    return zp > limit;
+}
 
 void repro_bucket_scan(
     const int64_t *slots, const double *times, int64_t n, int64_t m,
@@ -166,7 +176,7 @@ void repro_bucket_scan(
         int64_t lo = offsets[s];
         int64_t k = offsets[s + 1] - lo;
         int64_t j;
-        double w, zmax;
+        double w, zmax, slack;
         if (k == 0)
             continue;
         sort_group(times, order + lo, k, tmp);
@@ -189,13 +199,23 @@ void repro_bucket_scan(
             if (z > zmax)
                 zmax = z;
         }
-        if (zmax <= burst) {
+        /* the closed form holds only clear of the rounding bound that
+           _all_accept in repro.perf.compiled derives, computed with
+           the same operations: zmax <= burst - 4 (k + 2) eps mag */
+        {
+            double s0 = svals[lo], s1 = svals[lo + k - 1], mag;
+            s0 = s0 < 0.0 ? -s0 : s0;
+            s1 = s1 < 0.0 ? -s1 : s1;
+            mag = ((s0 > s1 ? s0 : s1) + (double)k) + burst;
+            slack = ((4.0 * (double)(k + 2)) * DBL_EPSILON) * mag;
+        }
+        if (zmax <= burst - slack) {
             for (j = 0; j < k; j++)
                 accept[order[lo + j]] = 1;
             accepted[s] = k;
         } else {
-            /* exact Lindley replay with run-skipping, the numpy tier's
-               per-group fallback loop verbatim */
+            /* exact Lindley replay with run-skipping: the numpy tier's
+               _replay_group loop */
             double z = 0.0, y = 0.0;
             int64_t acc = 0;
             j = 0;
@@ -211,9 +231,12 @@ void repro_bucket_scan(
                     acc++;
                     j++;
                 } else {
-                    /* bisect_left over svals for y + (z - limit) */
+                    /* bisect_left over svals for y + (z - limit), after
+                       the rejected event; the target rounds, so step
+                       from it to the first event the per-event test
+                       accepts (the test is monotone in s) */
                     double target = y + (z - limit);
-                    int64_t a = j, b = k;
+                    int64_t a = j + 1, b = k;
                     while (a < b) {
                         int64_t mid = a + (b - a) / 2;
                         if (svals[lo + mid] < target)
@@ -221,6 +244,11 @@ void repro_bucket_scan(
                         else
                             b = mid;
                     }
+                    while (a > j + 1 &&
+                           !bucket_rejects(z, y, svals[lo + a - 1], limit))
+                        a--;
+                    while (a < k && bucket_rejects(z, y, svals[lo + a], limit))
+                        a++;
                     j = a;
                 }
             }

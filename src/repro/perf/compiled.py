@@ -6,7 +6,9 @@ kernel interface, four methods:
 ``bucket_scan``
     Grouped token-bucket Lindley replay: accept/drop per offer.
 ``timeline_table``
-    Per-slot congestion timelines (congested-after-event flags).
+    Per-slot congestion timelines (congested-after-event flags) as one
+    flat :class:`CongestionTable`, with the accept flags of the replay
+    that built it.
 ``route``
     Congestion-aware uniform routing over a layer's neighbor table:
     each packet names its table row, never a copy of it.
@@ -28,10 +30,8 @@ Each tier in :data:`TIERS` is one kernel set:
     ``tests/perf/test_compiled_kernels.py`` and
     ``tests/perf/test_compiled_tier.py``.
 
-The two sets differ only in their congestion-table type, which never
-leaves the set that built it: the numpy set keeps a
-``{slot: (times, flags)}`` dict, the C set a flat
-:class:`CongestionTable`.
+Both sets build and read the same :class:`CongestionTable`, so a table
+from either set routes on either set.
 
 Tier selection is data (``PacketSimConfig.tier``), resolved here.
 Requesting ``compiled`` when the C library cannot be built degrades to
@@ -62,6 +62,7 @@ from __future__ import annotations
 import bisect
 import ctypes
 import dataclasses
+import functools
 import math
 import warnings
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -93,6 +94,10 @@ __all__ = [
 #: Every kernel tier, default first. The single source for every
 #: ``tier`` knob (sim config, scenario specs, CLIs, service payloads).
 TIERS: Tuple[str, ...] = ("numpy", "compiled")
+
+
+#: Machine epsilon of float64, ``2**-52`` (C's ``DBL_EPSILON``).
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class CompiledTierUnavailableWarning(RuntimeWarning):
@@ -140,12 +145,195 @@ def resolve_tier(tier: str) -> str:
     return tier
 
 
-#: The numpy set's congestion table: slot -> (event times, flags).
-Timelines = Dict[int, Tuple[np.ndarray, np.ndarray]]
+@dataclasses.dataclass(frozen=True)
+class CongestionTable:
+    """Per-slot congestion timelines in flat searchable form.
+
+    ``offsets[s] : offsets[s + 1]`` spans slot ``s``'s chronologically
+    sorted event ``times`` and the congested-after-event ``flags``. Both
+    kernel sets build and read this one type.
+    """
+
+    offsets: npt.NDArray[np.int64]  # (m + 1,)
+    times: npt.NDArray[np.float64]  # (n,) grouped, time-sorted
+    flags: npt.NDArray[np.uint8]  # (n,)
+
+    @classmethod
+    def empty(cls, m: int) -> "CongestionTable":
+        return cls(
+            offsets=np.zeros(m + 1, dtype=np.int64),
+            times=np.empty(0, dtype=np.float64),
+            flags=np.empty(0, dtype=np.uint8),
+        )
+
+    @functools.cached_property
+    def flips(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(slots, times, flags)`` of every congestion-flag flip, grouped
+        by slot and in event order within a slot.
+
+        A slot is not congested before its first event, so its state at
+        ``t`` is the flag of its last flip at or before ``t`` (False when
+        there is none). ``route`` reads a table only through that state,
+        so two tables with equal flips route every packet alike.
+        """
+        flags = self.flags
+        previous = np.zeros(len(flags), dtype=np.uint8)
+        previous[1:] = flags[:-1]
+        previous[self.offsets[:-1][np.diff(self.offsets) > 0]] = 0
+        index = np.flatnonzero(flags != previous)
+        slots = np.searchsorted(self.offsets, index, side="right") - 1
+        return slots, self.times[index], flags[index]
+
+
+def _group(
+    slots: np.ndarray, times: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One stable ``(slot, time)`` sort: ``(order, sorted slots, sorted
+    times, group starts, group sizes)``, groups in slot order."""
+    order = np.lexsort((times, slots))
+    s_sorted = slots[order]
+    t_sorted = times[order]
+    head = np.ones(len(s_sorted), dtype=bool)
+    head[1:] = s_sorted[1:] != s_sorted[:-1]
+    starts = np.flatnonzero(head)
+    counts = np.diff(np.append(starts, len(s_sorted)))
+    return order, s_sorted, t_sorted, starts, counts
+
+
+def _segmented_running_max(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``maximum.accumulate`` restarted at every group, exactly.
+
+    The groups are consecutive runs of ``counts`` elements. Values are
+    replaced by their positions in one stable sort, offset by ``group *
+    n``, so one global running max over the keys never crosses a group
+    border, and each key maps back to the very double it stands for.
+    """
+    n = len(values)
+    order = np.argsort(values, kind="stable")
+    offset = np.repeat(np.arange(len(counts), dtype=np.int64) * n, counts)
+    keys = np.empty(n, dtype=np.int64)
+    keys[order] = np.arange(n, dtype=np.int64)
+    keys += offset
+    np.maximum.accumulate(keys, out=keys)
+    keys -= offset
+    return values[order[keys]]
+
+
+def _all_accept(
+    s: np.ndarray, starts: np.ndarray, counts: np.ndarray, burst: float
+) -> np.ndarray:
+    """Per group of rescaled times ``s``: whether the all-accept closed
+    form holds, clear of its rounding bound, so every offer is taken."""
+    position = np.arange(len(s), dtype=np.int64)
+    position -= np.repeat(starts, counts)
+    # z = (w + (i + 1)) - s for every group at once, in place.
+    z_all = _segmented_running_max(s - position, counts)
+    position += 1
+    z_all += position
+    z_all -= s
+    zmax = np.maximum.reduceat(z_all, starts)
+    # Rounding bound. Let u = ulp(mag) with mag = max|s| + n + burst:
+    # every intermediate below (s_i, s_i - i, w_i + (i + 1), a deficit,
+    # a time step) is at most 2 * mag, so each rounding errs by at most
+    # u. The closed form rounds three times per event, so z_all is
+    # within 3u of the exact deficit. The per-event replay rounds three
+    # times per event into a recursion whose clamp at zero is
+    # 1-Lipschitz, so its deficit drifts by at most 3u per event: 3nu
+    # over the group, plus u for ``burst - 1``. A group whose zmax is
+    # below burst by more than (3n + 4)u is therefore all-accept in the
+    # per-event replay too; 4(n + 2) * eps * mag >= 4(n + 2)u covers it.
+    # Groups inside the bound take the exact loop. The C kernel computes
+    # the same bound with the same operations.
+    last = starts + counts - 1
+    mag = np.maximum(np.abs(s[starts]), np.abs(s[last])) + counts + burst
+    slack = (4.0 * (counts + 2)) * _EPS * mag
+    return zmax <= burst - slack
+
+
+def _bucket_replay(
+    t_sorted: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    capacity: float,
+    burst: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Token-bucket accept flags of grouped, time-sorted events and the
+    accepted count per group (see :meth:`NumpyKernels.bucket_scan`)."""
+    if len(t_sorted) == 0:
+        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
+    s = t_sorted * capacity
+    # A group offered more than a full bucket plus the refill over its
+    # span drops for certain; only the others try the closed form. (The
+    # closed form taken is the per-event replay's answer, so which
+    # groups try it never changes a result.)
+    span = s[starts + counts - 1] - s[starts]
+    closed = counts <= burst + span
+    if bool(closed.any()):
+        sizes = counts[closed]
+        closed[closed] = _all_accept(
+            s[np.repeat(closed, counts)], np.cumsum(sizes) - sizes, sizes, burst
+        )
+    accept = np.repeat(closed, counts)
+    accepted = np.where(closed, counts, 0)
+    limit = burst - 1.0
+    for g in np.flatnonzero(~closed).tolist():
+        lo = int(starts[g])
+        hi = lo + int(counts[g])
+        accepted[g] = _replay_group(s[lo:hi].tolist(), limit, accept[lo:hi])
+    return accept, accepted
+
+
+def _replay_group(s_list: List[float], limit: float, out: np.ndarray) -> int:
+    """Exact Lindley replay of one group with run-skipping; writes the
+    accept flags into ``out`` and returns the accepted count.
+
+    After a reject at deficit ``z`` and rescaled time ``y``, the pre-accept
+    deficit ``max(z - (s - y), 0)`` only falls as ``s`` grows — each of
+    its roundings is monotone — so every event before the first one it
+    accepts rejects too. That event sits at ``y + (z - limit)`` up to
+    rounding: a ``bisect`` after the rejected event finds the target, and
+    the per-event test steps from there to the exact event. Plain
+    Python floats: the same IEEE doubles in the same order as numpy
+    scalars, without per-iteration ufunc dispatch — the loop runs
+    O(accepted) times for a saturated node, the hot case under flooding.
+    """
+    n = len(s_list)
+    if limit < 0.0:
+        return 0  # a bucket shallower than one token takes nothing
+    taken = bytearray(n)
+    bisect_left = bisect.bisect_left
+    z = 0.0
+    y = 0.0
+    i = 0
+    while i < n:
+        si = s_list[i]
+        zp = z - (si - y)
+        if zp < 0.0:
+            zp = 0.0
+        if zp <= limit:
+            taken[i] = 1
+            z = zp + 1.0
+            y = si
+            i += 1
+        else:
+            j = bisect_left(s_list, y + (z - limit), i + 1)
+            # The clamp at zero cannot decide against limit >= 0.
+            while j > i + 1 and z - (s_list[j - 1] - y) <= limit:
+                j -= 1
+            while j < n and z - (s_list[j] - y) > limit:
+                j += 1
+            i = j
+    out[:] = np.frombuffer(taken, dtype=bool)
+    return taken.count(1)
 
 
 class NumpyKernels:
-    """The numpy kernel set: the default tier and the oracle."""
+    """The numpy kernel set: the default tier and the oracle.
+
+    Every stage is a fixed number of array passes; the one Python loop
+    left is the exact replay of bucket groups the closed form cannot
+    settle.
+    """
 
     def bucket_scan(
         self,
@@ -167,73 +355,25 @@ class NumpyKernels:
         tokens``, rescaled so refill rate is 1): ``z_i = max(0, z_{i-1}
         - Δs) + 1`` on accept, a Lindley recursion whose all-accept
         trajectory has the closed form ``z_i = w_i + i - s_i`` with
-        ``w_i = max(w_{i-1}, s_i - (i - 1))`` — one
-        ``maximum.accumulate`` per node. A node whose trajectory never
-        exceeds ``burst`` therefore accepts everything with zero
-        sequential work. Overloaded nodes fall back to an exact loop
+        ``w_i = max(w_{i-1}, s_i - (i - 1))`` — one segmented running
+        max over every group at once. A group whose trajectory stays
+        below ``burst`` by more than a rounding bound accepts everything
+        with zero sequential work. The other groups take an exact loop
         that is O(accepted) rather than O(events): rejections come in
         runs (the bucket must drain a full token before the next
-        accept), and each run is skipped with one ``searchsorted``.
+        accept), and each run is skipped with one binary search.
 
         Returns ``(accept, unique_slots, accepted_per, dropped_per)``
         where ``accept`` aligns with the *input* event order and the
         per-group arrays align with ``unique_slots``.
         """
-        order = np.lexsort((times, slots))
-        s_sorted = slots[order]
-        t_sorted = times[order]
-        unique_slots, starts, counts = np.unique(
-            s_sorted, return_index=True, return_counts=True
+        order, s_sorted, t_sorted, starts, counts = _group(slots, times)
+        accept_sorted, accepted_per = _bucket_replay(
+            t_sorted, starts, counts, capacity, burst
         )
-        groups = len(unique_slots)
-        accept_sorted = np.empty(len(s_sorted), dtype=bool)
-        accepted_per = np.empty(groups, dtype=np.int64)
-        limit = burst - 1.0
-        for g in range(groups):
-            lo = int(starts[g])
-            hi = lo + int(counts[g])
-            s = t_sorted[lo:hi] * capacity
-            n = hi - lo
-            # All-accept closed form; valid while the deficit stays <=
-            # burst (pre-accept deficit <= burst - 1 for every event).
-            w = np.maximum.accumulate(s - np.arange(n))
-            z_all = w + np.arange(1, n + 1) - s
-            if float(z_all.max()) <= burst:
-                accept_sorted[lo:hi] = True
-                accepted_per[g] = n
-                continue
-            # Exact replay with run-skipping: from deficit ``z`` at
-            # rescaled time ``y``, every event before ``y + (z - limit)``
-            # rejects. Plain Python floats + ``bisect`` over a list: the
-            # arithmetic is the same IEEE doubles in the same order as
-            # the numpy scalars it replaces, but without per-iteration
-            # ufunc dispatch — the loop runs O(accepted) times for a
-            # saturated node, which is the hot case under flooding.
-            out = accept_sorted[lo:hi]
-            out[:] = False
-            s_list = s.tolist()
-            taken_idx: List[int] = []
-            z = 0.0
-            y = 0.0
-            i = 0
-            while i < n:
-                si = s_list[i]
-                zp = z - (si - y)
-                if zp < 0.0:
-                    zp = 0.0
-                if zp <= limit:
-                    taken_idx.append(i)
-                    z = zp + 1.0
-                    y = si
-                    i += 1
-                else:
-                    i = bisect.bisect_left(s_list, y + (z - limit))
-            out[np.asarray(taken_idx, dtype=np.int64)] = True
-            accepted_per[g] = len(taken_idx)
         accept = np.empty(len(slots), dtype=bool)
         accept[order] = accept_sorted
-        dropped_per = counts - accepted_per
-        return accept, unique_slots, accepted_per, dropped_per
+        return accept, s_sorted[starts], accepted_per, counts - accepted_per
 
     def timeline_table(
         self,
@@ -242,37 +382,35 @@ class NumpyKernels:
         m: int,
         capacity: float,
         burst: float,
-    ) -> Timelines:
-        """Per slot: (chronological event times, congested-after-event flags).
+    ) -> Tuple[CongestionTable, np.ndarray]:
+        """``(table, accept)``: the congestion table of the events and
+        their accept flags in input order.
 
         Replays the merged event stream of every slot through its token
-        bucket and evaluates the congestion predicate (>= 10 offers
-        observed and cumulative drop rate >= 0.5) after every event, so forwarding decisions can look up a
-        node's congestion state at any instant with one
-        ``searchsorted``.
+        bucket (:meth:`bucket_scan`) and evaluates the congestion
+        predicate (>= 10 offers observed and cumulative drop rate >=
+        0.5) after every event, so forwarding decisions can look up a
+        node's congestion state at any instant with one search.
         """
-        timelines: Timelines = {}
         if len(slots) == 0:
-            return timelines
-        order = np.lexsort((times, slots))
-        t_sorted = times[order]
-        accept, unique_slots, _, _ = self.bucket_scan(
-            slots, times, m, capacity, burst
+            return CongestionTable.empty(m), np.zeros(0, dtype=bool)
+        order, s_sorted, t_sorted, starts, counts = _group(slots, times)
+        accept_sorted, _ = _bucket_replay(
+            t_sorted, starts, counts, capacity, burst
         )
-        a_sorted = accept[order]
-        _, starts, counts = np.unique(
-            slots[order], return_index=True, return_counts=True
+        # Offers and drops so far, counted from each slot's first event.
+        total = np.arange(1, len(s_sorted) + 1) - np.repeat(starts, counts)
+        rejected = ~accept_sorted
+        drops = np.cumsum(rejected)
+        drops -= np.repeat(drops[starts] - rejected[starts], counts)
+        flags = (total >= 10) & (drops / total >= 0.5)
+        offsets = np.searchsorted(s_sorted, np.arange(m + 1)).astype(np.int64)
+        accept = np.empty(len(slots), dtype=bool)
+        accept[order] = accept_sorted
+        table = CongestionTable(
+            offsets=offsets, times=t_sorted, flags=flags.astype(np.uint8)
         )
-        for g, slot in enumerate(unique_slots):
-            lo = int(starts[g])
-            hi = lo + int(counts[g])
-            node_times = t_sorted[lo:hi]
-            node_accept = a_sorted[lo:hi]
-            total = np.arange(1, len(node_times) + 1)
-            drops = np.cumsum(~node_accept)
-            flags = (total >= 10) & (drops / total >= 0.5)
-            timelines[int(slot)] = (node_times, flags)
-        return timelines
+        return table, accept
 
     def route(
         self,
@@ -281,7 +419,7 @@ class NumpyKernels:
         neighbor_table: np.ndarray,
         is_bad: np.ndarray,
         decision_t: np.ndarray,
-        table: Any,
+        table: CongestionTable,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Uniform pick among each packet's live next-hop neighbors.
 
@@ -289,27 +427,50 @@ class NumpyKernels:
         (a layer's ``(size_h, m_{h+1})`` slot matrix); its candidates are
         that row's slots. A neighbor is live when ``is_bad`` (per slot)
         is false and it is not congested at ``decision_t[i]`` in
-        ``table`` (this set's :meth:`timeline_table` result). ``u`` holds
+        ``table`` (a :meth:`timeline_table` result). ``u`` holds
         each packet's pre-assigned uniform draw for this hop; the pick is
         ``min(int(u * k), k - 1)`` over the row's ``k`` live neighbors
         in table order, so matching live sets yield matching choices,
-        and re-evaluating with a refined table consumes nothing. Returns ``(routable, chosen)``:
-        rows with no live neighbor are marked unroutable and their
-        ``chosen`` entry is meaningless — callers must mask with
-        ``routable``. This oracle gathers each packet's row; the C set
+        and re-evaluating with a refined table consumes nothing. Returns
+        ``(routable, chosen)``: rows with no live neighbor are marked
+        unroutable and their ``chosen`` entry is meaningless — callers
+        must mask with ``routable``.
+
+        Congestion is one search per (packet, neighbor) pair whose slot
+        has flips, over the table's flips. A time's rank is the number
+        of distinct flip times at or before it, so a flip is at or
+        before a decision exactly when its rank is at most the
+        decision's; with slot-major keys ``slot * R + rank``,
+        ``side="right"`` finds each pair's last flip at or before its
+        decision time. This oracle gathers each packet's row; the C set
         never does.
         """
         neighbor_slots = neighbor_table[rows]
-        healthy = ~is_bad[neighbor_slots]
-        congested = np.zeros(neighbor_slots.shape, dtype=bool)
-        for slot, (times, flags) in table.items():
-            hit = neighbor_slots == slot
-            if not bool(hit.any()):
-                continue
-            index = np.searchsorted(times, decision_t, side="right") - 1
-            state = np.where(index >= 0, flags[np.maximum(index, 0)], False)
-            congested |= hit & state[:, None]
-        live = healthy & ~congested
+        live = ~is_bad[neighbor_slots]
+        flip_slots, flip_times, flip_flags = table.flips
+        if len(flip_flags):
+            flipped = np.zeros(len(is_bad), dtype=bool)
+            flipped[flip_slots] = True
+            packet, column = np.nonzero(flipped[neighbor_slots])
+            pair_slots = neighbor_slots[packet, column]
+            distinct = np.unique(flip_times)
+            width = len(distinct) + 1
+            flip_keys = flip_slots * width + np.searchsorted(
+                distinct, flip_times, side="right"
+            )
+            rank = np.searchsorted(distinct, decision_t, side="right")
+            last = np.searchsorted(
+                flip_keys, pair_slots * width + rank[packet], side="right"
+            ) - 1
+            # ``last`` lands on another slot's flip, or at -1, when the
+            # decision precedes every flip of its own slot.
+            found = np.maximum(last, 0)
+            congested = (
+                (last >= 0)
+                & (flip_slots[found] == pair_slots)
+                & (flip_flags[found] != 0)
+            )
+            live[packet[congested], column[congested]] = False
         options = live.sum(axis=1)
         routable = options > 0
         counts = np.maximum(options, 1)
@@ -343,27 +504,6 @@ class NumpyKernels:
                 maxv = value
         return count, mean, m2, maxv
 
-
-@dataclasses.dataclass(frozen=True)
-class CongestionTable:
-    """Per-slot congestion timelines in flat searchable form.
-
-    ``offsets[s] : offsets[s + 1]`` spans slot ``s``'s chronologically
-    sorted event ``times`` and the congested-after-event ``flags`` — the
-    array twin of the numpy set's ``{slot: (times, flags)}`` dict.
-    """
-
-    offsets: npt.NDArray[np.int64]  # (m + 1,)
-    times: npt.NDArray[np.float64]  # (n,) grouped, time-sorted
-    flags: npt.NDArray[np.uint8]  # (n,)
-
-    @classmethod
-    def empty(cls, m: int) -> "CongestionTable":
-        return cls(
-            offsets=np.zeros(m + 1, dtype=np.int64),
-            times=np.empty(0, dtype=np.float64),
-            flags=np.empty(0, dtype=np.uint8),
-        )
 
 
 def _as_c(array: np.ndarray, dtype: Any) -> np.ndarray:
@@ -462,14 +602,17 @@ class KernelSet:
         m: int,
         capacity: float,
         burst: float,
-    ) -> CongestionTable:
-        """Congestion timelines for every slot present in the events."""
+    ) -> Tuple[CongestionTable, np.ndarray]:
+        """``(table, accept)`` — :meth:`NumpyKernels.timeline_table` in C:
+        the congestion table and the events' accept flags in input
+        order, from one scan."""
         if len(slots) == 0:
-            return CongestionTable.empty(m)
-        _, _, _, offsets, _, flags, tsorted = self._scan_raw(
+            return CongestionTable.empty(m), np.zeros(0, dtype=bool)
+        accept, _, _, offsets, _, flags, tsorted = self._scan_raw(
             slots, times, m, capacity, burst, want_flags=True
         )
-        return CongestionTable(offsets=offsets, times=tsorted, flags=flags)
+        table = CongestionTable(offsets=offsets, times=tsorted, flags=flags)
+        return table, accept.astype(bool)
 
     def route(
         self,
@@ -478,10 +621,10 @@ class KernelSet:
         neighbor_table: np.ndarray,
         is_bad: np.ndarray,
         decision_t: np.ndarray,
-        table: Any,
+        table: CongestionTable,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """``(routable, chosen)`` — :meth:`NumpyKernels.route` as one
-        time-ordered sweep; ``table`` is a :class:`CongestionTable`.
+        time-ordered sweep.
 
         Each table row keeps a live bitmap and live count, built once
         from ``is_bad``; packets are visited in a stable argsort of

@@ -36,7 +36,14 @@ This module replays the same physics in hop-synchronous numpy batches:
    every earlier one are final, so a layer settles within (its decisions
    + 1) refinements. In practice almost every layer settles after one
    refinement; a dense cascade whose next-layer nodes hover at the
-   drop threshold can need hundreds (``docs/PERFORMANCE.md``).
+   drop threshold can need hundreds (``docs/PERFORMANCE.md``). Routing
+   reads a table only through its congestion-flag flips, so a refined
+   table with the flips of the one the current routes came from settles
+   the layer without routing again: a next layer that never congests
+   costs one route. The settled table replayed exactly the offers the
+   next hop's buckets see — these routes' arrivals, then the next
+   layer's floods — so that hop reuses its accept flags instead of
+   scanning again; only layer 1 runs its own bucket scan.
 
 Fidelity contract: every source draws from its own RNG sub-stream (one
 arrival stream per client, one per flood target, one routing stream
@@ -168,8 +175,20 @@ class SlotIndex:
         raise KeyError(node_id)
 
     def lookup(self, node_ids: np.ndarray) -> np.ndarray:
-        """Vectorized ``[]``: slots of ``node_ids`` (any shape)."""
-        wanted = np.asarray(node_ids, dtype=np.int64)
+        """Vectorized ``[]``: slots of ``node_ids`` (any shape). The
+        first id without a slot raises ``KeyError``, as ``[]`` does."""
+        given = np.asarray(node_ids)
+        if given.dtype.kind not in "iu" or (
+            given.dtype == np.uint64
+            and given.size > 0
+            and int(given.max()) > np.iinfo(np.int64).max
+        ):
+            # Ids that are not int64 integers (floats, objects, wider
+            # ints) take ``[]``'s own test one by one, before the cast.
+            for value in given.flat:
+                if value not in self:
+                    raise KeyError(value)
+        wanted = given.astype(np.int64)
         if len(self._sorted_ids) == 0:
             if wanted.size:
                 raise KeyError(int(wanted.flat[0]))
@@ -433,8 +452,10 @@ def run_fast(
     ``client_contacts`` is supplied.
 
     ``config.tier`` selects the kernel set (:mod:`repro.perf.compiled`)
-    that runs the bucket scan at each hop, the congestion timelines and
-    routes of each routing refinement, and the latency fold: ``numpy`` (default) or
+    that runs the bucket scan at layer 1 (later hops reuse the accept
+    flags of the table their routing settled on), the congestion
+    timelines and routes of each routing refinement, and the latency
+    fold: ``numpy`` (default) or
     ``compiled`` (C, degrading to numpy with a one-time warning when
     it cannot be built). Routing hands the kernels each packet's row of
     the layer's neighbor table, never a per-packet copy of the row.
@@ -631,17 +652,22 @@ def run_fast(
     )
     current = contact_matrix[client_index, entry_choice]
 
-    # --- per-node final capacity counters (for congested_nodes) ------
-    final_offers: Dict[int, Tuple[int, int]] = {}
+    # --- per-node offer tallies (for congested_nodes) ----------------
+    offered = np.zeros(total_slots, dtype=np.int64)
+    dropped = np.zeros(total_slots, dtype=np.int64)
 
     # Arrival clocks accumulate one hop_latency per layer — the same
     # sequence of float additions the event scheduler performs — so the
     # degenerate single-packet report matches the oracle bit for bit.
     sent_t = inject_t
     arrive_t = inject_t
+    # The accept flags of the table the previous layer's routing settled
+    # on: that table replayed exactly this layer's offers.
+    settled_accept: Optional[np.ndarray] = None
 
     # --- hop-synchronous advance -------------------------------------
     for layer in range(1, layers + 2):
+        accept_flat, settled_accept = settled_accept, None
         flood_slots, flood_times = layer_floods[layer]
         if len(arrive_t) == 0 and len(flood_slots) == 0:
             continue
@@ -657,11 +683,10 @@ def run_fast(
         legit_count = len(arrival_t)
         slots_flat = np.concatenate([current, flood_slots])
         times_flat = np.concatenate([arrival_t, flood_times])
-        accept_flat, unique_slots, accepted_per, dropped_per = (
-            kernels.bucket_scan(
+        if accept_flat is None:
+            accept_flat = kernels.bucket_scan(
                 slots_flat, times_flat, total_slots, capacity, burst
-            )
-        )
+            )[0]
         if monitor is not None:
             # Every offer this layer's buckets saw (legit + flood) with
             # its accept/drop outcome — the batch mirror of the event
@@ -669,11 +694,10 @@ def run_fast(
             monitor.observe_batch(
                 arrays.node_ids[slots_flat], times_flat, accept_flat
             )
-        for group, slot in enumerate(unique_slots):
-            final_offers[int(slot)] = (
-                int(accepted_per[group]),
-                int(dropped_per[group]),
-            )
+        offered += np.bincount(slots_flat, minlength=total_slots)
+        dropped += np.bincount(
+            slots_flat[~accept_flat], minlength=total_slots
+        )
         accept = accept_flat[:legit_count]
 
         ok = accept & ~arrays.is_bad[current]
@@ -725,20 +749,30 @@ def run_fast(
         # per-packet uniforms (no stream consumption). The loop ends:
         # after a refinement that changes something, the earliest
         # changed decision and every earlier one are final, so a layer
-        # settles within (its decisions + 1) refinements.
+        # settles within (its decisions + 1) refinements. A table with
+        # the flips of the one the current routes came from would route
+        # them again unchanged, so the layer settles without the call.
         hop_u = choice_u[:, layer]
         next_slots, next_times = layer_floods[layer + 1]
         next_arrival = arrive_t + config.hop_latency
         routable = np.zeros(len(hop_u), dtype=bool)
         chosen = survivors  # unread while nothing is routable
+        routed_flips: Optional[Tuple[np.ndarray, ...]] = None
         while True:
-            table = kernels.timeline_table(
+            table, table_accept = kernels.timeline_table(
                 np.concatenate([chosen[routable], next_slots]),
                 np.concatenate([next_arrival[routable], next_times]),
                 total_slots,
                 capacity,
                 burst,
             )
+            flips = table.flips
+            if routed_flips is not None and all(
+                np.array_equal(ours, theirs)
+                for ours, theirs in zip(flips, routed_flips)
+            ):
+                break
+            routed_flips = flips
             refined_routable, refined_chosen = kernels.route(
                 hop_u, rows, neighbor_table, arrays.is_bad, decision_t, table
             )
@@ -748,6 +782,9 @@ def run_fast(
             routable, chosen = refined_routable, refined_chosen
             if settled:
                 break
+        # The settled table replayed exactly the next layer's offers:
+        # these routes' arrivals, then its floods.
+        settled_accept = table_accept
 
         stranded_count = int(len(routable) - int(routable.sum()))
         if stranded_count:
@@ -760,12 +797,8 @@ def run_fast(
         choice_u = choice_u[routable]
         current = chosen[routable]
 
-    report.congested_nodes = sorted(
-        int(arrays.node_ids[slot])
-        for slot, (accepted, dropped) in final_offers.items()
-        if accepted + dropped >= 10
-        and dropped / (accepted + dropped) >= 0.5
-    )
+    congested = (offered >= 10) & (dropped / np.maximum(offered, 1) >= 0.5)
+    report.congested_nodes = np.sort(arrays.node_ids[congested]).tolist()
     return report
 
 

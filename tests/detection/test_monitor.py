@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.detection.monitor import MonitorConfig, TrafficMonitor
 from repro.errors import DetectionError
+from tests.perf.oracles import scalar_detection_bins
 
 
 def observe(monitor, node_id, time, accepted):
@@ -187,3 +188,65 @@ class TestScalarBatchParity:
         for node, time, ok in reversed(events):
             observe(backward, node, time, ok)
         assert forward.snapshot() == backward.snapshot()
+
+
+class TestBatchedBaselines:
+    """``detection_bins`` builds every series in one scatter and every
+    baseline in one ``axis=1`` pass; both must equal the per-node path."""
+
+    @pytest.mark.parametrize("kind", ["poisson", "uniform", "normal-1e6"])
+    def test_axis_statistics_equal_row_statistics(self, kind):
+        # The batched baselines rely on this numpy property: an axis=1
+        # mean or std of a column slice equals each row's own 1-D mean
+        # or std, bit for bit.
+        rng = np.random.default_rng(["poisson", "uniform", "normal-1e6"].index(kind))
+        for _ in range(200):
+            rows = int(rng.integers(1, 61))
+            width = int(rng.integers(1, 401))
+            lo = int(rng.integers(0, 5))
+            shape = (rows, lo + width + int(rng.integers(0, 5)))
+            if kind == "poisson":
+                full = rng.poisson(rng.uniform(0.0, 50.0), size=shape).astype(float)
+            elif kind == "uniform":
+                full = rng.uniform(0.0, 100.0, size=shape)
+            else:
+                full = rng.normal(1e6, 1e6, size=shape)
+            block = full[:, lo:lo + width]
+            means, stds = block.mean(axis=1), block.std(axis=1)
+            for row in range(rows):
+                assert means[row].tobytes() == np.float64(block[row].mean()).tobytes()
+                assert stds[row].tobytes() == np.float64(block[row].std()).tobytes()
+
+    @pytest.mark.parametrize("method", ["cusum", "ewma"])
+    def test_duplicate_and_absent_ids(self, method):
+        config = MonitorConfig(
+            bin_width=1.0, baseline_bins=4, method=method,
+            threshold=8.0 if method == "cusum" else 2.0,
+        )
+        monitor = TrafficMonitor(config)
+        rng = np.random.default_rng(5)
+        nodes = rng.integers(0, 12, size=3000)
+        times = rng.uniform(0.0, 30.0, size=3000)
+        # Nodes 0-3 step up in the second half: some flags fire.
+        loud = (nodes < 4) & (times > 15.0)
+        nodes = np.concatenate([nodes, np.repeat(nodes[loud], 4)])
+        times = np.concatenate([times, np.repeat(times[loud], 4)])
+        monitor.observe_batch(nodes, times, np.ones(len(nodes), dtype=bool))
+        wanted = [3, 99, 3, 0, 7, 7, 50, 11]  # repeats; 99 and 50 unseen
+        expected = scalar_detection_bins(monitor, node_ids=wanted)
+        assert expected[99] is None and expected[50] is None
+        assert any(value is not None for value in expected.values())
+        assert monitor.detection_bins(wanted) == expected
+        matrix = monitor._series_matrix(wanted, monitor.last_bin())
+        for row, node_id in enumerate(wanted):
+            np.testing.assert_array_equal(
+                matrix[row], monitor.series(node_id, monitor.last_bin())
+            )
+        assert monitor.detection_bins() == scalar_detection_bins(monitor)
+
+    def test_empty_monitor(self):
+        monitor = TrafficMonitor(MonitorConfig(bin_width=1.0))
+        assert monitor.detection_bins() == {}
+        assert monitor.detection_bins([4, 4, 9]) == {4: None, 9: None}
+        assert monitor.flagged_nodes() == []
+        assert monitor._series_matrix([4, 4], 5).tolist() == [[0.0] * 6] * 2

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import ConfigurationError
+from repro.overlay.chord import ChordRing
 from repro.overlay.identifiers import IdentifierSpace
 
 
@@ -63,6 +65,27 @@ class TestValidation:
     def test_validate_rejects(self):
         with pytest.raises(ConfigurationError):
             IdentifierSpace(4).validate(16)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, np.uint64])
+    def test_numpy_integers_are_identifiers(self, kind):
+        space = IdentifierSpace(8)
+        assert space.contains(kind(37))
+        value = space.validate(kind(37))
+        assert value == 37 and type(value) is int
+        assert not space.contains(np.int64(256))
+        assert not space.contains(np.int64(-1))
+        assert not space.contains(np.float64(3.0))
+        with pytest.raises(ConfigurationError, match="outside ring"):
+            space.validate(np.int64(256))
+
+    def test_chord_takes_numpy_keys(self):
+        ring = ChordRing.build([1, 18, 36, 99, 200], bits=8)
+        result = ring.lookup(np.int64(37), start=1)
+        assert result == ring.lookup(37, start=1)
+        assert type(result.key) is int
+        assert ring.find_successor(np.int64(3)) == ring.find_successor(3) == 18
+        holders = ring.put(np.int64(40), "v")
+        assert ring.get(np.int64(40)) == "v" and holders
 
 
 class TestIntervals:

@@ -111,19 +111,23 @@ def _encode_deployment_objects(deployment: SOSDeployment) -> DeploymentArrays:
 
 
 def scalar_detection_bins(
-    monitor: TrafficMonitor, config: Optional[MonitorConfig] = None
+    monitor: TrafficMonitor,
+    config: Optional[MonitorConfig] = None,
+    node_ids: Optional[List[int]] = None,
 ) -> Dict[int, Optional[int]]:
     """:meth:`TrafficMonitor.detection_bins` as one per-node
-    :func:`_detection_bin` loop over every observed node."""
+    :func:`_detection_bin` loop over ``node_ids`` (default: every
+    observed node)."""
     resolved = config if config is not None else monitor.config
     through = monitor.last_bin()
+    ids = monitor.nodes() if node_ids is None else node_ids
     return {
         node_id: (
             _detection_bin(monitor.series(node_id, through), resolved)
             if through >= 0
             else None
         )
-        for node_id in monitor.nodes()
+        for node_id in ids
     }
 
 

@@ -13,8 +13,16 @@ toolchain the numpy set still runs against the oracles.
 
 from __future__ import annotations
 
+import contextlib
+import faulthandler
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.detection.monitor import _detect_bins
 from repro.errors import SimulationError
@@ -53,9 +61,8 @@ def _random_events(rng, m, n, horizon=50.0):
 
 
 def _as_timelines(table, m):
-    """Either set's congestion table as ``{slot: (times, bool flags)}``."""
-    if not isinstance(table, CongestionTable):
-        return table
+    """A :class:`CongestionTable` as ``{slot: (times, bool flags)}``."""
+    assert isinstance(table, CongestionTable)
     assert table.offsets.shape == (m + 1,)
     timelines = {}
     for slot in range(m):
@@ -63,6 +70,23 @@ def _as_timelines(table, m):
         if hi > lo:
             timelines[slot] = (table.times[lo:hi], table.flags[lo:hi].astype(bool))
     return timelines
+
+
+def _scalar_timelines(slots, times, capacity, burst):
+    """Per-slot reference: each slot's events in time order with the
+    congested-after-event flag (>= 10 offers, drop rate >= 0.5) from the
+    per-event bucket replay, as ``{slot: (times, flags)}``."""
+    accept = _scalar_bucket_scan(slots, times, capacity, burst)[0]
+    timelines = {}
+    for slot in sorted(set(slots.tolist())):
+        mine = np.flatnonzero(slots == slot)
+        mine = mine[np.argsort(times[mine], kind="stable")]
+        flags, drops = [], 0
+        for total, index in enumerate(mine.tolist(), start=1):
+            drops += not accept[index]
+            flags.append(total >= 10 and drops / total >= 0.5)
+        timelines[slot] = (times[mine], np.asarray(flags, dtype=bool))
+    return timelines, accept
 
 
 def _assert_same_arrays(got, expected):
@@ -109,33 +133,179 @@ class TestBucketScan:
                 assert len(part) == 0
 
 
+#: Times (capacity 1, burst 2, one slot) whose run-skip target after the
+#: reject at index 4 lands on that event itself: before the search
+#: started after the rejected event, the replay never advanced.
+SKIP_ONTO_REJECT = [
+    36.01427038884009, 202.7485106810981, 255.17725011737812,
+    255.86162364996247, 256.1772501173781,
+] + [300.0] * 10
+
+_SKIP_SCRIPT = """
+import json, sys
+import numpy as np
+from repro.perf.compiled import available_tiers, get_kernels
+times = np.array(json.loads(sys.argv[1]))
+slots = np.zeros(len(times), dtype=np.int64)
+out = {}
+for tier in available_tiers():
+    kernels = get_kernels(tier)
+    out[tier] = [
+        np.flatnonzero(kernels.bucket_scan(slots, times, 1, 1.0, 2.0)[0]).tolist(),
+        np.flatnonzero(kernels.timeline_table(slots, times, 1, 1.0, 2.0)[1]).tolist(),
+    ]
+print(json.dumps(out))
+"""
+
+
+@contextlib.contextmanager
+def _hang_guard(seconds=120):
+    """Abort the process, with every thread's traceback, if the body runs
+    longer than ``seconds``: a replay that stops advancing fails the run
+    instead of hanging it, even inside C."""
+    faulthandler.dump_traceback_later(seconds, exit=True)
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+def _boundary_times(steps, burst):
+    """One slot's times (capacity 1) walked along the per-event replay:
+    each step puts the next event on the skip target ``y + (z - limit)``
+    (where the pre-accept deficit equals ``limit``) give or take a few
+    ulps, on the previous time (a tie), or a plain gap later."""
+    limit = burst - 1.0
+    z = y = 0.0
+    times = []
+    for kind, value in steps:
+        last = times[-1] if times else 0.0
+        if kind == "target":
+            t = float(y + (z - limit))
+            for _ in range(abs(value)):
+                t = float(np.nextafter(t, np.inf if value > 0 else -np.inf))
+        elif kind == "tie":
+            t = last
+        else:
+            t = last + value
+        t = max(t, last)
+        times.append(t)
+        zp = max(z - (t - y), 0.0)
+        if zp <= limit:
+            z, y = zp + 1.0, t
+    return np.asarray(times)
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("target"), st.integers(-2, 2)),
+        st.tuples(st.just("tie"), st.just(0.0)),
+        st.tuples(
+            st.just("gap"),
+            st.floats(0.0, 3.0, allow_nan=False, allow_infinity=False),
+        ),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestReplayBoundaries:
+    """The bucket replay where rounding decides: events on the skip target
+    and deficits on ``burst``, against the per-event replay."""
+
+    def test_skip_onto_rejected_event_terminates(self):
+        # In a child process with a timeout: a replay that stops
+        # advancing fails this test instead of hanging the suite.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", _SKIP_SCRIPT, json.dumps(SKIP_ONTO_REJECT)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        times = np.asarray(SKIP_ONTO_REJECT)
+        slots = np.zeros(len(times), dtype=np.int64)
+        expected = np.flatnonzero(
+            _scalar_bucket_scan(slots, times, 1.0, 2.0)[0]
+        ).tolist()
+        assert expected == [0, 1, 2, 3, 5, 6]
+        got = json.loads(done.stdout)
+        assert set(got) == set(available_tiers())
+        for accepts in got.values():
+            assert accepts == [expected, expected]
+
+    def test_closed_form_defers_to_replay_at_burst(self):
+        # The closed form's deficit is exactly burst on the 5th event;
+        # the per-event replay's pre-accept deficit is 1 ulp above the
+        # limit, so the event is rejected.
+        times = np.asarray(SKIP_ONTO_REJECT[:5])
+        slots = np.zeros(5, dtype=np.int64)
+        expected = _scalar_bucket_scan(slots, times, 1.0, 2.0)
+        assert expected[0].tolist() == [True, True, True, True, False]
+        for kernels in KERNEL_SETS:
+            _assert_same_arrays(
+                kernels.bucket_scan(slots, times, 1, 1.0, 2.0), expected
+            )
+            _, accept = kernels.timeline_table(slots, times, 1, 1.0, 2.0)
+            np.testing.assert_array_equal(accept, expected[0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=_STEPS,
+        base=st.floats(0.0, 1e4, allow_nan=False, allow_infinity=False),
+        burst=st.sampled_from([2.0, 3.0, 5.0]),
+    )
+    def test_boundary_events_match_per_event_replay(self, steps, base, burst):
+        times = _boundary_times([("gap", base)] + steps, burst)
+        slots = np.zeros(len(times), dtype=np.int64)
+        expected = _scalar_bucket_scan(slots, times, 1.0, burst)
+        with _hang_guard():
+            for kernels in KERNEL_SETS:
+                _assert_same_arrays(
+                    kernels.bucket_scan(slots, times, 1, 1.0, burst), expected
+                )
+                _, accept = kernels.timeline_table(slots, times, 1, 1.0, burst)
+                np.testing.assert_array_equal(accept, expected[0])
+
+
 class TestTimelineTable:
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_dict_timelines(self, seed):
+        # Both sets' flat tables, read back per slot, equal the per-slot
+        # dict built from the per-event replay; the accept flags they
+        # hand back equal that replay's, in input order.
         rng = np.random.default_rng(200 + seed)
         m = int(rng.integers(1, 30))
         n = int(rng.integers(1, 300))
         capacity = float(rng.uniform(0.2, 5.0))
         burst = float(np.ceil(rng.uniform(1.0, 6.0)))
         slots, times = _random_events(rng, m, n)
-        expected = NUMPY.timeline_table(slots, times, m, capacity, burst)
+        if seed % 3 == 0:
+            perm = rng.permutation(n)
+            slots, times = slots[perm], times[perm]
+        expected, expected_accept = _scalar_timelines(
+            slots, times, capacity, burst
+        )
         assert sum(len(node_times) for node_times, _ in expected.values()) == n
         for kernels in KERNEL_SETS:
-            got = _as_timelines(
-                kernels.timeline_table(slots, times, m, capacity, burst), m
+            table, accept = kernels.timeline_table(
+                slots, times, m, capacity, burst
             )
+            got = _as_timelines(table, m)
             assert set(got) == set(expected)
             for slot, (node_times, node_flags) in expected.items():
                 np.testing.assert_array_equal(got[slot][0], node_times)
                 np.testing.assert_array_equal(got[slot][1], node_flags)
+            np.testing.assert_array_equal(accept, expected_accept)
 
     def test_empty_is_empty(self):
         for kernels in KERNEL_SETS:
-            table = kernels.timeline_table(
+            table, accept = kernels.timeline_table(
                 np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64),
                 7, 1.0, 2.0,
             )
             assert _as_timelines(table, 7) == {}
+            assert accept.dtype == bool and len(accept) == 0
 
 
 def _scalar_route(u, rows, neighbor_table, is_bad, decision_t, timelines):
@@ -167,7 +337,7 @@ def _route_everywhere(u, rows, neighbor_table, is_bad, decision_t, events,
     slots, times = events
     expected = None
     for kernels in KERNEL_SETS:
-        table = kernels.timeline_table(slots, times, m, capacity, burst)
+        table, _ = kernels.timeline_table(slots, times, m, capacity, burst)
         if expected is None:
             expected = _scalar_route(
                 u, rows, neighbor_table, is_bad, decision_t,
@@ -273,6 +443,22 @@ class TestRoute:
         assert routable.all()
         np.testing.assert_array_equal(chosen, [0, 1, 1, 1, 0, 0])
 
+    def test_decisions_before_a_lone_flip(self):
+        # Slot 0 congests at t=1 and never clears; slot 1 never congests.
+        # Decisions before t=1 still see slot 0 live.
+        slots = np.zeros(20, dtype=np.int64)
+        times = np.full(20, 1.0)
+        decision_t = np.array([0.0, 0.5, 0.999, 1.0, 7.0])
+        u = np.zeros(len(decision_t))
+        rows = np.zeros(len(decision_t), dtype=np.int64)
+        nbr = np.array([[0, 1]], dtype=np.int64)
+        routable, chosen = _route_everywhere(
+            u, rows, nbr, np.zeros(2, dtype=bool), decision_t,
+            (slots, times), 2,
+        )
+        assert routable.all()
+        np.testing.assert_array_equal(chosen, [0, 0, 0, 1, 1])
+
     def test_equal_and_nonmonotone_times(self):
         # Shuffled decision times with ties, straddling both flips of
         # slot 2 (one 64-bit word boundary inside the row too).
@@ -301,6 +487,59 @@ class TestRoute:
         np.testing.assert_array_equal(routable, [False, True, True, True])
         np.testing.assert_array_equal(chosen[routable], [0, 1, 1])
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_flat_table_matches_scalar_route(self, data):
+        # Bursts of events on a coarse time grid pile up at equal
+        # instants, so slots congest and clear; decision times are drawn from the
+        # same grid, so many equal an event time exactly (``side="right"``:
+        # a decision sees every event at its own instant).
+        m = data.draw(st.integers(1, 4))
+        grid = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 5.0])
+        bursts = data.draw(
+            st.lists(
+                st.tuples(st.integers(0, m - 1), grid, st.integers(1, 12)),
+                max_size=20,
+            )
+        )
+        slots = np.asarray(
+            [slot for slot, _, count in bursts for _ in range(count)],
+            dtype=np.int64,
+        )
+        times = np.asarray(
+            [time for _, time, count in bursts for _ in range(count)],
+            dtype=np.float64,
+        )
+        cols = data.draw(st.integers(1, 6))
+        table_rows = data.draw(st.integers(1, 4))
+        nbr = np.asarray(
+            data.draw(
+                st.lists(
+                    st.lists(st.integers(0, m - 1), min_size=cols, max_size=cols),
+                    min_size=table_rows, max_size=table_rows,
+                )
+            ),
+            dtype=np.int64,
+        )
+        n = data.draw(st.integers(1, 30))
+        rows = np.asarray(
+            data.draw(st.lists(st.integers(0, table_rows - 1), min_size=n, max_size=n)),
+            dtype=np.int64,
+        )
+        decision_t = np.asarray(
+            data.draw(st.lists(grid, min_size=n, max_size=n)), dtype=np.float64
+        )
+        u = np.asarray(
+            data.draw(st.lists(st.floats(0.0, 0.999), min_size=n, max_size=n))
+        )
+        is_bad = np.asarray(
+            data.draw(st.lists(st.booleans(), min_size=m, max_size=m))
+        )
+        _route_everywhere(
+            u, rows, nbr, is_bad, decision_t, (slots, times), m,
+            capacity=1.0, burst=2.0,
+        )
+
     @pytest.mark.skipif(
         "compiled" not in available_tiers(), reason="no compiled backend"
     )
@@ -315,13 +554,51 @@ class TestRoute:
     )
     def test_compiled_rejects_out_of_range_indices(self, rows, nbr, match):
         kernels = get_kernels("compiled")
-        table = kernels.timeline_table(*_no_events(), 2, 1.0, 2.0)
+        table, _ = kernels.timeline_table(*_no_events(), 2, 1.0, 2.0)
         with pytest.raises(SimulationError, match=match):
             kernels.route(
                 np.full(2, 0.5), np.asarray(rows, dtype=np.int64),
                 np.asarray(nbr, dtype=np.int64), np.zeros(2, dtype=bool),
                 np.zeros(2), table,
             )
+
+
+class TestCongestionFlips:
+    def test_flipping_slot_has_two_flips(self):
+        # ``_flipping_events``: on at the 10th offer of t=1, off at t=35.
+        slots, times = _flipping_events(3)
+        for kernels in KERNEL_SETS:
+            table, _ = kernels.timeline_table(slots, times, 5, 1.0, 2.0)
+            flip_slots, flip_times, flip_flags = table.flips
+            assert flip_slots.tolist() == [3, 3]
+            assert flip_times.tolist() == [1.0, 35.0]
+            assert flip_flags.tolist() == [1, 0]
+
+    def test_equal_flips_mean_equal_routes(self):
+        # More offers that change no flag change no flip, and no route.
+        slots, times = _flipping_events(0)
+        quiet = np.array([1, 1], dtype=np.int64), np.array([0.5, 50.0])
+        u = np.linspace(0.0, 0.99, 9)
+        rows = np.zeros(9, dtype=np.int64)
+        nbr = np.array([[0, 1]], dtype=np.int64)
+        decision_t = np.array([0.5, 1.0, 2.0, 20.0, 34.0, 35.0, 36.0, 50.0, 99.0])
+        for kernels in KERNEL_SETS:
+            alone, _ = kernels.timeline_table(slots, times, 2, 1.0, 2.0)
+            joined, _ = kernels.timeline_table(
+                np.concatenate([slots, quiet[0]]),
+                np.concatenate([times, quiet[1]]), 2, 1.0, 2.0,
+            )
+            for ours, theirs in zip(alone.flips, joined.flips):
+                np.testing.assert_array_equal(ours, theirs)
+            routes = [
+                kernels.route(u, rows, nbr, np.zeros(2, dtype=bool), decision_t, t)
+                for t in (alone, joined)
+            ]
+            _assert_same_arrays(routes[0], routes[1])
+
+    def test_empty_table_has_no_flips(self):
+        for part in CongestionTable.empty(4).flips:
+            assert len(part) == 0
 
 
 class TestWelford:

@@ -20,6 +20,7 @@ import pytest
 from repro.core import SOSArchitecture
 from repro.errors import SimulationError
 from repro.perf.fastsim import (
+    encode_deployment,
     mean_delivery_ratio,
     run_packet_replicas,
 )
@@ -241,6 +242,65 @@ class TestCascadeTail:
         # Four layer-rounds; all but a handful of the route calls are
         # refinements of the last one.
         assert len(calls) > 100
+        assert dataclasses.asdict(fast) == dataclasses.asdict(event)
+
+
+class TestRouteCalls:
+    """Each layer's routing stops calling ``route`` once a table would
+    route as the last one did: one call when the next layer never
+    congests, the refinement loop when arrivals move its flips."""
+
+    CONFIG = PacketSimConfig(
+        duration=90.0,
+        warmup=0.0,
+        clients=4,
+        client_rate=0.2,
+        node_capacity=1.0,
+        hop_latency=0.01,
+    )
+
+    @staticmethod
+    def spy(monkeypatch, tier, dep):
+        """Record the layer of every ``route`` call (by its table)."""
+        kernels_cls = type(compiled.get_kernels(compiled.resolve_tier(tier)))
+        layer_of = {
+            id(table): layer
+            for layer, table in encode_deployment(dep).neighbors.items()
+        }
+        calls = []
+        route = kernels_cls.route
+
+        def spying(self, u, rows, neighbor_table, *rest):
+            calls.append(layer_of[id(neighbor_table)])
+            return route(self, u, rows, neighbor_table, *rest)
+
+        monkeypatch.setattr(kernels_cls, "route", spying)
+        return calls
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_one_call_per_layer_without_congestion(self, tier, monkeypatch):
+        dep = deployment()
+        config = dataclasses.replace(self.CONFIG, tier=tier)
+        calls = self.spy(monkeypatch, tier, dep)
+        event, fast = run_both(config, 3, dep=dep)
+        assert calls == [1, 2, 3]
+        assert fast.congested_nodes == []
+        assert dataclasses.asdict(fast) == dataclasses.asdict(event)
+
+    @pytest.mark.parametrize("tier", TIERS)
+    def test_congesting_next_layer_refines(self, tier, monkeypatch):
+        # The ``_flipping_events`` shape at t=11 on one layer-2 node: it
+        # congests at t=11 and clears later. Arrivals routed to it before
+        # t=11 move its clearing flip, so layer 1 routes a second time.
+        dep = deployment()
+        times = np.concatenate([np.full(20, 11.0), 13.0 + 2.0 * np.arange(40)])
+        schedule = InjectionSchedule(
+            attack_times={int(dep.layer_members(2)[0]): times}
+        )
+        config = dataclasses.replace(self.CONFIG, tier=tier)
+        calls = self.spy(monkeypatch, tier, dep)
+        event, fast = run_both(config, 3, dep=dep, schedule=schedule)
+        assert calls == [1, 1, 2, 3]
         assert dataclasses.asdict(fast) == dataclasses.asdict(event)
 
 

@@ -62,6 +62,42 @@ class TestSlotIndex:
         assert index[int(np.iinfo(np.int64).max)] == 0
         assert index[4] == 1
 
+    @pytest.mark.parametrize(
+        "wanted",
+        [
+            np.array([2**70], dtype=object),
+            [2**70],
+            [5, 2**70],
+            np.array([[1, 2**70]], dtype=object),
+        ],
+        ids=["object-array", "list", "after-a-hit", "2-d"],
+    )
+    def test_lookup_of_wide_id_is_key_error(self, wanted):
+        # An id wider than int64 has no slot: lookup raises the KeyError
+        # that ``[]`` raises, not numpy's OverflowError.
+        index = SlotIndex(np.array([1, 5]))
+        with pytest.raises(KeyError) as lookup_error:
+            index.lookup(wanted)
+        with pytest.raises(KeyError) as item_error:
+            index[2**70]
+        assert lookup_error.value.args == item_error.value.args == (2**70,)
+        assert 2**70 not in index
+
+    @pytest.mark.parametrize(
+        "wanted,missing",
+        [([1.7], 1.7), (np.array([5.0, 5.5]), 5.5),
+         (np.array([2**63 + 1], dtype=np.uint64), 2**63 + 1)],
+        ids=["float-list", "float-array", "uint64-above-int64"],
+    )
+    def test_lookup_never_truncates_an_id(self, wanted, missing):
+        # 1.7 is not id 1, and a uint64 id above the int64 maximum does
+        # not wrap onto another slot: both miss, as they do under [].
+        index = SlotIndex(np.array([1, 5]))
+        with pytest.raises(KeyError) as error:
+            index.lookup(wanted)
+        assert error.value.args == (missing,)
+        np.testing.assert_array_equal(index.lookup(np.array([5.0, 1.0])), [1, 0])
+
     def test_lookup_preserves_shape(self):
         index = SlotIndex(np.array([10, 20, 30], dtype=np.int64))
         grid = np.array([[30, 10], [20, 20]], dtype=np.int64)

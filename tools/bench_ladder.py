@@ -2,9 +2,10 @@
 """Run the hot-path benchmarks at every available kernel tier.
 
 The perf ladder measures the fast packet engine — the 1000-client
-flooded packet run and the 100k-node scale run — once per tier
-(``numpy`` | ``compiled``), verifies that the tiers produce identical
-results (bit-identity is promised), and prints a tier x speedup table.
+flooded packet run, the 100k-node scale run, and the six zoo campaigns
+through the detect->repair loop — once per tier (``numpy`` |
+``compiled``), verifies that the tiers produce identical results
+(bit-identity is promised), and prints a tier x speedup table.
 Change-point detection over a large monitor rides along as a
 numpy-only row: the detector scan has one implementation.
 
@@ -56,6 +57,8 @@ from repro.perf.compiled import (
     poisson_sampler,
 )
 from repro.perf.fastsim import encode_deployment, run_fast
+from repro.scenarios.runner import run_scenario
+from repro.scenarios.zoo import list_scenarios, load_scenario
 from repro.simulation.packet_sim import PacketSimConfig, flood_layer
 from repro.sos.deployment import SOSDeployment
 
@@ -164,6 +167,31 @@ def _run_detection(state: Dict[str, Any]) -> Tuple[Any, ...]:
     return tuple(sorted(bins.items()))
 
 
+def _prepare_zoo(phases: int) -> Dict[str, Any]:
+    return {
+        "specs": [load_scenario(name) for name in list_scenarios()],
+        "phases": phases,
+    }
+
+
+def _run_zoo(state: Dict[str, Any], tier: str) -> Tuple[Any, ...]:
+    """Every zoo campaign through detect->repair at the spec's own seed:
+    per-phase delivery, flagged and repaired sets."""
+    reports = [
+        run_scenario(spec, mode="detected", phases=state["phases"], tier=tier)
+        for spec in state["specs"]
+    ]
+    return tuple(
+        (
+            report.scenario,
+            report.delivery_per_phase,
+            report.flagged_per_phase,
+            report.repaired_per_phase,
+        )
+        for report in reports
+    )
+
+
 def build_benchmarks(quick: bool) -> List[Dict[str, Any]]:
     """The ladder's benchmark matrix (prepared lazily, in order)."""
     flooded = dict(clients=1000, nodes=2000, sos_nodes=120, filters=8,
@@ -171,6 +199,7 @@ def build_benchmarks(quick: bool) -> List[Dict[str, Any]]:
     scale = dict(clients=200, nodes=100_000, sos_nodes=3_000, filters=8,
                  duration=6.0, flood_rate=200.0)
     detection = dict(nodes=1_000, offers=50_000 if quick else 400_000)
+    zoo = dict(phases=1 if quick else 3)
     if quick:
         flooded.update(clients=200, nodes=500, sos_nodes=60, duration=20.0)
         scale.update(nodes=10_000, sos_nodes=600)
@@ -188,6 +217,14 @@ def build_benchmarks(quick: bool) -> List[Dict[str, Any]]:
             "name": "detection_flagging",
             "prepare": lambda: _prepare_detection(**detection),
             "tiers": {"numpy": _run_detection},
+        },
+        {
+            "name": "zoo_detect" if not quick else "zoo_detect_quick",
+            "prepare": lambda: _prepare_zoo(**zoo),
+            "tiers": {
+                tier: (lambda state, tier=tier: _run_zoo(state, tier))
+                for tier in TIERS
+            },
         },
         {
             "name": "scale_100k_flooded" if not quick else "scale_quick",
