@@ -102,11 +102,6 @@ class MonitoringComparison:
     trials: int
 
     @property
-    def ps_drop(self) -> float:
-        """How much extra availability the monitoring attacker destroys."""
-        return self.baseline_ps - self.monitoring_ps
-
-    @property
     def extra_disclosure(self) -> float:
         return self.monitoring_disclosed - self.baseline_disclosed
 

@@ -94,7 +94,6 @@ class SOSArchitecture:
 
     # Derived, filled in __post_init__ (object.__setattr__ due to frozen).
     _mapping_policy: MappingPolicy = dataclasses.field(init=False, repr=False)
-    _filter_policy: MappingPolicy = dataclasses.field(init=False, repr=False)
     _layer_policies: Tuple[MappingPolicy, ...] = dataclasses.field(
         init=False, repr=False
     )
@@ -163,7 +162,6 @@ class SOSArchitecture:
         )
 
         object.__setattr__(self, "_mapping_policy", mapping_policy)
-        object.__setattr__(self, "_filter_policy", filter_policy)
         object.__setattr__(self, "_layer_policies", layer_policies)
         object.__setattr__(self, "_layer_sizes", sizes)
         object.__setattr__(self, "_degrees", degrees)
@@ -175,11 +173,6 @@ class SOSArchitecture:
     def mapping_policy(self) -> MappingPolicy:
         """The resolved mapping policy for SOS layers."""
         return self._mapping_policy
-
-    @property
-    def filter_mapping_policy(self) -> MappingPolicy:
-        """The resolved mapping policy for the servlet→filter hop."""
-        return self._filter_policy
 
     @property
     def layer_mapping_policies(self) -> Tuple[MappingPolicy, ...]:

@@ -143,10 +143,6 @@ class AttackGraph:
             )
         return list(self._by_victim[victim])
 
-    def sources_for(self, victim: int) -> List[int]:
-        """Sources flooding ``victim``, in per-victim index order."""
-        return [path.source for path in self.paths_for(victim)]
-
     def edges(self) -> Iterator[Tuple[int, int]]:
         """Every directed ``(start, end)`` edge across all paths."""
         for path in self.paths:

@@ -280,12 +280,6 @@ class BatchLookupResult:
     def __len__(self) -> int:
         return len(self.owners)
 
-    @property
-    def success_rate(self) -> float:
-        if len(self.owners) == 0:
-            return 0.0
-        return float(self.succeeded.mean())
-
 
 @dataclasses.dataclass(frozen=True)
 class LookupResult:

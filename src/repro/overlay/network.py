@@ -71,28 +71,43 @@ class OverlayNetwork:
 
         RNG-stream compatible with the historical scalar loop: the dense
         path takes the head of one whole-space permutation; the sparse
-        path consumes the same ``integers`` blocks and keeps first
-        occurrences until ``count`` distinct values exist, exactly like
-        the old add-to-a-set-with-early-break loop.
+        path consumes the same ``integers`` blocks (twice the number of
+        ids still missing) and keeps the first ``count`` distinct values
+        of the draw stream, exactly like the old add-to-a-set loop with
+        its early break mid-block, and returns them sorted.
+
+        The sparse path never needs the draw order inside a block: a
+        chunk of ``k`` draws, where ``k`` ids are still missing, holds at
+        most ``k`` new values, so every new value in it is kept. Each
+        chunk is sorted, deduplicated by adjacent difference and tested
+        against the sorted ids so far with ``searchsorted``; the next
+        chunk is as long as the ids still missing. (No ``np.unique``:
+        its stable argsort, or numpy >= 2.3's hash path, costs 30-70x
+        one ``np.sort`` at 10**6 ids.)
         """
         if count > self.space.size // 2:
             # Dense ring: permute the whole space (only feasible for small
             # test rings).
             return self._rng.permutation(self.space.size)[:count].astype(np.int64)
-        seen = np.empty(0, dtype=np.int64)
-        while len(seen) < count:
-            needed = count - len(seen)
+        ids = np.empty(0, dtype=np.int64)
+        while len(ids) < count:
             draws = self._rng.integers(
-                0, self.space.size, size=needed * 2, dtype=np.int64
+                0, self.space.size, size=(count - len(ids)) * 2, dtype=np.int64
             )
-            merged = np.concatenate([seen, draws])
-            # Stable first-occurrence dedupe, then keep the first `count`
-            # distinct values in draw order — identical to the scalar
-            # loop's early break mid-block.
-            _, first = np.unique(merged, return_index=True)
-            keep = np.sort(first)[:count]
-            seen = merged[keep]
-        return np.sort(seen)
+            start = 0
+            while start < len(draws) and len(ids) < count:
+                stop = start + count - len(ids)
+                chunk = np.sort(draws[start:stop])
+                start = stop
+                chunk = chunk[np.r_[True, chunk[1:] != chunk[:-1]]]
+                if len(ids) == 0:
+                    ids = chunk
+                else:
+                    at = np.searchsorted(ids, chunk)
+                    known = at < len(ids)
+                    known[known] = ids[at[known]] == chunk[known]
+                    ids = np.insert(ids, at[~known], chunk[~known])
+        return ids
 
     # ------------------------------------------------------------------
     # Lookup and iteration

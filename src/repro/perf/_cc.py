@@ -148,8 +148,6 @@ void repro_bucket_scan(
     const int64_t *slots, const double *times, int64_t n, int64_t m,
     double capacity, double burst, int32_t want_flags,
     uint8_t *accept,   /* n, input order, pre-zeroed */
-    int64_t *offered,  /* m, pre-zeroed */
-    int64_t *accepted, /* m, pre-zeroed */
     int64_t *offsets,  /* m + 1 */
     int64_t *order,    /* n out: event index in grouped, time-sorted order */
     uint8_t *flags,    /* n out (grouped order); only written if want_flags */
@@ -180,7 +178,6 @@ void repro_bucket_scan(
         if (k == 0)
             continue;
         sort_group(times, order + lo, k, tmp);
-        offered[s] = k;
 
         /* all-accept closed form: w_i = max(w_{i-1}, s_i - i),
            z_i = (w_i + (i + 1)) - s_i — numpy's
@@ -212,12 +209,10 @@ void repro_bucket_scan(
         if (zmax <= burst - slack) {
             for (j = 0; j < k; j++)
                 accept[order[lo + j]] = 1;
-            accepted[s] = k;
         } else {
             /* exact Lindley replay with run-skipping: the numpy tier's
                _replay_group loop */
             double z = 0.0, y = 0.0;
-            int64_t acc = 0;
             j = 0;
             while (j < k) {
                 double si = svals[lo + j];
@@ -228,7 +223,6 @@ void repro_bucket_scan(
                     accept[order[lo + j]] = 1;
                     z = zp + 1.0;
                     y = si;
-                    acc++;
                     j++;
                 } else {
                     /* bisect_left over svals for y + (z - limit), after
@@ -252,7 +246,6 @@ void repro_bucket_scan(
                     j = a;
                 }
             }
-            accepted[s] = acc;
         }
 
         if (want_flags) {
@@ -750,7 +743,7 @@ def _bind(library: ctypes.CDLL) -> ctypes.CDLL:
     library.repro_bucket_scan.argtypes = [
         i64p, f64p, ctypes.c_int64, ctypes.c_int64,
         ctypes.c_double, ctypes.c_double, ctypes.c_int32,
-        u8p, i64p, i64p, i64p, i64p, u8p, f64p, i64p, i64p, f64p,
+        u8p, i64p, i64p, u8p, f64p, i64p, i64p, f64p,
     ]
     library.repro_route.restype = ctypes.c_int64
     library.repro_route.argtypes = [

@@ -256,11 +256,11 @@ def _bucket_replay(
     counts: np.ndarray,
     capacity: float,
     burst: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Token-bucket accept flags of grouped, time-sorted events and the
-    accepted count per group (see :meth:`NumpyKernels.bucket_scan`)."""
+) -> np.ndarray:
+    """Token-bucket accept flags of grouped, time-sorted events (see
+    :meth:`NumpyKernels.bucket_scan`)."""
     if len(t_sorted) == 0:
-        return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=bool)
     s = t_sorted * capacity
     # A group offered more than a full bucket plus the refill over its
     # span drops for certain; only the others try the closed form. (The
@@ -274,18 +274,17 @@ def _bucket_replay(
             s[np.repeat(closed, counts)], np.cumsum(sizes) - sizes, sizes, burst
         )
     accept = np.repeat(closed, counts)
-    accepted = np.where(closed, counts, 0)
     limit = burst - 1.0
     for g in np.flatnonzero(~closed).tolist():
         lo = int(starts[g])
         hi = lo + int(counts[g])
-        accepted[g] = _replay_group(s[lo:hi].tolist(), limit, accept[lo:hi])
-    return accept, accepted
+        _replay_group(s[lo:hi].tolist(), limit, accept[lo:hi])
+    return accept
 
 
-def _replay_group(s_list: List[float], limit: float, out: np.ndarray) -> int:
+def _replay_group(s_list: List[float], limit: float, out: np.ndarray) -> None:
     """Exact Lindley replay of one group with run-skipping; writes the
-    accept flags into ``out`` and returns the accepted count.
+    accept flags into ``out``.
 
     After a reject at deficit ``z`` and rescaled time ``y``, the pre-accept
     deficit ``max(z - (s - y), 0)`` only falls as ``s`` grows — each of
@@ -299,7 +298,7 @@ def _replay_group(s_list: List[float], limit: float, out: np.ndarray) -> int:
     """
     n = len(s_list)
     if limit < 0.0:
-        return 0  # a bucket shallower than one token takes nothing
+        return  # a bucket shallower than one token takes nothing
     taken = bytearray(n)
     bisect_left = bisect.bisect_left
     z = 0.0
@@ -324,7 +323,6 @@ def _replay_group(s_list: List[float], limit: float, out: np.ndarray) -> int:
                 j += 1
             i = j
     out[:] = np.frombuffer(taken, dtype=bool)
-    return taken.count(1)
 
 
 class NumpyKernels:
@@ -342,7 +340,7 @@ class NumpyKernels:
         m: int,
         capacity: float,
         burst: float,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    ) -> np.ndarray:
         """Replay per-node token buckets over grouped events.
 
         ``slots``/``times`` are flat parallel event arrays (any order;
@@ -363,17 +361,12 @@ class NumpyKernels:
         runs (the bucket must drain a full token before the next
         accept), and each run is skipped with one binary search.
 
-        Returns ``(accept, unique_slots, accepted_per, dropped_per)``
-        where ``accept`` aligns with the *input* event order and the
-        per-group arrays align with ``unique_slots``.
+        Returns the accept flags, aligned with the *input* event order.
         """
-        order, s_sorted, t_sorted, starts, counts = _group(slots, times)
-        accept_sorted, accepted_per = _bucket_replay(
-            t_sorted, starts, counts, capacity, burst
-        )
+        order, _, t_sorted, starts, counts = _group(slots, times)
         accept = np.empty(len(slots), dtype=bool)
-        accept[order] = accept_sorted
-        return accept, s_sorted[starts], accepted_per, counts - accepted_per
+        accept[order] = _bucket_replay(t_sorted, starts, counts, capacity, burst)
+        return accept
 
     def timeline_table(
         self,
@@ -395,9 +388,7 @@ class NumpyKernels:
         if len(slots) == 0:
             return CongestionTable.empty(m), np.zeros(0, dtype=bool)
         order, s_sorted, t_sorted, starts, counts = _group(slots, times)
-        accept_sorted, _ = _bucket_replay(
-            t_sorted, starts, counts, capacity, burst
-        )
+        accept_sorted = _bucket_replay(t_sorted, starts, counts, capacity, burst)
         # Offers and drops so far, counted from each slot's first event.
         total = np.arange(1, len(s_sorted) + 1) - np.repeat(starts, counts)
         rejected = ~accept_sorted
@@ -546,8 +537,6 @@ class KernelSet:
         times = _as_c(times, np.float64)
         n = len(slots)
         accept = np.zeros(n, dtype=np.uint8)
-        offered = np.zeros(m, dtype=np.int64)
-        accepted = np.zeros(m, dtype=np.int64)
         offsets = np.zeros(m + 1, dtype=np.int64)
         order = np.empty(n, dtype=np.int64)
         flags = np.zeros(n, dtype=np.uint8)
@@ -564,8 +553,6 @@ class KernelSet:
             burst,
             1 if want_flags else 0,
             accept.ctypes.data_as(_U8P),
-            offered.ctypes.data_as(_I64P),
-            accepted.ctypes.data_as(_I64P),
             offsets.ctypes.data_as(_I64P),
             order.ctypes.data_as(_I64P),
             flags.ctypes.data_as(_U8P),
@@ -574,7 +561,7 @@ class KernelSet:
             tmp.ctypes.data_as(_I64P),
             svals.ctypes.data_as(_F64P),
         )
-        return accept, offered, accepted, offsets, order, flags, tsorted
+        return accept, offsets, flags, tsorted
 
     def bucket_scan(
         self,
@@ -583,17 +570,13 @@ class KernelSet:
         m: int,
         capacity: float,
         burst: float,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`NumpyKernels.bucket_scan` in C: returns ``(accept,
-        unique_slots, accepted_per, dropped_per)`` with accept aligned
-        to the *input* event order."""
-        accept, offered, accepted, _, _, _, _ = self._scan_raw(
+    ) -> np.ndarray:
+        """:meth:`NumpyKernels.bucket_scan` in C: the accept flags,
+        aligned with the *input* event order."""
+        accept = self._scan_raw(
             slots, times, m, capacity, burst, want_flags=False
-        )
-        unique_slots = np.nonzero(offered)[0].astype(np.int64)
-        accepted_per = accepted[unique_slots]
-        dropped_per = offered[unique_slots] - accepted_per
-        return accept.astype(bool), unique_slots, accepted_per, dropped_per
+        )[0]
+        return accept.astype(bool)
 
     def timeline_table(
         self,
@@ -608,7 +591,7 @@ class KernelSet:
         order, from one scan."""
         if len(slots) == 0:
             return CongestionTable.empty(m), np.zeros(0, dtype=bool)
-        accept, _, _, offsets, _, flags, tsorted = self._scan_raw(
+        accept, offsets, flags, tsorted = self._scan_raw(
             slots, times, m, capacity, burst, want_flags=True
         )
         table = CongestionTable(offsets=offsets, times=tsorted, flags=flags)
@@ -901,12 +884,6 @@ def choice_rows(generator: Any, population: Any, k: Any, rows: Any) -> np.ndarra
         if library is not None:
             return _replay(library, generator, int(population), int(k), int(rows))
     return _choice_loop(generator, population, k, rows)
-
-
-def _reset_replay_for_tests() -> None:
-    """Forget the self-check verdict (test hook)."""
-    global _REPLAY_OK
-    _REPLAY_OK = None
 
 
 # ----------------------------------------------------------------------

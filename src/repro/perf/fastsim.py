@@ -686,7 +686,7 @@ def run_fast(
         if accept_flat is None:
             accept_flat = kernels.bucket_scan(
                 slots_flat, times_flat, total_slots, capacity, burst
-            )[0]
+            )
         if monitor is not None:
             # Every offer this layer's buckets saw (legit + flood) with
             # its accept/drop outcome — the batch mirror of the event

@@ -30,7 +30,6 @@ import asyncio
 import dataclasses
 import multiprocessing
 import multiprocessing.connection
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional
@@ -521,10 +520,3 @@ class _DirectRequest:
 
     payload: Dict[str, Any]
     deadline: Deadline
-
-
-def default_spool_dir(base: Optional[str] = None) -> str:
-    """Directory for campaign checkpoints (created on demand)."""
-    root = base or os.path.join(".", ".service_spool")
-    os.makedirs(root, exist_ok=True)
-    return root

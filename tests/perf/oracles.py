@@ -22,15 +22,15 @@ def _scalar_bucket_scan(
     times: np.ndarray,
     capacity: float,
     burst: float,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Per-event Python replay of the grouped token-bucket scan.
 
     Every event runs the Lindley deficit recursion one at a time in plain
-    Python floats — no closed form, no run skipping. Same return
-    convention as the kernel sets' ``bucket_scan``; rejected events leave
-    the ``(z, y)`` state untouched because the clamp at zero makes the
-    deficit a pure function of the last *accept*, not of intervening
-    rejects.
+    Python floats — no closed form, no run skipping. Returns the accept
+    flags in input order, like the kernel sets' ``bucket_scan``; rejected
+    events leave the ``(z, y)`` state untouched because the clamp at zero
+    makes the deficit a pure function of the last *accept*, not of
+    intervening rejects.
     """
     n = len(slots)
     slot_list = [int(value) for value in slots.tolist()]
@@ -38,8 +38,6 @@ def _scalar_bucket_scan(
     order = sorted(range(n), key=lambda i: (slot_list[i], time_list[i]))
     accept = np.zeros(n, dtype=bool)
     limit = burst - 1.0
-    offered: Dict[int, int] = {}
-    taken: Dict[int, int] = {}
     state: Dict[int, Tuple[float, float]] = {}
     for i in order:
         slot = slot_list[i]
@@ -48,21 +46,10 @@ def _scalar_bucket_scan(
         zp = z - (s - y)
         if zp < 0.0:
             zp = 0.0
-        offered[slot] = offered.get(slot, 0) + 1
         if zp <= limit:
             accept[i] = True
             state[slot] = (zp + 1.0, s)
-            taken[slot] = taken.get(slot, 0) + 1
-    unique = sorted(offered)
-    unique_slots = np.asarray(unique, dtype=np.int64)
-    accepted_per = np.asarray(
-        [taken.get(slot, 0) for slot in unique], dtype=np.int64
-    )
-    dropped_per = np.asarray(
-        [offered[slot] - taken.get(slot, 0) for slot in unique],
-        dtype=np.int64,
-    )
-    return accept, unique_slots, accepted_per, dropped_per
+    return accept
 
 
 def _encode_deployment_objects(deployment: SOSDeployment) -> DeploymentArrays:

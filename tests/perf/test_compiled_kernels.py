@@ -76,7 +76,7 @@ def _scalar_timelines(slots, times, capacity, burst):
     """Per-slot reference: each slot's events in time order with the
     congested-after-event flag (>= 10 offers, drop rate >= 0.5) from the
     per-event bucket replay, as ``{slot: (times, flags)}``."""
-    accept = _scalar_bucket_scan(slots, times, capacity, burst)[0]
+    accept = _scalar_bucket_scan(slots, times, capacity, burst)
     timelines = {}
     for slot in sorted(set(slots.tolist())):
         mine = np.flatnonzero(slots == slot)
@@ -95,6 +95,11 @@ def _assert_same_arrays(got, expected):
         np.testing.assert_array_equal(ours, theirs)
 
 
+def _assert_same_accept(got, expected):
+    assert got.dtype == np.bool_
+    np.testing.assert_array_equal(got, expected)
+
+
 class TestBucketScan:
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_numpy_oracle(self, seed):
@@ -110,7 +115,7 @@ class TestBucketScan:
         expected = NUMPY.bucket_scan(slots, times, m, capacity, burst)
         for kernels in KERNEL_SETS:
             got = kernels.bucket_scan(slots, times, m, capacity, burst)
-            _assert_same_arrays(got, expected)
+            _assert_same_accept(got, expected)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_scalar_tier_agrees(self, seed):
@@ -123,14 +128,13 @@ class TestBucketScan:
         expected = _scalar_bucket_scan(slots, times, capacity, burst)
         for kernels in KERNEL_SETS:
             got = kernels.bucket_scan(slots, times, m, capacity, burst)
-            _assert_same_arrays(got, expected)
+            _assert_same_accept(got, expected)
 
     def test_empty_events(self):
         slots = np.zeros(0, dtype=np.int64)
         times = np.zeros(0, dtype=np.float64)
         for kernels in KERNEL_SETS:
-            for part in kernels.bucket_scan(slots, times, 5, 1.0, 3.0):
-                assert len(part) == 0
+            assert len(kernels.bucket_scan(slots, times, 5, 1.0, 3.0)) == 0
 
 
 #: Times (capacity 1, burst 2, one slot) whose run-skip target after the
@@ -151,7 +155,7 @@ out = {}
 for tier in available_tiers():
     kernels = get_kernels(tier)
     out[tier] = [
-        np.flatnonzero(kernels.bucket_scan(slots, times, 1, 1.0, 2.0)[0]).tolist(),
+        np.flatnonzero(kernels.bucket_scan(slots, times, 1, 1.0, 2.0)).tolist(),
         np.flatnonzero(kernels.timeline_table(slots, times, 1, 1.0, 2.0)[1]).tolist(),
     ]
 print(json.dumps(out))
@@ -226,7 +230,7 @@ class TestReplayBoundaries:
         times = np.asarray(SKIP_ONTO_REJECT)
         slots = np.zeros(len(times), dtype=np.int64)
         expected = np.flatnonzero(
-            _scalar_bucket_scan(slots, times, 1.0, 2.0)[0]
+            _scalar_bucket_scan(slots, times, 1.0, 2.0)
         ).tolist()
         assert expected == [0, 1, 2, 3, 5, 6]
         got = json.loads(done.stdout)
@@ -241,13 +245,13 @@ class TestReplayBoundaries:
         times = np.asarray(SKIP_ONTO_REJECT[:5])
         slots = np.zeros(5, dtype=np.int64)
         expected = _scalar_bucket_scan(slots, times, 1.0, 2.0)
-        assert expected[0].tolist() == [True, True, True, True, False]
+        assert expected.tolist() == [True, True, True, True, False]
         for kernels in KERNEL_SETS:
-            _assert_same_arrays(
+            _assert_same_accept(
                 kernels.bucket_scan(slots, times, 1, 1.0, 2.0), expected
             )
             _, accept = kernels.timeline_table(slots, times, 1, 1.0, 2.0)
-            np.testing.assert_array_equal(accept, expected[0])
+            np.testing.assert_array_equal(accept, expected)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -261,11 +265,11 @@ class TestReplayBoundaries:
         expected = _scalar_bucket_scan(slots, times, 1.0, burst)
         with _hang_guard():
             for kernels in KERNEL_SETS:
-                _assert_same_arrays(
+                _assert_same_accept(
                     kernels.bucket_scan(slots, times, 1, 1.0, burst), expected
                 )
                 _, accept = kernels.timeline_table(slots, times, 1, 1.0, burst)
-                np.testing.assert_array_equal(accept, expected[0])
+                np.testing.assert_array_equal(accept, expected)
 
 
 class TestTimelineTable:
