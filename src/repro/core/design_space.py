@@ -91,38 +91,30 @@ def evaluate_designs(
     scenarios: Dict[str, Attack],
     aggregate: str = "min",
     weights: Optional[Dict[str, float]] = None,
-    vectorized: bool = True,
 ) -> List[DesignScore]:
     """Score every design against every attack scenario.
 
     ``aggregate`` is ``"min"`` (robust / worst-case, default) or ``"mean"``
     (optionally weighted by ``weights``). The design x scenario cross is
-    evaluated in one vectorized batch (:mod:`repro.perf.batch`);
-    ``vectorized=False`` keeps the scalar per-point loop as an oracle.
+    evaluated in one batch (:mod:`repro.perf.batch`).
     """
     if not scenarios:
         raise ConfigurationError("need at least one attack scenario")
     if aggregate not in ("min", "mean"):
         raise ConfigurationError(f"aggregate must be 'min' or 'mean', got {aggregate!r}")
     names = list(scenarios)
-    if vectorized and designs:
-        from repro.perf.batch import evaluate_batch
+    from repro.perf.batch import evaluate_batch
 
-        flat_designs = [d for d in designs for _ in names]
-        flat_attacks = [scenarios[name] for _ in designs for name in names]
-        values = evaluate_batch(flat_designs, flat_attacks)
-        per_design = [
-            {
-                name: float(values[row * len(names) + column])
-                for column, name in enumerate(names)
-            }
-            for row in range(len(designs))
-        ]
-    else:
-        per_design = [
-            {name: evaluate(design, scenarios[name]).p_s for name in names}
-            for design in designs
-        ]
+    flat_designs = [d for d in designs for _ in names]
+    flat_attacks = [scenarios[name] for _ in designs for name in names]
+    values = evaluate_batch(flat_designs, flat_attacks)
+    per_design = [
+        {
+            name: float(values[row * len(names) + column])
+            for column, name in enumerate(names)
+        }
+        for row in range(len(designs))
+    ]
     scores = []
     for design, per_scenario in zip(designs, per_design):
         if aggregate == "min":

@@ -10,12 +10,11 @@ five rounds and knows half the first layer?"):
   returned as a :class:`SweepGrid` with row/column views and an ASCII
   heat table.
 
-All sweeps evaluate the analytical model. By default whole grids go
-through the vectorized batch kernel (:mod:`repro.perf.batch`), which is
-an order of magnitude faster on large grids; ``vectorized=False`` keeps
-the per-point scalar loop as a cross-validation oracle (property tests
-assert the two agree to within 1e-12). Monte Carlo validation of chosen
-points is a separate step.
+All sweeps evaluate the analytical model, whole grids at once through
+the batch kernel (:mod:`repro.perf.batch`), which is an order of
+magnitude faster on large grids than a per-point :func:`evaluate` loop
+and agrees with it to within 1e-12 (``tests/perf``). Monte Carlo
+validation of chosen points is a separate step.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import Any, List, Sequence, Tuple, Union
 
 from repro.core.architecture import SOSArchitecture
 from repro.core.attack_models import OneBurstAttack, SuccessiveAttack
-from repro.core.model import evaluate
 from repro.errors import ConfigurationError, ExperimentError
 from repro.perf.batch import evaluate_batch
 from repro.utils.tables import format_table
@@ -114,17 +112,10 @@ def _replace(instance, parameter: str, value):
 
 
 def _evaluate_points(
-    architectures: List[SOSArchitecture],
-    attacks: List[Attack],
-    vectorized: bool,
+    architectures: List[SOSArchitecture], attacks: List[Attack]
 ) -> List[float]:
-    """Evaluate paired points, batched or through the scalar oracle."""
-    if vectorized:
-        return [float(value) for value in evaluate_batch(architectures, attacks)]
-    return [
-        evaluate(architecture, attack).p_s
-        for architecture, attack in zip(architectures, attacks)
-    ]
+    """Evaluate paired points in one batch."""
+    return [float(value) for value in evaluate_batch(architectures, attacks)]
 
 
 def attack_sweep(
@@ -132,7 +123,6 @@ def attack_sweep(
     base_attack: Attack,
     parameter: str,
     values: Sequence[Any],
-    vectorized: bool = True,
 ) -> SweepResult:
     """Sweep one attack parameter against a fixed architecture.
 
@@ -147,9 +137,7 @@ def attack_sweep(
     if not values:
         raise ExperimentError("values must be non-empty")
     attacks = [_replace(base_attack, parameter, value) for value in values]
-    outcomes = _evaluate_points(
-        [architecture] * len(attacks), attacks, vectorized
-    )
+    outcomes = _evaluate_points([architecture] * len(attacks), attacks)
     return SweepResult(
         parameter=parameter, values=tuple(values), p_s=tuple(outcomes)
     )
@@ -160,7 +148,6 @@ def architecture_sweep(
     attack: Attack,
     parameter: str,
     values: Sequence[Any],
-    vectorized: bool = True,
 ) -> SweepResult:
     """Sweep one design feature against a fixed attack.
 
@@ -172,7 +159,7 @@ def architecture_sweep(
     designs = [
         _replace(base_architecture, parameter, value) for value in values
     ]
-    outcomes = _evaluate_points(designs, [attack] * len(designs), vectorized)
+    outcomes = _evaluate_points(designs, [attack] * len(designs))
     return SweepResult(
         parameter=parameter, values=tuple(values), p_s=tuple(outcomes)
     )
@@ -185,13 +172,12 @@ def grid_sweep(
     architecture_values: Sequence[Any],
     attack_parameter: str,
     attack_values: Sequence[Any],
-    vectorized: bool = True,
 ) -> SweepGrid:
     """Full cross of one design feature and one attack parameter.
 
-    The full grid is evaluated in one vectorized batch; on grids of a
-    thousand points and up that is typically >= 5x faster than the
-    per-point scalar loop (``vectorized=False``), with identical results.
+    The full grid is evaluated in one batch; on grids of a thousand
+    points and up that is typically >= 5x faster than a per-point
+    :func:`~repro.core.model.evaluate` loop (``benchmarks/bench_batch.py``).
     """
     if not architecture_values or not attack_values:
         raise ExperimentError("both value lists must be non-empty")
@@ -209,7 +195,7 @@ def grid_sweep(
         for attack in attacks:
             flat_designs.append(design)
             flat_attacks.append(attack)
-    outcomes = _evaluate_points(flat_designs, flat_attacks, vectorized)
+    outcomes = _evaluate_points(flat_designs, flat_attacks)
     columns = len(attacks)
     rows: List[Tuple[float, ...]] = [
         tuple(outcomes[start : start + columns])

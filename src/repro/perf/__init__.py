@@ -8,10 +8,10 @@ scalar oracle to within 1e-12 (property-tested).
 flooding simulation (hop-synchronous numpy batches, checked bit for bit
 against an event-driven oracle in the test suite) plus process-parallel
 replica sweeps.
-The process-parallel Monte Carlo dispatcher lives with its estimator in
-:mod:`repro.simulation.monte_carlo` (``MonteCarloConfig.workers``);
-``docs/PERFORMANCE.md`` documents both together with the ``BENCH_*.json``
-benchmark-snapshot workflow.
+:mod:`repro.perf.parallel` is the one seeded parallel map that runs
+Monte Carlo trials (``MonteCarloConfig.workers``) and packet replicas
+in-process or over a process pool; ``docs/PERFORMANCE.md`` documents it
+together with the ``BENCH_*.json`` benchmark-snapshot workflow.
 
 :mod:`repro.perf.compiled` holds the packet engine's kernel sets, one per
 tier: numpy (the default and oracle) and C (``compiled``), both behind

@@ -62,17 +62,17 @@ identity promise. Poisson sources and compiled scenario vectors tie
 with probability zero; hand-built schedules on a ``hop_latency`` grid
 can tie on purpose.
 
-``run_packet_replicas`` scales multi-replica sweeps across cores:
-per-replica ``SeedSequence`` streams are pre-spawned in the parent in
-replica order, so aggregates are bit-identical for any worker count.
+``run_packet_replicas`` scales multi-replica sweeps across cores through
+:func:`repro.perf.parallel.parallel_map`: per-replica ``SeedSequence``
+streams are pre-spawned in the parent in replica order and reports come
+back in replica order, so aggregates are bit-identical for any worker
+count.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +86,7 @@ from repro.perf.compiled import (
     poisson_sampler,
     resolve_tier,
 )
+from repro.perf.parallel import check_count, parallel_map, resolve_workers
 from repro.simulation.packet_sim import (
     PacketLevelSimulation,
     PacketSimConfig,
@@ -806,62 +807,6 @@ def run_fast(
 # Process-parallel replicas
 # ----------------------------------------------------------------------
 
-#: Per-worker-process state installed by :func:`_init_replica_worker`.
-_REPLICA_STATE: Dict[str, Any] = {}
-
-
-def _init_replica_worker(
-    architecture: SOSArchitecture,
-    config: PacketSimConfig,
-    layer: Optional[int],
-    fraction: float,
-) -> None:
-    _REPLICA_STATE["architecture"] = architecture
-    _REPLICA_STATE["config"] = config
-    _REPLICA_STATE["layer"] = layer
-    _REPLICA_STATE["fraction"] = fraction
-
-
-def _run_one_replica(
-    architecture: SOSArchitecture,
-    config: PacketSimConfig,
-    layer: Optional[int],
-    fraction: float,
-    seed: np.random.SeedSequence,
-) -> PacketSimReport:
-    """Deploy, pick flood targets, and simulate one replica on its own
-    pre-spawned RNG stream (fully determined by ``seed``)."""
-    rng = make_rng(seed)
-    deployment = SOSDeployment.deploy(architecture, rng=rng)
-    targets: List[int] = []
-    if layer is not None and fraction > 0.0:
-        targets = flood_layer(deployment, layer, fraction, rng=rng)
-    simulation = PacketLevelSimulation(deployment, config, rng=rng)
-    return simulation.run(flood_targets=targets)
-
-
-def _run_replica_chunk(
-    jobs: List[Tuple[int, np.random.SeedSequence]],
-) -> List[Tuple[int, PacketSimReport]]:
-    return [
-        (
-            index,
-            _run_one_replica(
-                _REPLICA_STATE["architecture"],
-                _REPLICA_STATE["config"],
-                _REPLICA_STATE["layer"],
-                _REPLICA_STATE["fraction"],
-                seed,
-            ),
-        )
-        for index, seed in jobs
-    ]
-
-
-# ----------------------------------------------------------------------
-# Shared-deployment replicas over multiprocessing.shared_memory
-# ----------------------------------------------------------------------
-
 
 def _arrays_to_columns(arrays: DeploymentArrays) -> Dict[str, np.ndarray]:
     """Flatten :class:`DeploymentArrays` into the named-column form
@@ -929,72 +874,78 @@ def _flood_layer_arrays(
     return choose_fraction(rng, arrays.node_ids[member_slots], fraction)
 
 
-def _run_one_shared_replica(
-    arrays: DeploymentArrays,
-    architecture: SOSArchitecture,
-    config: PacketSimConfig,
-    layer: Optional[int],
-    fraction: float,
-    seed: np.random.SeedSequence,
-) -> PacketSimReport:
-    """One replica over a shared (read-only) deployment encoding: the
-    flood-target, client-contact, and packet draws all come from the
-    replica's own pre-spawned stream; the deployment state is common."""
-    rng = make_rng(seed)
-    targets: List[int] = []
-    if layer is not None and fraction > 0.0:
-        targets = _flood_layer_arrays(arrays, layer, fraction, rng)
-    layer_one = len(arrays.members[1])
-    contacts = sample_contact_matrix(
-        rng,
-        layer_one,
-        min(architecture.mapping_degree(1), layer_one),
-        config.clients,
-    )
-    return run_fast(
-        None,
-        config,
-        rng=rng,
-        flood_targets=targets,
-        client_contacts=contacts,
-        arrays=arrays,
-    )
+class _Replicas(NamedTuple):
+    """What every replica of one sweep reads; built once per process.
+
+    ``arrays`` is the shared deployment's encoding in shared-deployment
+    mode (``None`` when every replica deploys afresh); ``segment`` keeps
+    a pool worker's shared-memory mapping alive under it.
+    """
+
+    architecture: SOSArchitecture
+    config: PacketSimConfig
+    layer: Optional[int]
+    fraction: float
+    arrays: Optional[DeploymentArrays] = None
+    segment: Any = None
 
 
-def _init_shared_worker(
-    shm_name: str,
+def _attach_replicas(
+    name: str,
     meta: Dict[str, Any],
     architecture: SOSArchitecture,
     config: PacketSimConfig,
     layer: Optional[int],
     fraction: float,
-) -> None:
-    named, shm = attach_columns(shm_name, meta)
-    _REPLICA_STATE["shared_arrays"] = _arrays_from_columns(named)
-    _REPLICA_STATE["shared_shm"] = shm  # keep the mapping alive
-    _REPLICA_STATE["architecture"] = architecture
-    _REPLICA_STATE["config"] = config
-    _REPLICA_STATE["layer"] = layer
-    _REPLICA_STATE["fraction"] = fraction
+) -> _Replicas:
+    """Pool-worker state over the parent's shared-memory segment."""
+    named, segment = attach_columns(name, meta)
+    return _Replicas(
+        architecture, config, layer, fraction, _arrays_from_columns(named),
+        segment,
+    )
 
 
-def _run_shared_chunk(
-    jobs: List[Tuple[int, np.random.SeedSequence]],
-) -> List[Tuple[int, PacketSimReport]]:
-    return [
-        (
-            index,
-            _run_one_shared_replica(
-                _REPLICA_STATE["shared_arrays"],
-                _REPLICA_STATE["architecture"],
-                _REPLICA_STATE["config"],
-                _REPLICA_STATE["layer"],
-                _REPLICA_STATE["fraction"],
-                seed,
-            ),
-        )
-        for index, seed in jobs
-    ]
+def _run_one_replica(
+    state: _Replicas, job: Tuple[int, np.random.SeedSequence]
+) -> PacketSimReport:
+    """Deploy, pick flood targets, and simulate one replica on its own
+    pre-spawned RNG stream (fully determined by the job's seed)."""
+    rng = make_rng(job[1])
+    deployment = SOSDeployment.deploy(state.architecture, rng=rng)
+    targets: List[int] = []
+    if state.layer is not None and state.fraction > 0.0:
+        targets = flood_layer(deployment, state.layer, state.fraction, rng=rng)
+    simulation = PacketLevelSimulation(deployment, state.config, rng=rng)
+    return simulation.run(flood_targets=targets)
+
+
+def _run_one_shared_replica(
+    state: _Replicas, job: Tuple[int, np.random.SeedSequence]
+) -> PacketSimReport:
+    """One replica over a shared (read-only) deployment encoding: the
+    flood-target, client-contact, and packet draws all come from the
+    replica's own pre-spawned stream; the deployment state is common."""
+    rng = make_rng(job[1])
+    arrays = state.arrays
+    targets: List[int] = []
+    if state.layer is not None and state.fraction > 0.0:
+        targets = _flood_layer_arrays(arrays, state.layer, state.fraction, rng)
+    layer_one = len(arrays.members[1])
+    contacts = sample_contact_matrix(
+        rng,
+        layer_one,
+        min(state.architecture.mapping_degree(1), layer_one),
+        state.config.clients,
+    )
+    return run_fast(
+        None,
+        state.config,
+        rng=rng,
+        flood_targets=targets,
+        client_contacts=contacts,
+        arrays=arrays,
+    )
 
 
 def run_packet_replicas(
@@ -1005,7 +956,6 @@ def run_packet_replicas(
     flood_fraction: float = 1.0,
     seed: Optional[int] = None,
     workers: int = 1,
-    chunk_size: Optional[int] = None,
     deployment: Optional[SOSDeployment] = None,
 ) -> List[PacketSimReport]:
     """Run independent packet-sim replicas, optionally across processes.
@@ -1013,124 +963,53 @@ def run_packet_replicas(
     Each replica deploys a fresh SOS instance, floods ``flood_fraction``
     of layer ``flood_layer_index`` (no flood when ``None``), and runs
     the packet engine. Replica RNG streams are pre-spawned here in
-    replica order and reports are returned in replica order, so the
-    result is bit-identical for any ``workers`` value — the same
-    guarantee the parallel Monte Carlo estimator carries.
+    replica order and :func:`repro.perf.parallel.parallel_map` returns
+    reports in replica order, so the result is bit-identical for any
+    ``workers`` value (``1`` runs in-process, ``0`` means "all cores").
 
     ``deployment`` switches to **shared-deployment** mode: every replica
     runs over that one deployment's encoded arrays (health snapshot
     included) and only the flood-target, client-contact, and packet
-    draws vary per replica. Across processes the encoding travels as
-    one ``multiprocessing.shared_memory`` segment — workers map the
-    parent's pages read-only, zero copies and no per-worker deployment
-    pickling — which is what makes million-node replica sweeps fit in
-    memory. Worker-count invariance holds exactly as in
-    fresh-deployment mode.
-
-    ``workers=0`` means "all cores"; ``workers=1`` runs in-process.
+    draws vary per replica. In-process the replicas read the encoding
+    as it is; a pool gets it as one ``multiprocessing.shared_memory``
+    segment that workers map read-only — zero copies and no per-worker
+    deployment pickling — which is what makes million-node replica
+    sweeps fit in memory.
     """
-    if replicas < 1:
-        raise SimulationError(f"replicas must be >= 1, got {replicas}")
-    if workers < 0:
-        raise SimulationError(
-            f"workers must be >= 0 (0 means all cores), got {workers}"
-        )
-    if chunk_size is not None and chunk_size < 1:
-        raise SimulationError(f"chunk_size must be >= 1, got {chunk_size}")
+    check_count("replicas", replicas, minimum=1)
+    check_count("workers", workers)
     if deployment is not None and deployment.architecture != architecture:
         raise SimulationError(
             "deployment was built for a different architecture"
         )
-    root = np.random.SeedSequence(seed)
-    seeds = root.spawn(replicas)
-    jobs = list(enumerate(seeds))
-    resolved = workers
-    if workers == 0:
-        import os
-
-        resolved = os.cpu_count() or 1
-    if resolved > 1:
-        # Load the C library and run both samplers' self-checks here, so
-        # forked workers inherit them instead of each paying for them.
-        choice_sampler()
-        poisson_sampler()
-    if deployment is not None:
-        arrays = encode_deployment(deployment)
-        if resolved <= 1:
-            results = [
-                (
-                    index,
-                    _run_one_shared_replica(
-                        arrays,
-                        architecture,
-                        config,
-                        flood_layer_index,
-                        flood_fraction,
-                        seed_seq,
-                    ),
-                )
-                for index, seed_seq in jobs
-            ]
-        else:
-            chunk = chunk_size or max(1, math.ceil(len(jobs) / (resolved * 4)))
-            parts = [jobs[i : i + chunk] for i in range(0, len(jobs), chunk)]
-            shared = share_columns(_arrays_to_columns(arrays))
-            results = []
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(resolved, len(parts)),
-                    initializer=_init_shared_worker,
-                    initargs=(
-                        shared.name,
-                        shared.meta,
-                        architecture,
-                        config,
-                        flood_layer_index,
-                        flood_fraction,
-                    ),
-                ) as pool:
-                    for part in pool.map(_run_shared_chunk, parts):
-                        results.extend(part)
-            finally:
-                shared.close()
-    elif resolved <= 1:
-        results = _run_replica_chunk_serial(
-            architecture, config, flood_layer_index, flood_fraction, jobs
+    jobs = list(enumerate(np.random.SeedSequence(seed).spawn(replicas)))
+    # Load the C library and run both samplers' self-checks here, so
+    # forked workers inherit them instead of each paying for them.
+    choice_sampler()
+    poisson_sampler()
+    args = (architecture, config, flood_layer_index, flood_fraction)
+    if deployment is None:
+        return list(parallel_map(jobs, _run_one_replica, workers, _Replicas, args))
+    arrays = encode_deployment(deployment)
+    if resolve_workers(workers) == 1:
+        return list(
+            parallel_map(
+                jobs, _run_one_shared_replica, 1, _Replicas, (*args, arrays)
+            )
         )
-    else:
-        chunk = chunk_size or max(1, math.ceil(len(jobs) / (resolved * 4)))
-        parts = [jobs[i : i + chunk] for i in range(0, len(jobs), chunk)]
-        results = []
-        with ProcessPoolExecutor(
-            max_workers=min(resolved, len(parts)),
-            initializer=_init_replica_worker,
-            initargs=(
-                architecture,
-                config,
-                flood_layer_index,
-                flood_fraction,
-            ),
-        ) as pool:
-            for part in pool.map(_run_replica_chunk, parts):
-                results.extend(part)
-    results.sort(key=lambda pair: pair[0])
-    return [report for _, report in results]
-
-
-def _run_replica_chunk_serial(
-    architecture: SOSArchitecture,
-    config: PacketSimConfig,
-    layer: Optional[int],
-    fraction: float,
-    jobs: List[Tuple[int, np.random.SeedSequence]],
-) -> List[Tuple[int, PacketSimReport]]:
-    return [
-        (
-            index,
-            _run_one_replica(architecture, config, layer, fraction, seed),
+    shared = share_columns(_arrays_to_columns(arrays))
+    try:
+        return list(
+            parallel_map(
+                jobs,
+                _run_one_shared_replica,
+                workers,
+                _attach_replicas,
+                (shared.name, shared.meta, *args),
+            )
         )
-        for index, seed in jobs
-    ]
+    finally:
+        shared.close()
 
 
 def mean_delivery_ratio(reports: Sequence[PacketSimReport]) -> float:

@@ -14,39 +14,27 @@ Two success metrics are supported (see :mod:`repro.sos.protocol`):
 
 Trials are embarrassingly parallel: every trial draws from its own
 :class:`~numpy.random.SeedSequence` stream, pre-spawned in the parent in
-trial order, so dispatching chunks of trials over a
-:class:`~concurrent.futures.ProcessPoolExecutor`
-(``MonteCarloConfig.workers``) yields aggregates **bit-identical** to the
-serial path regardless of worker count or completion order. See
-``docs/PERFORMANCE.md``.
+trial order, and :func:`repro.perf.parallel.parallel_map` runs them
+in-process or over a process pool (``MonteCarloConfig.workers``) and
+hands results back in trial order, so aggregates are **bit-identical**
+for any worker count. See ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
-import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.attacks.attacker import IntelligentAttacker
 from repro.core.architecture import SOSArchitecture
 from repro.core.attack_models import OneBurstAttack, SuccessiveAttack
-from repro.errors import CampaignInterrupted, SimulationError
+from repro.errors import SimulationError
 from repro.overlay.arrays import HEALTH_CRASHED, HEALTH_GOOD
 from repro.overlay.network import OverlayNetwork
 from repro.perf.compiled import choice_sampler
+from repro.perf.parallel import Job, check_count, parallel_map
 from repro.resilience.checkpoint import CampaignCheckpoint, fingerprint
 from repro.simulation.results import PsEstimate, summarize_indicators
 from repro.sos.deployment import SOSDeployment
@@ -58,9 +46,6 @@ Attack = Union[OneBurstAttack, SuccessiveAttack]
 #: ``(trial_index, success, per_layer_bad, error)`` — exactly one of the
 #: result pair / error string is populated.
 TrialOutcome = Tuple[int, Optional[float], Optional[Dict[int, int]], Optional[str]]
-
-#: ``(trial_index, trial_seed)`` jobs handed to the execution paths.
-TrialJob = Tuple[int, np.random.SeedSequence]
 
 #: Most trials one estimate may run. Every trial's RNG stream is spawned
 #: up front (about 0.85 s and a few tens of MB per 10⁵ streams), so the
@@ -81,15 +66,15 @@ class MonteCarloConfig:
     interrupted campaign resumes — with per-trial RNG streams, resumption
     is bit-identical to an uninterrupted run with the same seed.
 
-    ``trials``, ``clients_per_trial``, ``workers``, ``chunk_size`` and
+    ``trials``, ``clients_per_trial``, ``workers`` and
     ``checkpoint_every`` must be ints (not bools); ``trials`` is capped at
     :data:`MAX_TRIALS`.
 
-    ``workers`` dispatches trials over a process pool (``0`` means "all
-    cores"); results are bit-identical to ``workers=1`` because every
-    trial's RNG stream is pre-spawned in the parent. ``chunk_size``
-    overrides the trials-per-task batching (default: enough chunks for
-    ~4 tasks per worker). ``checkpoint_every`` batches checkpoint writes
+    ``workers`` is the process count handed to
+    :func:`repro.perf.parallel.parallel_map` (``1`` runs in-process,
+    ``0`` means "all cores"); results are bit-identical to ``workers=1``
+    because every trial's RNG stream is pre-spawned in the parent.
+    ``checkpoint_every`` batches checkpoint writes
     so a long campaign is not O(trials²) in checkpoint I/O; the
     checkpoint always flushes on completion or on an interrupting
     exception, and each write is atomic (temp file + ``os.replace``).
@@ -103,25 +88,17 @@ class MonteCarloConfig:
     error_isolation: bool = True
     checkpoint_path: Optional[str] = None
     workers: int = 1
-    chunk_size: Optional[int] = None
     checkpoint_every: int = 32
 
     def __post_init__(self) -> None:
-        for name in (
-            "trials", "clients_per_trial", "workers", "chunk_size",
-            "checkpoint_every",
-        ):
-            value = getattr(self, name)
-            if name == "chunk_size" and value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise SimulationError(f"{name} must be an int, got {value!r}")
-        if not 1 <= self.trials <= MAX_TRIALS:
+        check_count("trials", self.trials, minimum=1)
+        check_count("clients_per_trial", self.clients_per_trial, minimum=1)
+        check_count("workers", self.workers)
+        check_count("checkpoint_every", self.checkpoint_every, minimum=1)
+        if self.trials > MAX_TRIALS:
             raise SimulationError(
                 f"trials must be in [1, {MAX_TRIALS}], got {self.trials}"
             )
-        if self.clients_per_trial < 1:
-            raise SimulationError("clients_per_trial must be >= 1")
         if self.metric not in ("forward", "reachability"):
             raise SimulationError(
                 f"metric must be 'forward' or 'reachability', got {self.metric!r}"
@@ -130,23 +107,6 @@ class MonteCarloConfig:
             raise SimulationError(
                 f"churn_fraction must be in [0, 1], got {self.churn_fraction}"
             )
-        if self.workers < 0:
-            raise SimulationError(
-                f"workers must be >= 0 (0 means all cores), got {self.workers}"
-            )
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise SimulationError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.checkpoint_every < 1:
-            raise SimulationError(
-                f"checkpoint_every must be >= 1, got {self.checkpoint_every}"
-            )
-
-    @property
-    def resolved_workers(self) -> int:
-        """Worker-process count with ``0`` resolved to the core count."""
-        if self.workers == 0:
-            return os.cpu_count() or 1
-        return self.workers
 
 
 # ----------------------------------------------------------------------
@@ -154,20 +114,55 @@ class MonteCarloConfig:
 # ----------------------------------------------------------------------
 
 
-def _run_trial(
+class _Trials(NamedTuple):
+    """What every trial of one estimate reads; built once per process."""
+
+    architecture: SOSArchitecture
+    attack: Attack
+    config: MonteCarloConfig
+    attacker: Any
+    network: OverlayNetwork
+
+
+def _setup_trials(
     architecture: SOSArchitecture,
     attack: Attack,
     config: MonteCarloConfig,
-    network: OverlayNetwork,
     attacker: Any,
-    rng: np.random.Generator,
-) -> Tuple[float, Dict[int, int]]:
-    """Deploy, attack, and measure one trial on its own RNG stream."""
-    deployment = SOSDeployment.deploy(architecture, network=network, rng=rng)
-    _inject_churn(config, deployment, rng)
-    attacker.execute(deployment, attack, rng=rng)
-    success = _client_success(config, deployment, rng)
-    return success, deployment.bad_counts()
+    network_seed: np.random.SeedSequence,
+) -> _Trials:
+    """Build the shared trial state. Every process rebuilds the one
+    overlay population from the network seed, so all of them see the
+    structure a serial run builds; ``deploy()`` rewires roles and neighbor
+    tables per trial, so trials stay independent in everything the model
+    cares about."""
+    network = OverlayNetwork(
+        architecture.total_overlay_nodes, rng=make_rng(network_seed)
+    )
+    return _Trials(architecture, attack, config, attacker, network)
+
+
+def _run_trial(state: _Trials, job: Job) -> TrialOutcome:
+    """Deploy, attack, and measure one trial on its own RNG stream.
+
+    With error isolation on, a failing trial becomes an error outcome;
+    with it off, the exception propagates and ends the estimate.
+    """
+    trial, seed = job
+    rng = make_rng(seed)
+    try:
+        deployment = SOSDeployment.deploy(
+            state.architecture, network=state.network, rng=rng
+        )
+        _inject_churn(state.config, deployment, rng)
+        state.attacker.execute(deployment, state.attack, rng=rng)
+        success = _client_success(state.config, deployment, rng)
+        per_layer_bad = deployment.bad_counts()
+    except Exception as exc:  # noqa: BLE001 — per-trial isolation
+        if not state.config.error_isolation:
+            raise
+        return trial, None, None, f"{type(exc).__name__}: {exc}"
+    return trial, success, per_layer_bad, None
 
 
 def _inject_churn(
@@ -209,56 +204,6 @@ def _client_success(
     return hits / config.clients_per_trial
 
 
-#: Per-worker-process state installed by :func:`_init_worker`. The overlay
-#: population is rebuilt once per worker from the campaign's network seed,
-#: so every worker sees the identical structure the serial path builds.
-_WORKER_STATE: Dict[str, Any] = {}
-
-
-def _init_worker(
-    architecture: SOSArchitecture,
-    attack: Attack,
-    config: MonteCarloConfig,
-    network_seed: np.random.SeedSequence,
-    attacker: Any,
-) -> None:
-    _WORKER_STATE["architecture"] = architecture
-    _WORKER_STATE["attack"] = attack
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["attacker"] = attacker
-    _WORKER_STATE["network"] = OverlayNetwork(
-        architecture.total_overlay_nodes, rng=make_rng(network_seed)
-    )
-
-
-def _run_trial_chunk(jobs: List[TrialJob]) -> List[TrialOutcome]:
-    """Run a chunk of trials inside a worker process.
-
-    With error isolation on, a failing trial becomes an error outcome;
-    with it off, the original exception propagates through the future
-    and aborts the campaign exactly like the serial path.
-    """
-    architecture = _WORKER_STATE["architecture"]
-    attack = _WORKER_STATE["attack"]
-    config: MonteCarloConfig = _WORKER_STATE["config"]
-    network = _WORKER_STATE["network"]
-    attacker = _WORKER_STATE["attacker"]
-    outcomes: List[TrialOutcome] = []
-    for trial, seed in jobs:
-        rng = make_rng(seed)
-        try:
-            success, per_layer_bad = _run_trial(
-                architecture, attack, config, network, attacker, rng
-            )
-        except Exception as exc:  # noqa: BLE001 — per-trial isolation
-            if not config.error_isolation:
-                raise
-            outcomes.append((trial, None, None, f"{type(exc).__name__}: {exc}"))
-            continue
-        outcomes.append((trial, success, per_layer_bad, None))
-    return outcomes
-
-
 class MonteCarloEstimator:
     """Estimates ``P_S`` by repeated deployment + attack + routing."""
 
@@ -273,7 +218,7 @@ class MonteCarloEstimator:
     ) -> Optional[CampaignCheckpoint]:
         if self.config.checkpoint_path is None:
             return None
-        # Execution knobs (workers, chunking, checkpoint cadence) stay out
+        # Execution knobs (workers, checkpoint cadence) stay out
         # of the fingerprint: a checkpoint resumes under any of them.
         payload = {
             "architecture": repr(architecture),
@@ -299,15 +244,15 @@ class MonteCarloEstimator:
         Failing trials are isolated (recorded, excluded from aggregates)
         rather than fatal; with a checkpoint, completed trials are loaded
         instead of re-run and previously *failed* trials are retried on
-        their original RNG streams. With ``workers > 1`` pending trials
-        are dispatched over a process pool; because trial streams are
-        pre-spawned here in trial order and results are aggregated in
-        trial order, the estimate is bit-identical to the serial path.
+        their original RNG streams. Pending trials run through
+        :func:`~repro.perf.parallel.parallel_map`; because trial streams
+        are pre-spawned here in trial order and outcomes come back in
+        trial order, the estimate is bit-identical for any ``workers``.
 
         ``abort_check`` makes the campaign cooperatively cancellable: it
-        is polled between trials (serial) or completed chunks (parallel),
-        and when it returns True the run flushes every completed trial to
-        the checkpoint and raises
+        is polled between trials (in-process) or chunks (pool), and when
+        it returns True the run flushes every completed trial to the
+        checkpoint and raises
         :class:`~repro.errors.CampaignInterrupted`. A later ``estimate``
         with the same checkpoint resumes the remaining trials on their
         original RNG streams, so the final aggregates stay bit-identical
@@ -324,7 +269,7 @@ class MonteCarloEstimator:
 
         checkpoint = self._checkpoint_for(architecture, attack)
         results: Dict[int, Tuple[float, Dict[int, int]]] = {}
-        pending: List[TrialJob] = []
+        pending: List[Job] = []
         for trial in range(config.trials):
             record = checkpoint.completed(trial) if checkpoint is not None else None
             if record is not None:
@@ -339,14 +284,17 @@ class MonteCarloEstimator:
         dirty = 0
         try:
             if pending:
-                if config.resolved_workers > 1:
-                    outcomes = self._run_parallel(
-                        architecture, attack, network_seed, pending, abort_check
-                    )
-                else:
-                    outcomes = self._run_serial(
-                        architecture, attack, network_seed, pending, abort_check
-                    )
+                # Load the C library and run the sampler's self-check here,
+                # so forked workers inherit both instead of each paying.
+                choice_sampler()
+                outcomes = parallel_map(
+                    pending,
+                    _run_trial,
+                    config.workers,
+                    _setup_trials,
+                    (architecture, attack, config, self._attacker, network_seed),
+                    abort_check,
+                )
                 for trial, success, per_layer_bad, error in outcomes:
                     if error is not None or success is None or per_layer_bad is None:
                         self.last_failures.append((trial, error or "unknown error"))
@@ -367,9 +315,6 @@ class MonteCarloEstimator:
             if checkpoint is not None and dirty > 0:
                 checkpoint.save()
 
-        # Parallel chunks complete out of order; sorting restores trial
-        # order so the aggregation consumes values exactly like serial.
-        self.last_failures.sort()
         if not results:
             raise SimulationError(
                 f"all {config.trials} trials failed; first error: "
@@ -382,82 +327,6 @@ class MonteCarloEstimator:
             failed_trials=len(self.last_failures),
         )
 
-    def _run_serial(
-        self,
-        architecture: SOSArchitecture,
-        attack: Attack,
-        network_seed: np.random.SeedSequence,
-        jobs: List[TrialJob],
-        abort_check: Optional[Callable[[], bool]] = None,
-    ) -> Iterator[TrialOutcome]:
-        """Run pending trials in-process, yielding outcomes in order."""
-        # One overlay population reused across trials; deploy() rewires
-        # roles and neighbor tables per trial, so trials stay independent
-        # in everything the model cares about.
-        network = OverlayNetwork(
-            architecture.total_overlay_nodes, rng=make_rng(network_seed)
-        )
-        for trial, seed in jobs:
-            if abort_check is not None and abort_check():
-                raise CampaignInterrupted(
-                    f"campaign aborted before trial {trial} "
-                    f"({len(jobs)} were pending); completed trials are "
-                    "checkpointed and resumable"
-                )
-            rng = make_rng(seed)
-            try:
-                success, per_layer_bad = _run_trial(
-                    architecture, attack, self.config, network, self._attacker, rng
-                )
-            except Exception as exc:  # noqa: BLE001 — per-trial isolation
-                if not self.config.error_isolation:
-                    raise
-                yield trial, None, None, f"{type(exc).__name__}: {exc}"
-                continue
-            yield trial, success, per_layer_bad, None
-
-    def _run_parallel(
-        self,
-        architecture: SOSArchitecture,
-        attack: Attack,
-        network_seed: np.random.SeedSequence,
-        jobs: List[TrialJob],
-        abort_check: Optional[Callable[[], bool]] = None,
-    ) -> Iterator[TrialOutcome]:
-        """Dispatch pending trials over a process pool in chunks.
-
-        The attacker travels to each worker by pickling (so injected test
-        doubles keep working); chunks default to ~4 tasks per worker to
-        amortize task overhead while keeping the pool busy. Cancellation
-        granularity is one chunk: ``abort_check`` is polled between
-        completed chunks, and an abort cancels every not-yet-started
-        chunk before raising.
-        """
-        workers = self.config.resolved_workers
-        chunk = self.config.chunk_size or max(
-            1, math.ceil(len(jobs) / (workers * 4))
-        )
-        chunks = [jobs[i : i + chunk] for i in range(0, len(jobs), chunk)]
-        # Load the C library and run the sampler's self-check here, so
-        # forked workers inherit both instead of each paying for them.
-        choice_sampler()
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(chunks)),
-            initializer=_init_worker,
-            initargs=(architecture, attack, self.config, network_seed, self._attacker),
-        ) as pool:
-            futures = [pool.submit(_run_trial_chunk, part) for part in chunks]
-            for future in as_completed(futures):
-                if abort_check is not None and abort_check():
-                    for pending_future in futures:
-                        pending_future.cancel()
-                    raise CampaignInterrupted(
-                        "campaign aborted between parallel chunks; "
-                        "completed trials are checkpointed and resumable"
-                    )
-                for outcome in future.result():
-                    yield outcome
-
 
 def estimate_ps(
     architecture: SOSArchitecture,
@@ -469,7 +338,6 @@ def estimate_ps(
     churn_fraction: float = 0.0,
     checkpoint_path: Optional[str] = None,
     workers: int = 1,
-    chunk_size: Optional[int] = None,
     checkpoint_every: int = 32,
 ) -> PsEstimate:
     """Convenience wrapper around :class:`MonteCarloEstimator`.
@@ -493,7 +361,6 @@ def estimate_ps(
         churn_fraction=churn_fraction,
         checkpoint_path=checkpoint_path,
         workers=workers,
-        chunk_size=chunk_size,
         checkpoint_every=checkpoint_every,
     )
     return MonteCarloEstimator(config).estimate(architecture, attack)

@@ -413,14 +413,16 @@ class TestReplicaDispatcher:
     def test_serial_and_parallel_bit_identical(self):
         kwargs = dict(flood_layer_index=1, flood_fraction=0.5, seed=123)
         serial = run_packet_replicas(
-            self.ARCH, self.CONFIG, replicas=4, workers=1, **kwargs
+            self.ARCH, self.CONFIG, replicas=9, workers=1, **kwargs
         )
-        parallel = run_packet_replicas(
-            self.ARCH, self.CONFIG, replicas=4, workers=2, **kwargs
-        )
-        assert len(serial) == len(parallel) == 4
-        for a, b in zip(serial, parallel):
-            assert dataclasses.asdict(a) == dataclasses.asdict(b)
+        # 9 replicas go out as chunks of 2 over 2 workers and of 1 over 3.
+        for workers in (2, 3):
+            parallel = run_packet_replicas(
+                self.ARCH, self.CONFIG, replicas=9, workers=workers, **kwargs
+            )
+            assert len(serial) == len(parallel) == 9
+            for a, b in zip(serial, parallel):
+                assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
     def test_mean_delivery_ratio_helper(self):
         reports = run_packet_replicas(

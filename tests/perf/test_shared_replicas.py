@@ -45,14 +45,16 @@ class TestWorkerInvariance:
             deployment=dep,
         )
         serial = run_packet_replicas(
-            ARCH, CONFIG, replicas=4, workers=1, **kwargs
+            ARCH, CONFIG, replicas=9, workers=1, **kwargs
         )
-        parallel = run_packet_replicas(
-            ARCH, CONFIG, replicas=4, workers=3, **kwargs
-        )
-        assert len(serial) == len(parallel) == 4
-        for a, b in zip(serial, parallel):
-            assert dataclasses.asdict(a) == dataclasses.asdict(b)
+        # 9 replicas go out as chunks of 2 over 2 workers and of 1 over 3.
+        for workers in (2, 3):
+            parallel = run_packet_replicas(
+                ARCH, CONFIG, replicas=9, workers=workers, **kwargs
+            )
+            assert len(serial) == len(parallel) == 9
+            for a, b in zip(serial, parallel):
+                assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
     def test_replicas_differ_from_each_other(self):
         # One shared deployment, distinct replica streams: flood targets
@@ -104,3 +106,21 @@ class TestValidation:
         dep = SOSDeployment.deploy(other, rng=1)
         with pytest.raises(SimulationError):
             run_packet_replicas(ARCH, CONFIG, replicas=2, deployment=dep)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("workers", True),
+            ("workers", 2.5),
+            ("workers", "2"),
+            ("workers", -1),
+            ("replicas", True),
+            ("replicas", 2.5),
+            ("replicas", "2"),
+            ("replicas", 0),
+        ],
+    )
+    def test_counts_must_be_ints(self, field, value):
+        counts = {"replicas": 2, "workers": 1, field: value}
+        with pytest.raises(SimulationError, match=field):
+            run_packet_replicas(ARCH, CONFIG, **counts)

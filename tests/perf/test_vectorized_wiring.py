@@ -1,11 +1,12 @@
-"""The sweep/design-space/figure layers must give identical results
-through the vectorized path and the scalar oracle."""
+"""The sweep and design-space layers, which evaluate whole grids in one
+batch, must agree with a per-point ``evaluate`` loop."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
-from repro.core import OneBurstAttack, SOSArchitecture, SuccessiveAttack
+from repro.core import OneBurstAttack, SOSArchitecture, SuccessiveAttack, evaluate
 from repro.core.design_space import enumerate_designs, evaluate_designs
 from repro.experiments.sweep import architecture_sweep, attack_sweep, grid_sweep
 
@@ -30,32 +31,43 @@ class TestSweepEquivalence:
     def test_attack_sweep(self):
         values = [0, 100, 500, 1000, 2000]
         fast = attack_sweep(ARCH, SUCCESSIVE, "break_in_budget", values)
-        slow = attack_sweep(
-            ARCH, SUCCESSIVE, "break_in_budget", values, vectorized=False
-        )
-        _assert_close(fast.p_s, slow.p_s)
+        slow = [
+            evaluate(
+                ARCH, dataclasses.replace(SUCCESSIVE, break_in_budget=value)
+            ).p_s
+            for value in values
+        ]
+        _assert_close(fast.p_s, slow)
 
     def test_architecture_sweep(self):
         values = [1, 2, 3, 5, 8]
         fast = architecture_sweep(ARCH, SUCCESSIVE, "layers", values)
-        slow = architecture_sweep(
-            ARCH, SUCCESSIVE, "layers", values, vectorized=False
-        )
-        _assert_close(fast.p_s, slow.p_s)
+        slow = [
+            evaluate(dataclasses.replace(ARCH, layers=value), SUCCESSIVE).p_s
+            for value in values
+        ]
+        _assert_close(fast.p_s, slow)
 
     def test_grid_sweep(self):
         burst = OneBurstAttack(break_in_budget=200, congestion_budget=2000)
+        layers, budgets = [1, 3, 5], [0, 2000, 6000]
         fast = grid_sweep(
-            ARCH, burst, "layers", [1, 3, 5], "congestion_budget",
-            [0, 2000, 6000],
+            ARCH, burst, "layers", layers, "congestion_budget", budgets
         )
-        slow = grid_sweep(
-            ARCH, burst, "layers", [1, 3, 5], "congestion_budget",
-            [0, 2000, 6000], vectorized=False,
-        )
-        assert fast.row_values == slow.row_values
-        assert fast.column_values == slow.column_values
-        for fast_row, slow_row in zip(fast.p_s, slow.p_s):
+        slow = [
+            [
+                evaluate(
+                    dataclasses.replace(ARCH, layers=rows),
+                    dataclasses.replace(burst, congestion_budget=budget),
+                ).p_s
+                for budget in budgets
+            ]
+            for rows in layers
+        ]
+        assert fast.row_values == tuple(layers)
+        assert fast.column_values == tuple(budgets)
+        assert len(fast.p_s) == len(slow)
+        for fast_row, slow_row in zip(fast.p_s, slow):
             _assert_close(fast_row, slow_row)
 
 
@@ -66,18 +78,15 @@ class TestDesignSpaceEquivalence:
             "burst": OneBurstAttack(break_in_budget=200, congestion_budget=2000),
             "successive": SUCCESSIVE,
         }
-        fast = evaluate_designs(designs, scenarios, aggregate="min")
-        slow = evaluate_designs(
-            designs, scenarios, aggregate="min", vectorized=False
-        )
-        assert [score.label for score in fast] == [score.label for score in slow]
-        for fast_score, slow_score in zip(fast, slow):
-            assert abs(fast_score.aggregate - slow_score.aggregate) <= TOLERANCE
+        scores = evaluate_designs(designs, scenarios, aggregate="min")
+        assert len(scores) == len(designs)
+        aggregates = [score.aggregate for score in scores]
+        assert aggregates == sorted(aggregates, reverse=True)
+        for score in scores:
+            slow = {
+                name: evaluate(score.architecture, attack).p_s
+                for name, attack in scenarios.items()
+            }
+            assert abs(score.aggregate - min(slow.values())) <= TOLERANCE
             for name in scenarios:
-                assert (
-                    abs(
-                        fast_score.per_scenario[name]
-                        - slow_score.per_scenario[name]
-                    )
-                    <= TOLERANCE
-                )
+                assert abs(score.per_scenario[name] - slow[name]) <= TOLERANCE

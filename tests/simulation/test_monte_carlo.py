@@ -48,8 +48,6 @@ class TestConfig:
             ("clients_per_trial", False),
             ("workers", 2.0),
             ("workers", True),
-            ("chunk_size", 4.0),
-            ("chunk_size", True),
             ("checkpoint_every", "8"),
             ("checkpoint_every", True),
         ],

@@ -1,17 +1,22 @@
 """Process-parallel Monte Carlo: bit-identity, checkpoints, isolation.
 
-The parallel dispatcher pre-spawns every trial's SeedSequence in the
-parent and aggregates in trial order, so any worker count must reproduce
-the serial estimate bit for bit — including through checkpoint/resume
-and in the presence of poisoned trials.
+The estimator pre-spawns every trial's SeedSequence in the parent and
+aggregates in trial order, so any worker count must reproduce the serial
+estimate bit for bit — including through checkpoint/resume, an abort
+between pool chunks, and in the presence of poisoned trials.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
+import time
+
 import pytest
 
 from repro.core import OneBurstAttack, SOSArchitecture
-from repro.errors import SimulationError
+from repro.errors import CampaignInterrupted, SimulationError
+from repro.perf.parallel import chunked, resolve_workers
 from repro.resilience.checkpoint import CampaignCheckpoint
 from repro.simulation.monte_carlo import (
     MonteCarloConfig,
@@ -40,18 +45,13 @@ def _config(**overrides):
 class TestBitIdentity:
     def test_workers_match_serial_exactly(self):
         serial = MonteCarloEstimator(_config()).estimate(ARCH, ATTACK)
-        for workers in (2, 4):
+        # The 12 trials go out in chunks of 2 over 2 workers and of 1
+        # over 3 or 4.
+        for workers in (2, 3, 4):
             parallel = MonteCarloEstimator(_config(workers=workers)).estimate(
                 ARCH, ATTACK
             )
             assert parallel == serial
-
-    def test_chunk_size_does_not_change_results(self):
-        serial = MonteCarloEstimator(_config()).estimate(ARCH, ATTACK)
-        chunked = MonteCarloEstimator(
-            _config(workers=2, chunk_size=1)
-        ).estimate(ARCH, ATTACK)
-        assert chunked == serial
 
     def test_estimate_ps_accepts_workers(self):
         serial = estimate_ps(ARCH, ATTACK, trials=8, seed=3)
@@ -60,7 +60,7 @@ class TestBitIdentity:
 
     def test_workers_zero_resolves_to_cpu_count(self):
         config = _config(workers=0)
-        assert config.resolved_workers >= 1
+        assert resolve_workers(config.workers) >= 1
         result = MonteCarloEstimator(config).estimate(ARCH, ATTACK)
         assert result == MonteCarloEstimator(_config()).estimate(ARCH, ATTACK)
 
@@ -89,6 +89,62 @@ class TestParallelCheckpoint:
         result = resumed.estimate(ARCH, ATTACK)
         # Every trial was checkpointed: no worker ever ran the attacker.
         assert result.failed_trials == 0
+
+    @pytest.mark.parametrize("resume_workers", [1, 2])
+    def test_abort_between_chunks_keeps_every_finished_trial(
+        self, tmp_path, resume_workers
+    ):
+        path = str(tmp_path / "campaign.json")
+        trials = 24
+        uninterrupted = MonteCarloEstimator(_config(trials=trials)).estimate(
+            ARCH, ATTACK
+        )
+        polls = []
+
+        def abort_after_first_chunk():
+            polls.append(None)
+            return len(polls) > 1
+
+        with pytest.raises(CampaignInterrupted):
+            MonteCarloEstimator(
+                _config(trials=trials, workers=2, checkpoint_path=path)
+            ).estimate(ARCH, ATTACK, abort_check=abort_after_first_chunk)
+        assert len(polls) == 2
+
+        # The checkpoint holds the first chunk plus every chunk a worker
+        # had already started: whole chunks, a prefix of the trial order.
+        with open(path, encoding="utf-8") as handle:
+            kept = sorted(int(trial) for trial in json.load(handle)["trials"])
+        sizes = [len(chunk) for chunk in chunked(list(range(trials)), 2)]
+        assert kept == list(range(len(kept)))
+        assert len(kept) in set(itertools.accumulate(sizes))
+
+        resumed = MonteCarloEstimator(
+            _config(trials=trials, workers=resume_workers, checkpoint_path=path)
+        ).estimate(ARCH, ATTACK)
+        assert resumed == uninterrupted
+
+    def test_abort_keeps_chunks_a_worker_already_ran(self, tmp_path):
+        path = str(tmp_path / "campaign.json")
+        polls = []
+
+        def abort_late():
+            polls.append(None)
+            if len(polls) == 1:
+                return False
+            # Give the second worker time to finish the chunk it took
+            # when the pool started: the abort must not drop it.
+            time.sleep(0.5)
+            return True
+
+        with pytest.raises(CampaignInterrupted):
+            MonteCarloEstimator(
+                _config(trials=24, workers=2, checkpoint_path=path)
+            ).estimate(ARCH, ATTACK, abort_check=abort_late)
+        with open(path, encoding="utf-8") as handle:
+            kept = len(json.load(handle)["trials"])
+        first_chunk = len(chunked(list(range(24)), 2)[0])
+        assert kept > first_chunk
 
 
 class TestParallelErrorIsolation:
@@ -159,8 +215,6 @@ class TestConfigValidation:
         "overrides",
         [
             {"workers": -1},
-            {"chunk_size": 0},
-            {"chunk_size": -3},
             {"checkpoint_every": 0},
         ],
     )

@@ -53,6 +53,7 @@ class TestTruePositives:
         "rngflow/rawseed_tp.py": "rng-raw-seed",
         "rngflow/unordered_tp.py": "rng-unordered-iter",
         "simulation/wallclock_tp.py": "wallclock",
+        "simulation/dispatch_tp.py": "parallel-dispatch",
     }
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -81,6 +82,8 @@ class TestGuardedFalsePositives:
         "rngflow/rawseed_fp.py",
         "rngflow/unordered_fp.py",
         "simulation/wallclock_fp.py",
+        "service/dispatch_fp.py",
+        "perf/parallel.py",
     ]
 
     @pytest.mark.parametrize("name", CLEAN)

@@ -50,6 +50,7 @@ def module_segments(module_name: str) -> List[str]:
 
 from repro_lint.passes.async_safety import AsyncBlockingPass  # noqa: E402
 from repro_lint.passes.determinism import WallclockPass  # noqa: E402
+from repro_lint.passes.dispatch import ParallelDispatchPass  # noqa: E402
 from repro_lint.passes.rng_flow import (  # noqa: E402
     RngBoundaryReusePass,
     RngRawSeedPass,
@@ -58,6 +59,7 @@ from repro_lint.passes.rng_flow import (  # noqa: E402
 
 ALL_PASSES: List[ProjectPass] = [
     AsyncBlockingPass(),
+    ParallelDispatchPass(),
     RngBoundaryReusePass(),
     RngRawSeedPass(),
     RngUnorderedIterPass(),
@@ -75,6 +77,7 @@ def pass_by_id(pass_id: str) -> ProjectPass:
 __all__ = [
     "ALL_PASSES",
     "AsyncBlockingPass",
+    "ParallelDispatchPass",
     "ProjectPass",
     "RngBoundaryReusePass",
     "RngRawSeedPass",
