@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.attacks.knowledge import AttackerKnowledge
 
@@ -29,10 +29,6 @@ class AttackOutcome:
         """``N_B`` — successfully compromised overlay nodes."""
         return sum(self.broken_per_layer.values())
 
-    @property
-    def total_congested(self) -> int:
-        return sum(self.congested_per_layer.values())
-
     def bad_per_layer(self) -> Dict[int, int]:
         """``s_i`` — bad nodes per layer (broken + congested)."""
         layers = set(self.broken_per_layer) | set(self.congested_per_layer)
@@ -41,12 +37,3 @@ class AttackOutcome:
             + self.congested_per_layer.get(layer, 0)
             for layer in sorted(layers)
         }
-
-    def as_row(self) -> Tuple[int, int, int, int]:
-        """(rounds, attempts, N_B, congested) — compact diagnostics row."""
-        return (
-            self.rounds_executed,
-            self.break_in_attempts,
-            self.total_broken,
-            self.total_congested,
-        )

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.core.distributions import NodeDistribution, distribute, integerize
 from repro.core.mapping import MappingLike, MappingPolicy, resolve_mapping
 from repro.errors import ConfigurationError
-from repro.utils.validation import check_positive, check_positive_int
+from repro.utils.validation import check_positive_int
 
 #: Default parameters used throughout the paper's evaluation (Sections
 #: 3.1.2 and 3.2.3).
@@ -198,11 +198,6 @@ class SOSArchitecture:
     def integer_layer_sizes(self) -> List[int]:
         """Integer layer sizes (largest-remainder rounding) for deployment."""
         return integerize(list(self._layer_sizes))
-
-    @property
-    def non_sos_nodes(self) -> float:
-        """Overlay nodes that are not part of the SOS system (``N - n``)."""
-        return float(self.total_overlay_nodes) - sum(self._layer_sizes)
 
     def layer_size(self, layer: int) -> float:
         """Size of 1-indexed ``layer`` (``layers + 1`` selects the filters)."""

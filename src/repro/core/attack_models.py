@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro.errors import ConfigurationError
 from repro.utils.validation import (
     check_non_negative,
     check_positive_int,
@@ -34,6 +35,11 @@ DEFAULT_CONGESTION_BUDGET = 2_000
 DEFAULT_BREAK_IN_SUCCESS = 0.5
 DEFAULT_ROUNDS = 3
 DEFAULT_PRIOR_KNOWLEDGE = 0.2
+
+#: Largest ``SuccessiveAttack.rounds``. Every evaluation and every executed
+#: trial runs up to ``R`` rounds, so one field would otherwise set an
+#: unbounded amount of work; the paper's sweeps stop at ``R = 8``.
+MAX_ROUNDS = 100
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,6 +118,10 @@ class SuccessiveAttack(AttackModel):
     def __post_init__(self) -> None:
         super().__post_init__()
         check_positive_int("rounds", self.rounds)
+        if self.rounds > MAX_ROUNDS:
+            raise ConfigurationError(
+                f"rounds must be <= {MAX_ROUNDS}, got {self.rounds}"
+            )
         check_probability("prior_knowledge", self.prior_knowledge)
 
     @property
@@ -128,11 +138,3 @@ class SuccessiveAttack(AttackModel):
     def alpha(self) -> float:
         """Per-round break-in quota ``alpha = N_T / R`` (Algorithm 1)."""
         return self.n_t / self.rounds
-
-    def as_one_burst(self) -> OneBurstAttack:
-        """Project onto the one-burst model (drops ``R`` and ``P_E``)."""
-        return OneBurstAttack(
-            break_in_budget=self.break_in_budget,
-            congestion_budget=self.congestion_budget,
-            break_in_success=self.break_in_success,
-        )

@@ -75,11 +75,6 @@ class CongestionCostModel:
             )
         return math.floor(bandwidth / rate)
 
-    def bandwidth_for(self, congestion_budget: float) -> float:
-        """Bandwidth (pps) required to sustain ``N_C`` congested nodes."""
-        check_non_negative("congestion_budget", congestion_budget)
-        return congestion_budget * self.required_flood_rate
-
 
 @dataclasses.dataclass(frozen=True)
 class BreakInCampaign:

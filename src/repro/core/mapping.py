@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Sequence, Union
+from typing import Union
 
 from repro.contracts import requires_fraction
 from repro.errors import ConfigurationError
@@ -148,14 +148,3 @@ def resolve_mapping(policy: MappingLike) -> MappingPolicy:
                 "or an integer degree"
             ) from None
     raise ConfigurationError(f"invalid mapping policy {policy!r}")
-
-
-def degrees_for_layers(policy: MappingLike, layer_sizes: Sequence[float]) -> List[int]:
-    """Resolve ``policy`` against each layer size, returning ``m_i`` per layer.
-
-    ``layer_sizes[i]`` is the size of the layer being mapped *into*; the
-    returned list aligns with it (``m_1 .. m_{L+1}`` when the filter layer is
-    included as the last element).
-    """
-    resolved = resolve_mapping(policy)
-    return [resolved.degree_for(size) for size in layer_sizes]

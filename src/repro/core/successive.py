@@ -32,13 +32,16 @@ implemented and labeled so tests can pin each branch:
 
 With ``R = 1`` and ``P_E = 0`` the model degenerates exactly to the
 one-burst model of §3.1 (verified by tests).
+
+:func:`analyze_successive_with_repair` runs the same round loop with a
+repairing defender scanning between rounds (§5).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.contracts import ensures, requires_non_negative
 from repro.core.architecture import SOSArchitecture
@@ -46,6 +49,7 @@ from repro.core.attack_models import SuccessiveAttack
 from repro.core.layer_state import LayerState, SystemPerformance, path_availability
 from repro.core.probability import clamp, no_fresh_disclosure_probability
 from repro.errors import ConfigurationError
+from repro.utils.validation import check_probability
 
 
 class RoundCase(str, enum.Enum):
@@ -91,11 +95,6 @@ class RoundState:
         """``b_{i,j} = b_{i,j}^D + b_{i,j}^A`` (Eq. 17)."""
         return tuple(d + a for d, a in zip(self.broken_disclosed, self.broken_random))
 
-    @property
-    def newly_known(self) -> float:
-        """``X_{j+1} = sum_{i<=L} d_{i,j}^N`` — feeds the next round."""
-        return sum(self.disclosed_unattacked[:-1])
-
 
 @dataclasses.dataclass(frozen=True)
 class SuccessiveBreakdown:
@@ -106,11 +105,6 @@ class SuccessiveBreakdown:
     broken_in: Tuple[float, ...]  # b_i = sum_k b_{i,k}
     disclosed_total: float  # N_D
     broken_in_total: float  # N_B
-
-    @property
-    def terminal_round(self) -> int:
-        """``J`` — the round at which the break-in phase ended."""
-        return len(self.rounds)
 
 
 class _Accumulator:
@@ -123,6 +117,19 @@ class _Accumulator:
         self.cum_survived_disclosed = [0.0] * num_layers  # sum_k u_{i,k}^D
         self.cum_disclosed_survived_random = [0.0] * num_layers  # sum_k d_{i,k}^A
         self.cum_filter_disclosed = 0.0  # sum_k d_{L+1,k}^N
+
+    def decay(self, keep: float) -> None:
+        """Scale every remembered damage set by the surviving fraction."""
+        self.cum_attacked = [v * keep for v in self.cum_attacked]
+        self.cum_forfeited = [v * keep for v in self.cum_forfeited]
+        self.cum_broken = [v * keep for v in self.cum_broken]
+        self.cum_survived_disclosed = [
+            v * keep for v in self.cum_survived_disclosed
+        ]
+        self.cum_disclosed_survived_random = [
+            v * keep for v in self.cum_disclosed_survived_random
+        ]
+        self.cum_filter_disclosed *= keep
 
 
 @requires_non_negative("known", "quota", "budget")
@@ -269,9 +276,14 @@ def _congestion_phase(
     architecture: SOSArchitecture,
     attack: SuccessiveAttack,
     accumulator: _Accumulator,
-    final_round: RoundState,
+    disclosed_unattacked: Sequence[float],
+    forfeited: Sequence[float],
 ) -> Tuple[List[float], float, float]:
-    """Allocate the congestion budget (Eqs. 25-27); returns ``(c_i, N_D, N_B)``."""
+    """Allocate the congestion budget (Eqs. 25-27); returns ``(c_i, N_D, N_B)``.
+
+    ``disclosed_unattacked`` and ``forfeited`` are the terminal round's
+    ``d^N`` and ``f`` pools.
+    """
     sizes = architecture.layer_sizes_with_filters
     sos = architecture.layers
     last = len(sizes) - 1
@@ -281,9 +293,9 @@ def _congestion_phase(
     for i in range(sos):
         disclosed[i] = (
             accumulator.cum_survived_disclosed[i]
-            + final_round.disclosed_unattacked[i]
+            + disclosed_unattacked[i]
             + accumulator.cum_disclosed_survived_random[i]
-            + final_round.forfeited[i]
+            + forfeited[i]
         )
     disclosed[last] = accumulator.cum_filter_disclosed
     n_d = sum(disclosed)
@@ -308,10 +320,15 @@ def _congestion_phase(
     return congested, n_d, n_b
 
 
-def analyze_successive_breakdown(
-    architecture: SOSArchitecture, attack: SuccessiveAttack
+def _algorithm_1(
+    architecture: SOSArchitecture, attack: SuccessiveAttack, keep: float
 ) -> SuccessiveBreakdown:
-    """Execute Algorithm 1 in the average case, returning all round states."""
+    """Execute Algorithm 1 in the average case.
+
+    After every round a defender scan leaves the fraction ``keep`` of
+    each damage set and of the attacker's knowledge; ``keep = 1.0`` is
+    the paper's undefended system, and multiplying by 1.0 is exact.
+    """
     if attack.n_t > architecture.total_overlay_nodes:
         raise ConfigurationError(
             f"break_in_budget ({attack.n_t}) exceeds overlay population "
@@ -332,7 +349,10 @@ def analyze_successive_breakdown(
             architecture, attack, accumulator, round_index, disclosed_prev, budget
         )
         rounds.append(state)
-        disclosed_prev = list(state.disclosed_unattacked[:num_slots - 1]) + [0.0]
+        accumulator.decay(keep)
+        disclosed_prev = [
+            keep * v for v in state.disclosed_unattacked[: num_slots - 1]
+        ] + [0.0]
         # Layer-1 nodes are never disclosed by break-ins in later rounds.
         disclosed_prev[0] = 0.0
         if state.case in (RoundCase.FINAL_BUDGET, RoundCase.EXHAUSTED):
@@ -340,9 +360,15 @@ def analyze_successive_breakdown(
         if budget <= 0.0:
             break
 
+    # The last scan also thins the terminal round's leftover pools before
+    # the congestion phase targets them.
     final_round = rounds[-1]
     congested, n_d, n_b = _congestion_phase(
-        architecture, attack, accumulator, final_round
+        architecture,
+        attack,
+        accumulator,
+        [keep * v for v in final_round.disclosed_unattacked],
+        [keep * v for v in final_round.forfeited],
     )
     return SuccessiveBreakdown(
         rounds=tuple(rounds),
@@ -351,6 +377,13 @@ def analyze_successive_breakdown(
         disclosed_total=n_d,
         broken_in_total=n_b,
     )
+
+
+def analyze_successive_breakdown(
+    architecture: SOSArchitecture, attack: SuccessiveAttack
+) -> SuccessiveBreakdown:
+    """Execute Algorithm 1 in the average case, returning all round states."""
+    return _algorithm_1(architecture, attack, keep=1.0)
 
 
 @ensures(lambda result: 0.0 <= result.p_s <= 1.0, "P_S must lie in [0, 1]")
@@ -381,6 +414,71 @@ def analyze_successive(
             congested=breakdown.congested[i],
             disclosed_unattacked=final_round.disclosed_unattacked[i],
             disclosed_survived=final_round.disclosed_survived_random[i],
+        )
+        for i in range(len(sizes))
+    )
+    return SystemPerformance(
+        p_s=path_availability(layers),
+        layers=layers,
+        broken_in_total=breakdown.broken_in_total,
+        disclosed_total=breakdown.disclosed_total,
+    )
+
+
+def analyze_successive_with_repair(
+    architecture: SOSArchitecture,
+    attack: SuccessiveAttack,
+    detection_probability: float,
+    final_scan: bool = True,
+) -> SystemPerformance:
+    """Average-case ``P_S`` with a repairing defender between rounds (§5).
+
+    After each break-in round the defender detects and repairs each bad
+    node independently with probability ``rho`` (the detection
+    probability). In the average case this multiplies every damage set by
+    ``(1 - rho)`` per surviving round, and repaired nodes are re-keyed, so
+    the attacker's stale knowledge about them is discounted the same way.
+    It complements the Monte Carlo estimator
+    (:mod:`repro.repair.estimator`); ``tests/repair/test_analysis.py``
+    checks it against the executable defender.
+
+    * The decay applies to broken-in counts, to the disclosed-unattacked
+      pool that feeds the next round (``d^N``), and to the accumulated
+      congestible sets (``u^D``, ``d^A``, ``f``).
+    * The *attempted* history ``h`` is also decayed: a re-keyed node
+      looks fresh to the attacker and can be attacked again, so it
+      re-enters the random pool.
+    * One final scan runs after the congestion phase when
+      ``final_scan=True`` (default), matching the MC estimator's
+      ``final_scans=1``: the congested sets are then also discounted once.
+
+    With ``rho = 0`` the model reduces exactly to
+    :func:`analyze_successive`.
+
+    Examples
+    --------
+    >>> from repro.core import SOSArchitecture, SuccessiveAttack
+    >>> arch = SOSArchitecture(layers=4, mapping="one-to-two")
+    >>> weak = analyze_successive_with_repair(arch, SuccessiveAttack(), 0.0)
+    >>> strong = analyze_successive_with_repair(arch, SuccessiveAttack(), 0.9)
+    >>> strong.p_s >= weak.p_s
+    True
+    """
+    check_probability("detection_probability", detection_probability)
+    keep = 1.0 - detection_probability
+    breakdown = _algorithm_1(architecture, attack, keep)
+    congested = breakdown.congested
+    if final_scan:
+        congested = tuple(keep * c for c in congested)
+    sizes = architecture.layer_sizes_with_filters
+    degrees = architecture.mapping_degrees
+    layers = tuple(
+        LayerState(
+            index=i + 1,
+            size=sizes[i],
+            mapping_degree=degrees[i],
+            broken_in=breakdown.broken_in[i],
+            congested=congested[i],
         )
         for i in range(len(sizes))
     )

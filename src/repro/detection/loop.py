@@ -88,12 +88,6 @@ class PhaseOutcome:
         under_flood = set(self.flooded)
         return tuple(n for n in self.flagged if n not in under_flood)
 
-    @property
-    def detected_true(self) -> Tuple[int, ...]:
-        """Flagged nodes that really were under flood."""
-        under_flood = set(self.flooded)
-        return tuple(n for n in self.flagged if n in under_flood)
-
 
 @dataclasses.dataclass
 class LoopResult:

@@ -316,6 +316,3 @@ class MarkCollector:
             mark: MarkTally(count=tally.count, first_packet=tally.first_packet)
             for mark, tally in self._tallies[victim].items()
         }
-
-    def distinct_marks(self) -> int:
-        return sum(len(tallies) for tallies in self._tallies.values())

@@ -375,24 +375,6 @@ class TrafficMonitor:
             )
         return matrix[inverse.reshape(-1)]
 
-    def window_counts(
-        self, node_id: int, lo_bin: int, hi_bin: int
-    ) -> Tuple[int, int]:
-        """``(offered, dropped)`` summed over bins ``[lo_bin, hi_bin)``."""
-        self._drain()
-        lo, hi = self._node_slice(node_id)
-        bins = self._codes[lo:hi] % _BIN_STRIDE
-        keep = (bins >= lo_bin) & (bins < hi_bin)
-        return (
-            int(self._offered[lo:hi][keep].sum()),
-            int(self._dropped[lo:hi][keep].sum()),
-        )
-
-    def drop_rate(self, node_id: int) -> float:
-        """Observed drop fraction at ``node_id`` over the whole run."""
-        offered, dropped = self.window_counts(node_id, 0, _BIN_STRIDE)
-        return 0.0 if offered == 0 else dropped / offered
-
     # ------------------------------------------------------------------
     # Detection
     # ------------------------------------------------------------------

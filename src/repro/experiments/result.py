@@ -48,10 +48,6 @@ class FigureResult:
                     f"points, expected {len(self.x_values)}"
                 )
 
-    @property
-    def all_claims_hold(self) -> bool:
-        return all(claim.holds for claim in self.claims)
-
     def failed_claims(self) -> List[Claim]:
         return [claim for claim in self.claims if not claim.holds]
 

@@ -26,7 +26,6 @@ from repro.core.architecture import SOSArchitecture
 from repro.core.attack_models import OneBurstAttack, SuccessiveAttack
 from repro.errors import ConfigurationError, ExperimentError
 from repro.perf.batch import evaluate_batch
-from repro.utils.tables import format_table
 
 Attack = Union[OneBurstAttack, SuccessiveAttack]
 
@@ -38,11 +37,6 @@ class SweepResult:
     parameter: str
     values: Tuple[Any, ...]
     p_s: Tuple[float, ...]
-
-    def as_table(self) -> str:
-        return format_table(
-            [self.parameter, "P_S"], list(zip(self.values, self.p_s))
-        )
 
     def argmax(self) -> Any:
         """The swept value with the highest ``P_S``."""
@@ -74,25 +68,6 @@ class SweepGrid:
             values=self.row_values,
             p_s=tuple(row[index] for row in self.p_s),
         )
-
-    def best_cell(self) -> Tuple[Any, Any, float]:
-        """``(row_value, column_value, p_s)`` of the grid maximum."""
-        best = (self.row_values[0], self.column_values[0], -1.0)
-        for row_value, row in zip(self.row_values, self.p_s):
-            for column_value, value in zip(self.column_values, row):
-                if value > best[2]:
-                    best = (row_value, column_value, value)
-        return best
-
-    def as_table(self) -> str:
-        headers = [f"{self.row_parameter}\\{self.column_parameter}"] + [
-            str(v) for v in self.column_values
-        ]
-        rows = [
-            [row_value] + list(row)
-            for row_value, row in zip(self.row_values, self.p_s)
-        ]
-        return format_table(headers, rows)
 
 
 def _replace(instance, parameter: str, value):

@@ -13,9 +13,9 @@ whose property reads and writes go straight to these columns, so the object
 and array views can never disagree.
 
 The store also maintains **incremental per-layer health counters**: every
-health or layer transition adjusts ``bad``/``crashed`` tallies per layer,
-so :meth:`~repro.sos.deployment.SOSDeployment.bad_counts` is O(layers)
-instead of an O(N) rescan in the detect→repair loop.
+health or layer transition adjusts the per-layer ``bad`` tally, so
+:meth:`~repro.sos.deployment.SOSDeployment.bad_counts` is O(layers) instead
+of an O(N) rescan in the detect→repair loop.
 
 The :func:`share_columns` / :func:`attach_columns` helpers at the bottom
 serialize a set of named arrays into one ``multiprocessing.shared_memory``
@@ -97,7 +97,6 @@ class OverlayStore:
         "_order",
         "_sorted_ids",
         "_bad_per_layer",
-        "_crashed_per_layer",
         "_nbr_index",
         "_nbr_table",
         "_nbr_used",
@@ -130,7 +129,6 @@ class OverlayStore:
         if n and bool((self._sorted_ids[1:] == self._sorted_ids[:-1]).any()):
             raise ConfigurationError("store ids must be unique")
         self._bad_per_layer = np.zeros(1, dtype=np.int64)
-        self._crashed_per_layer = np.zeros(1, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # Row lookup
@@ -184,9 +182,6 @@ class OverlayStore:
             self._bad_per_layer = np.concatenate(
                 [self._bad_per_layer, np.zeros(grow, dtype=np.int64)]
             )
-            self._crashed_per_layer = np.concatenate(
-                [self._crashed_per_layer, np.zeros(grow, dtype=np.int64)]
-            )
 
     def get_health(self, row: int) -> int:
         return self.health.item(row)
@@ -202,9 +197,6 @@ class OverlayStore:
         bad_delta = (code != HEALTH_GOOD) - (old != HEALTH_GOOD)
         if bad_delta:
             self._bad_per_layer[layer] += bad_delta
-        crash_delta = (code == HEALTH_CRASHED) - (old == HEALTH_CRASHED)
-        if crash_delta:
-            self._crashed_per_layer[layer] += crash_delta
         self.health[row] = code
 
     def set_health_many(self, rows: np.ndarray, code: int) -> None:
@@ -221,18 +213,12 @@ class OverlayStore:
         self._ensure_layer_capacity(int(layers.max()))
         width = len(self._bad_per_layer)
         # Every changed row leaves ``old`` for ``code``: it turns bad iff
-        # it was GOOD, turns GOOD iff it was bad, and likewise for CRASHED.
+        # it was GOOD, and turns GOOD iff it was bad.
         if code == HEALTH_GOOD:
             self._bad_per_layer -= np.bincount(layers, minlength=width)
         else:
             self._bad_per_layer += np.bincount(
                 layers[old == HEALTH_GOOD], minlength=width
-            )
-        if code == HEALTH_CRASHED:
-            self._crashed_per_layer += np.bincount(layers, minlength=width)
-        else:
-            self._crashed_per_layer -= np.bincount(
-                layers[old == HEALTH_CRASHED], minlength=width
             )
         self.health[changed] = code
 
@@ -240,19 +226,12 @@ class OverlayStore:
         """Everyone back to GOOD; counters collapse to zero."""
         self.health[:] = HEALTH_GOOD
         self._bad_per_layer[:] = 0
-        self._crashed_per_layer[:] = 0
 
     def bad_count(self, layer: int) -> int:
         """Nodes of ``layer`` in any non-GOOD state (O(1) via counters)."""
         if layer >= len(self._bad_per_layer):
             return 0
         return int(self._bad_per_layer[layer])
-
-    def crashed_count(self, layer: int) -> int:
-        """Benignly crashed nodes of ``layer`` (O(1) via counters)."""
-        if layer >= len(self._crashed_per_layer):
-            return 0
-        return int(self._crashed_per_layer[layer])
 
     def census(self) -> np.ndarray:
         """Counts per health code (length 4, ``HEALTH_*`` order)."""
@@ -265,12 +244,8 @@ class OverlayStore:
         self._ensure_layer_capacity(top)
         width = len(self._bad_per_layer)
         bad = self.health != HEALTH_GOOD
-        crashed = self.health == HEALTH_CRASHED
         self._bad_per_layer = np.bincount(
             layers[bad], minlength=width
-        ).astype(np.int64)
-        self._crashed_per_layer = np.bincount(
-            layers[crashed], minlength=width
         ).astype(np.int64)
 
     # ------------------------------------------------------------------
@@ -289,9 +264,6 @@ class OverlayStore:
         if code != HEALTH_GOOD:
             self._bad_per_layer[old] -= 1
             self._bad_per_layer[layer] += 1
-            if code == HEALTH_CRASHED:
-                self._crashed_per_layer[old] -= 1
-                self._crashed_per_layer[layer] += 1
         self.layer[row] = layer
         self.wiring_epoch += 1
 
@@ -308,14 +280,10 @@ class OverlayStore:
         old = self.layer[rows].astype(np.int64)
         self._ensure_layer_capacity(int(max(old.max(), new.max())))
         width = len(self._bad_per_layer)
-        codes = self.health[rows]
-        for counters, hit in (
-            (self._bad_per_layer, codes != HEALTH_GOOD),
-            (self._crashed_per_layer, codes == HEALTH_CRASHED),
-        ):
-            if hit.any():
-                counters -= np.bincount(old[hit], minlength=width)
-                counters += np.bincount(new[hit], minlength=width)
+        hit = self.health[rows] != HEALTH_GOOD
+        if hit.any():
+            self._bad_per_layer -= np.bincount(old[hit], minlength=width)
+            self._bad_per_layer += np.bincount(new[hit], minlength=width)
         self.layer[rows] = new
         self.wiring_epoch += 1
 

@@ -482,11 +482,6 @@ class ChordRing:
     def live_node_ids(self) -> List[int]:
         return list(self._alive_sorted)
 
-    @property
-    def known_node_ids(self) -> List[int]:
-        """Every identifier the ring has seen, dead nodes included."""
-        return self._cols.ids.tolist()
-
     def node(self, node_id: int) -> ChordNode:
         if self._cols.row_of(node_id) < 0:
             raise RoutingError(f"unknown chord node {node_id}")
@@ -692,10 +687,6 @@ class ChordRing:
             current = self._node_view(next_id)
         return LookupResult(key, None, tuple(path), False)
 
-    def lookup_key(self, key_string: str, start: int) -> LookupResult:
-        """Hash ``key_string`` onto the ring and resolve its owner."""
-        return self.lookup(self.space.hash_key(key_string), start)
-
     def lookup_batch(
         self,
         keys: Sequence[int],
@@ -894,7 +885,7 @@ class ChordRing:
     # ------------------------------------------------------------------
     # SOS beacons keep state in the DHT (the target -> servlet binding);
     # Chord replicates each key on the owner and its next live successors
-    # so the binding survives owner failures until re-replication runs.
+    # so the binding survives up to ``replicas - 1`` holder failures.
 
     DEFAULT_REPLICAS = 3
 
@@ -938,9 +929,9 @@ class ChordRing:
         """Retrieve the value for ``key``, surviving owner failures.
 
         Routes to the owner via :meth:`lookup`; when the owner has no copy
-        (e.g. it took over the range after a crash and re-replication has
-        not run yet), its successor list is consulted for a surviving
-        replica. Raises :class:`RoutingError` when no copy is found.
+        (e.g. it took over the range after a crash), its successor list is
+        consulted for a surviving replica. Raises :class:`RoutingError`
+        when no copy is found.
         """
         key = self.space.validate(key)
         if start is None:
@@ -963,90 +954,3 @@ class ChordRing:
     def get_key(self, key_string: str, start: Optional[int] = None) -> object:
         """Hash ``key_string`` and retrieve the stored value."""
         return self.get(self.space.hash_key(key_string), start)
-
-    def maintain_replicas(self, replicas: int = DEFAULT_REPLICAS) -> int:
-        """Restore the replication factor after churn.
-
-        For every stored key, copies the value onto missing replica nodes
-        and drops copies from nodes outside the replica set. Returns the
-        number of copy operations performed.
-        """
-        if replicas < 1:
-            raise ConfigurationError("replicas must be >= 1")
-        # Collect the surviving copies.
-        values: Dict[int, object] = {}
-        holders: Dict[int, List[int]] = {}
-        for node_id in self._alive_sorted:
-            for key, value in self._kv.get(node_id, {}).items():
-                values[key] = value
-                holders.setdefault(key, []).append(node_id)
-        copies = 0
-        for key, value in values.items():
-            desired = set(self._replica_nodes(key, replicas))
-            current = set(holders.get(key, ()))
-            for node_id in desired - current:
-                self._kv.setdefault(node_id, {})[key] = value
-                copies += 1
-            for node_id in current - desired:
-                del self._kv[node_id][key]
-        return copies
-
-    def replica_count(self, key: int) -> int:
-        """Number of live nodes currently holding ``key``."""
-        return sum(
-            1
-            for node_id in self._alive_sorted
-            if key in self._kv.get(node_id, {})
-        )
-
-    # ------------------------------------------------------------------
-    # Diagnostics
-    # ------------------------------------------------------------------
-    def lookup_statistics(self, samples: int = 200, rng=None) -> "LookupStatistics":
-        """Sample random lookups and summarize hop counts and correctness.
-
-        Used by operational dashboards and tests asserting the O(log N)
-        bound; lookups start at uniformly random live nodes with uniformly
-        random keys.
-        """
-        if samples < 1:
-            raise ConfigurationError("samples must be >= 1")
-        generator = np.random.default_rng(rng) if not isinstance(
-            rng, np.random.Generator
-        ) else rng
-        hops: List[int] = []
-        correct = 0
-        failed = 0
-        live = self._alive_sorted
-        for _ in range(samples):
-            key = int(generator.integers(0, self.space.size))
-            start = live[int(generator.integers(0, len(live)))]
-            result = self.lookup(key, start)
-            if not result.succeeded:
-                failed += 1
-                continue
-            if result.owner == self.find_successor(key):
-                correct += 1
-                hops.append(result.hops)
-        return LookupStatistics(
-            samples=samples,
-            correct=correct,
-            failed=failed,
-            mean_hops=sum(hops) / len(hops) if hops else float("nan"),
-            max_hops=max(hops) if hops else 0,
-        )
-
-
-@dataclasses.dataclass(frozen=True)
-class LookupStatistics:
-    """Aggregate outcome of sampled Chord lookups."""
-
-    samples: int
-    correct: int
-    failed: int
-    mean_hops: float
-    max_hops: int
-
-    @property
-    def accuracy(self) -> float:
-        return self.correct / self.samples

@@ -21,7 +21,7 @@ import numpy as np
 from repro.errors import ConfigurationError, RoutingError
 from repro.overlay.arrays import OverlayStore
 from repro.overlay.identifiers import DEFAULT_ID_BITS, IdentifierSpace
-from repro.overlay.node import _HEALTH_BY_CODE, NodeHealth, OverlayNode
+from repro.overlay.node import OverlayNode
 from repro.utils.seeding import SeedLike, make_rng
 
 
@@ -160,29 +160,6 @@ class OverlayNetwork:
     def sos_nodes(self) -> List[OverlayNode]:
         """Nodes enrolled in the SOS system."""
         return self._views_where(self.store.layer != 0)
-
-    @property
-    def plain_nodes(self) -> List[OverlayNode]:
-        """Nodes not enrolled in the SOS system."""
-        return self._views_where(self.store.layer == 0)
-
-    def layer_nodes(self, layer: int) -> List[OverlayNode]:
-        """SOS nodes serving in 1-based ``layer``."""
-        return self._views_where(self.store.layer == layer)
-
-    def good_nodes(self) -> List[OverlayNode]:
-        return self._views_where(self.store.health == 0)
-
-    def bad_nodes(self) -> List[OverlayNode]:
-        return self._views_where(self.store.health != 0)
-
-    def health_census(self) -> Dict[NodeHealth, int]:
-        """Counts of nodes per health state."""
-        counts = self.store.census()
-        return {
-            health: int(counts[code])
-            for code, health in enumerate(_HEALTH_BY_CODE)
-        }
 
     # ------------------------------------------------------------------
     # Sampling and mutation

@@ -173,11 +173,6 @@ class OverlayNode:
     # Derived views
     # ------------------------------------------------------------------
     @property
-    def is_sos(self) -> bool:
-        """True when the node is enrolled in the SOS system."""
-        return self._store.get_layer(self._row) != _arrays.NO_LAYER
-
-    @property
     def is_good(self) -> bool:
         """True when the node can still route traffic."""
         return self._store.get_health(self._row) == _arrays.HEALTH_GOOD
@@ -186,11 +181,6 @@ class OverlayNode:
     def is_bad(self) -> bool:
         """True when broken-into or congested (cannot route)."""
         return self._store.get_health(self._row) != _arrays.HEALTH_GOOD
-
-    @property
-    def is_crashed(self) -> bool:
-        """True when the node is down due to benign failure, not attack."""
-        return self._store.get_health(self._row) == _arrays.HEALTH_CRASHED
 
     # ------------------------------------------------------------------
     # Transitions

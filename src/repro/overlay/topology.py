@@ -226,18 +226,6 @@ class UnderlayTopology:
         self._distance_cache = None
         return cut
 
-    def fail_router(self, router: int) -> None:
-        """Take a whole router (and all its links) out of service.
-
-        Overlay nodes homed there lose connectivity: hops touching them
-        report infinite latency. Models a facility outage or a targeted
-        attack on a data center.
-        """
-        if router not in self.graph:
-            raise RoutingError(f"unknown router {router}")
-        self.graph.remove_node(router)
-        self._distance_cache = None
-
     def fail_busiest_routers(
         self, count: int, overlay_ids: Iterable[int]
     ) -> List[int]:
@@ -259,9 +247,6 @@ class UnderlayTopology:
             self.graph.remove_node(router)
         self._distance_cache = None
         return victims
-
-    def router_alive(self, router: int) -> bool:
-        return router in self.graph
 
     def partition_fraction(self, overlay_ids: Iterable[int]) -> float:
         """Fraction of overlay-node pairs that are underlay-disconnected."""

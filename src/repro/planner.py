@@ -27,7 +27,7 @@ from repro.core.design_space import enumerate_designs, evaluate_designs
 from repro.core.latency import latency_availability_tradeoff
 from repro.core.model import evaluate
 from repro.errors import ConfigurationError
-from repro.repair.analysis import analyze_successive_with_repair
+from repro.core.successive import analyze_successive_with_repair
 
 
 def required_detection(

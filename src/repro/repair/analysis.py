@@ -3,140 +3,21 @@
 Complements the Monte Carlo estimator (:mod:`repro.repair.estimator`) with
 a closed-form approximation in the spirit of the paper's §3 derivation:
 after each break-in round, the defender detects and repairs each bad node
-independently with probability ``rho`` (the detection probability). In the
-average case this multiplies every damage set by ``(1 - rho)`` per
-surviving round, and repaired nodes are re-keyed, so the attacker's
-stale knowledge about them is discounted the same way.
+independently with probability ``rho`` and the attacker's stale knowledge
+of repaired nodes is discounted the same way. The model runs Algorithm 1's
+own round loop, so it lives in :mod:`repro.core.successive` next to it;
+this module is its home in the repair package.
 
-Modeling notes (an approximation on top of an approximation — validated
-against the executable defender in ``tests/repair/test_analysis.py``):
+With ``rho = 0`` it reduces exactly to
+:func:`repro.core.successive.analyze_successive`:
 
-* the decay applies to broken-in counts, to the disclosed-unattacked pool
-  that feeds the next round (``d^N``), and to the accumulated congestible
-  sets (``u^D``, ``d^A``, ``f``);
-* the *attempted* history ``h`` is also decayed — a re-keyed node looks
-  fresh to the attacker and can be attacked again, so it re-enters the
-  random pool;
-* one final scan runs after the congestion phase when
-  ``final_scan=True`` (default), matching the MC estimator's
-  ``final_scans=1``: the congested sets are then also discounted once.
-
-With ``rho = 0`` the model reduces exactly to
-:func:`repro.core.successive.analyze_successive`.
+>>> from repro.core import SOSArchitecture, SuccessiveAttack, evaluate
+>>> arch = SOSArchitecture(layers=4, mapping="one-to-two")
+>>> attack = SuccessiveAttack(rounds=3)
+>>> analyze_successive_with_repair(arch, attack, 0.0).p_s == evaluate(arch, attack).p_s
+True
 """
 
-from __future__ import annotations
+from repro.core.successive import analyze_successive_with_repair
 
-from typing import List
-
-from repro.core.architecture import SOSArchitecture
-from repro.core.attack_models import SuccessiveAttack
-from repro.core.layer_state import LayerState, SystemPerformance, path_availability
-from repro.core.successive import (
-    RoundCase,
-    _Accumulator,
-    _congestion_phase,
-    _execute_round,
-)
-from repro.errors import ConfigurationError
-from repro.utils.validation import check_probability
-
-
-def _decay_accumulator(accumulator: _Accumulator, keep: float) -> None:
-    """Scale every remembered damage set by the surviving fraction."""
-    for field in (
-        "cum_attacked",
-        "cum_forfeited",
-        "cum_broken",
-        "cum_survived_disclosed",
-        "cum_disclosed_survived_random",
-    ):
-        values = getattr(accumulator, field)
-        for index in range(len(values)):
-            values[index] *= keep
-    accumulator.cum_filter_disclosed *= keep
-
-
-def analyze_successive_with_repair(
-    architecture: SOSArchitecture,
-    attack: SuccessiveAttack,
-    detection_probability: float,
-    final_scan: bool = True,
-) -> SystemPerformance:
-    """Average-case ``P_S`` with a repairing defender between rounds.
-
-    Examples
-    --------
-    >>> from repro.core import SOSArchitecture, SuccessiveAttack
-    >>> arch = SOSArchitecture(layers=4, mapping="one-to-two")
-    >>> weak = analyze_successive_with_repair(arch, SuccessiveAttack(), 0.0)
-    >>> strong = analyze_successive_with_repair(arch, SuccessiveAttack(), 0.9)
-    >>> strong.p_s >= weak.p_s
-    True
-    """
-    check_probability("detection_probability", detection_probability)
-    if attack.n_t > architecture.total_overlay_nodes:
-        raise ConfigurationError(
-            f"break_in_budget ({attack.n_t}) exceeds overlay population "
-            f"({architecture.total_overlay_nodes})"
-        )
-    keep = 1.0 - detection_probability
-    num_slots = architecture.layers + 1
-    accumulator = _Accumulator(num_slots)
-
-    disclosed_prev: List[float] = [0.0] * num_slots
-    disclosed_prev[0] = architecture.layer_sizes_tuple[0] * attack.p_e
-
-    rounds = []
-    budget = attack.n_t
-    for round_index in range(1, attack.rounds + 1):
-        state, budget = _execute_round(
-            architecture, attack, accumulator, round_index, disclosed_prev, budget
-        )
-        rounds.append(state)
-        # Defender scan: damage and attacker knowledge decay together.
-        _decay_accumulator(accumulator, keep)
-        disclosed_prev = [
-            keep * v for v in state.disclosed_unattacked[: num_slots - 1]
-        ] + [0.0]
-        disclosed_prev[0] = 0.0
-        if state.case in (RoundCase.FINAL_BUDGET, RoundCase.EXHAUSTED):
-            break
-        if budget <= 0.0:
-            break
-
-    # The defender's post-round scan also thins the final round's leftover
-    # disclosed/forfeited pools before the congestion phase targets them.
-    import dataclasses as _dataclasses
-
-    final_round = _dataclasses.replace(
-        rounds[-1],
-        disclosed_unattacked=tuple(
-            keep * v for v in rounds[-1].disclosed_unattacked
-        ),
-        forfeited=tuple(keep * v for v in rounds[-1].forfeited),
-    )
-    congested, n_d, n_b = _congestion_phase(
-        architecture, attack, accumulator, final_round
-    )
-    if final_scan:
-        congested = [keep * c for c in congested]
-
-    sizes = architecture.layer_sizes_with_filters
-    degrees = architecture.mapping_degrees
-    layers = tuple(
-        LayerState(
-            index=i + 1,
-            size=sizes[i],
-            mapping_degree=degrees[i],
-            broken_in=accumulator.cum_broken[i],
-            congested=congested[i],
-        )
-        for i in range(len(sizes))
-    )
-    return SystemPerformance(
-        p_s=path_availability(layers),
-        layers=layers,
-        broken_in_total=n_b,
-        disclosed_total=n_d,
-    )
+__all__ = ["analyze_successive_with_repair"]

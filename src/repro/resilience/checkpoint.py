@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import warnings
 from typing import Any, Dict, Optional
@@ -34,6 +35,37 @@ def fingerprint(payload: Dict[str, Any]) -> str:
     """Stable hash of an experiment configuration dictionary."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+
+
+def _checked_record(record: Any) -> Dict[str, Any]:
+    """Return ``record`` when it has a trial record's shape, else raise
+    ``ValueError``: a success needs ``p`` finite in [0, 1] and ``bad``
+    mapping integer layers to non-negative counts; a failure needs a
+    string ``error``."""
+    if not isinstance(record, dict):
+        raise ValueError(f"trial record is not an object: {record!r}")
+    if "error" in record:
+        if not isinstance(record["error"], str):
+            raise ValueError(f"trial error is not a string: {record!r}")
+        return record
+    p, bad = record.get("p"), record.get("bad")
+    if (
+        isinstance(p, bool)
+        or not isinstance(p, (int, float))
+        or not (math.isfinite(p) and 0.0 <= p <= 1.0)
+    ):
+        raise ValueError(f"trial p is not a probability: {record!r}")
+    if not isinstance(bad, dict) or not all(
+        isinstance(layer, str)
+        and layer.isascii()
+        and layer.isdigit()
+        and isinstance(count, int)
+        and not isinstance(count, bool)
+        and count >= 0
+        for layer, count in bad.items()
+    ):
+        raise ValueError(f"trial bad counts are malformed: {record!r}")
+    return record
 
 
 class CampaignCheckpoint:
@@ -64,9 +96,9 @@ class CampaignCheckpoint:
 
         A checkpoint that cannot be *parsed* — truncated by a crash that
         beat the atomic rename of a prior format, a disk-full partial
-        write, stray bytes — is not fatal: the bad file is quarantined to
-        ``<path>.corrupt`` and the campaign starts fresh with a
-        degraded-coverage warning. Losing checkpointed trials only costs
+        write, stray bytes, a trial record of the wrong shape — is not
+        fatal: the bad file is quarantined to ``<path>.corrupt`` and the
+        campaign starts fresh with a degraded-coverage warning. Losing checkpointed trials only costs
         recomputation; per-trial RNG streams keep the rerun bit-identical.
         """
         checkpoint = cls(path, config_fingerprint)
@@ -76,7 +108,8 @@ class CampaignCheckpoint:
             with open(path, "r", encoding="utf-8") as handle:
                 state = json.load(handle)
             trials = {
-                int(index): record for index, record in state["trials"].items()
+                int(index): _checked_record(record)
+                for index, record in state["trials"].items()
             }
         except (
             json.JSONDecodeError,

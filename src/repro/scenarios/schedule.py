@@ -87,10 +87,6 @@ class InjectionSchedule:
     def total_attack_packets(self) -> int:
         return int(sum(len(times) for times in self.attack_times.values()))
 
-    @property
-    def total_surge_packets(self) -> int:
-        return int(sum(len(source.times) for source in self.surge_sources))
-
     def without_targets(self, removed: Iterable[int]) -> "InjectionSchedule":
         """The schedule after repairing ``removed`` nodes (re-keying: the
         attacker's traffic at their old identities no longer lands)."""

@@ -97,10 +97,6 @@ class CompiledVector:
     def total_attack_packets(self) -> int:
         return int(sum(len(times) for times in self.attack_times.values()))
 
-    @property
-    def total_surge_packets(self) -> int:
-        return int(sum(len(source.times) for source in self.surge_sources))
-
 
 def _positive(value: Any) -> bool:
     return float(value) > 0.0

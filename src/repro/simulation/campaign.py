@@ -83,15 +83,6 @@ class CampaignReport:
     p_s_mean: float = 1.0
     p_s_variance: float = 0.0
 
-    def p_s_at(self, time: float) -> float:
-        """The last measured ``P_S`` at or before ``time``."""
-        value = 1.0
-        for t, p in zip(self.times, self.p_s):
-            if t > time:
-                break
-            value = p
-        return value
-
     @property
     def minimum(self) -> float:
         return min(self.p_s) if self.p_s else 1.0

@@ -174,19 +174,6 @@ class PacketSimReport:
     def mean_latency(self) -> float:
         return 0.0 if self.latency_count == 0 else self.latency_mean
 
-    @property
-    def latency_variance(self) -> float:
-        """Population variance of delivered-packet latencies."""
-        if self.latency_count < 2:
-            return 0.0
-        return self.latency_m2 / self.latency_count
-
-    def bottleneck_layer(self) -> Optional[int]:
-        """The layer absorbing the most legitimate-traffic drops."""
-        if not self.drops_per_layer:
-            return None
-        return max(self.drops_per_layer, key=lambda k: self.drops_per_layer[k])
-
 
 class PacketLevelSimulation:
     """Drives clients, floods, and forwarding over a deployment."""

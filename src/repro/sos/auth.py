@@ -52,15 +52,6 @@ class HopAuthenticator:
         self._check_layer(layer)
         self._members[layer].update(member_ids)
 
-    def revoke(self, layer: int, member_id: int) -> None:
-        """Remove a member (e.g. after detection of a compromise)."""
-        self._check_layer(layer)
-        self._members[layer].discard(member_id)
-
-    def is_enrolled(self, layer: int, member_id: int) -> bool:
-        self._check_layer(layer)
-        return member_id in self._members[layer]
-
     def issue(self, layer: int, issuer_id: int, packet_id: int) -> bytes:
         """MAC a packet on behalf of ``issuer_id`` at ``layer``.
 

@@ -30,7 +30,6 @@ from repro.overlay.node import OverlayNode
 from repro.perf.compiled import choice_rows
 from repro.sos.auth import HopAuthenticator
 from repro.sos.filters import FilterRing
-from repro.sos.roles import Role, role_for_layer
 from repro.utils.seeding import SeedLike, make_rng
 
 
@@ -225,15 +224,6 @@ class SOSDeployment:
                 f"layer {layer} out of range 1..{self.architecture.layers + 1}"
             ) from None
 
-    def role_of(self, node_id: int) -> Role:
-        """Role of an enrolled node or filter."""
-        if node_id in self.filters:
-            return Role.FILTER
-        node = self.network.get(node_id)
-        if not node.is_sos:
-            raise ConfigurationError(f"node {node_id} is not enrolled in SOS")
-        return role_for_layer(node.sos_layer, self.architecture.layers)
-
     def resolve(self, node_id: int) -> OverlayNode:
         """Resolve an identifier against overlay nodes and filters alike."""
         if node_id in self.filters:
@@ -346,16 +336,6 @@ class SOSDeployment:
         counts[filter_layer] = self.filters.store.bad_count(filter_layer)
         return counts
 
-    def crashed_counts(self) -> Dict[int, int]:
-        """Per-layer count of benignly crashed members (churn, not attack)."""
-        filter_layer = self.architecture.layers + 1
-        counts = {
-            layer: self.network.store.crashed_count(layer)
-            for layer in range(1, filter_layer)
-        }
-        counts[filter_layer] = self.filters.store.crashed_count(filter_layer)
-        return counts
-
     def sos_member_ids(self) -> List[int]:
         """All enrolled overlay members (layers 1..L, filters excluded).
 
@@ -363,11 +343,6 @@ class SOSDeployment:
         and do not participate in benign node churn.
         """
         return self.sos_member_array().tolist()
-
-    def reset_attack_state(self) -> None:
-        """Clear all health damage (fresh attack trial on the same wiring)."""
-        self.network.reset_health()
-        self.filters.reset_health()
 
     def reassign_membership(
         self, chosen_nodes: Sequence[int], generator

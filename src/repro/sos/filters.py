@@ -96,9 +96,6 @@ class FilterRing:
         """Whitelist many secret servlets at once."""
         self._allowed_servlets.update(servlet_ids)
 
-    def disallow_servlet(self, servlet_id: int) -> None:
-        self._allowed_servlets.discard(servlet_id)
-
     def admits(self, servlet_id: int) -> bool:
         """True when packets from ``servlet_id`` pass the firewall."""
         return servlet_id in self._allowed_servlets

@@ -231,54 +231,6 @@ class MultiTargetSOS:
         for filter_node in site.filters:
             filter_node.congest()
 
-    def analytic_target_ps(
-        self,
-        name: str,
-        shared_bad_per_layer: Sequence[float],
-        servlet_bad_fraction: Optional[float] = None,
-    ) -> float:
-        """Average-case per-target availability.
-
-        ``shared_bad_per_layer`` gives the bad counts ``s_1 .. s_{L-1}``
-        for the shared layers (e.g. from an analytical
-        :class:`~repro.core.layer_state.SystemPerformance` or a measured
-        deployment). The dedicated-servlet hop succeeds when at least one
-        of the target's ``k`` servlets is good; damage on the servlet
-        layer spreads uniformly, so each dedicated servlet is bad with the
-        layer's bad fraction (overridable via ``servlet_bad_fraction``).
-        Filters are dedicated hardware, assumed good unless attacked
-        directly (their state is read from the site).
-        """
-        from repro.core.probability import hop_success_probability
-
-        site = self.site(name)
-        arch = self.deployment.architecture
-        if len(shared_bad_per_layer) != arch.layers - 1:
-            raise ConfigurationError(
-                f"expected {arch.layers - 1} shared-layer bad counts, got "
-                f"{len(shared_bad_per_layer)}"
-            )
-        p_s = 1.0
-        degrees = arch.mapping_degrees
-        for index, bad in enumerate(shared_bad_per_layer):
-            layer = index + 1
-            size = len(self.deployment.layer_members(layer))
-            p_s *= hop_success_probability(size, bad, min(degrees[index], size))
-        # Dedicated servlet hop: fails only when all k servlets are bad.
-        servlet_members = self.deployment.layer_members(arch.layers)
-        if servlet_bad_fraction is None:
-            bad_servlets = sum(
-                1
-                for node_id in servlet_members
-                if self.deployment.resolve(node_id).is_bad
-            )
-            servlet_bad_fraction = bad_servlets / len(servlet_members)
-        k = len(site.servlet_ids)
-        p_s *= 1.0 - min(1.0, max(0.0, servlet_bad_fraction)) ** k
-        # Filter hop: at least one good filter in the dedicated ring.
-        p_s *= 1.0 if site.filters.good_filters() else 0.0
-        return max(0.0, min(1.0, p_s))
-
     def delivery_rates(
         self, probes: int = 100, rng: SeedLike = None
     ) -> Dict[str, float]:

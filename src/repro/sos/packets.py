@@ -72,7 +72,3 @@ class DeliveryReceipt:
     attempts: int = 0
     retries: int = 0
     backoff_total: float = 0.0
-
-    @property
-    def path_length(self) -> int:
-        return len(self.hop_trail)

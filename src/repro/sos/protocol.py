@@ -246,66 +246,3 @@ class SOSProtocol:
                 if deployment.is_node_good(neighbor_id):
                     frontier.append(neighbor_id)
         return False
-
-    # ------------------------------------------------------------------
-    # Beacon lookup via Chord
-    # ------------------------------------------------------------------
-    def beacon_for(self, target: str, start_id: Optional[int] = None) -> int:
-        """The SOS node responsible for ``target`` under Chord routing.
-
-        The original SOS hashes the target's identity and routes over Chord
-        to the owning node (the target's *beacon*). Returns the owner's
-        identifier; raises :class:`ProtocolError` when the lookup fails.
-        """
-        chord = self.deployment.chord
-        if start_id is None:
-            start_id = chord.live_node_ids[0]
-        result = chord.lookup_key(f"target:{target}", start=start_id)
-        if not result.succeeded or result.owner is None:
-            raise ProtocolError(f"chord lookup for target {target!r} failed")
-        return result.owner
-
-    # ------------------------------------------------------------------
-    # Target directory (beacon state in the DHT)
-    # ------------------------------------------------------------------
-    def publish_target(
-        self, target: str, servlet_id: int, replicas: int = 3
-    ) -> List[int]:
-        """Bind ``target`` to a secret servlet in the beacon directory.
-
-        In SOS, beacons know which secret servlet serves a target; we store
-        that binding in the Chord DHT, replicated on the beacon's successor
-        list so it survives beacon failures. Only enrolled servlets can be
-        published. Returns the holder node identifiers.
-        """
-        servlets = set(
-            self.deployment.layer_members(self.deployment.architecture.layers)
-        )
-        if servlet_id not in servlets:
-            raise ProtocolError(
-                f"node {servlet_id} is not a secret servlet; cannot publish"
-            )
-        return self.deployment.chord.put_key(
-            f"target:{target}", servlet_id, replicas=replicas
-        )
-
-    def resolve_servlet(
-        self, target: str, start_id: Optional[int] = None
-    ) -> int:
-        """Look up the servlet bound to ``target`` via the beacon directory.
-
-        Raises :class:`ProtocolError` when the target was never published
-        or every replica has been lost.
-        """
-        from repro.errors import RoutingError
-
-        chord = self.deployment.chord
-        if start_id is None:
-            start_id = chord.live_node_ids[0]
-        try:
-            servlet_id = chord.get_key(f"target:{target}", start=start_id)
-        except RoutingError as exc:
-            raise ProtocolError(
-                f"no servlet binding for target {target!r}: {exc}"
-            ) from exc
-        return int(servlet_id)

@@ -14,8 +14,6 @@ from typing import Iterator, List, Optional, Union
 
 import numpy as np
 
-from repro.errors import SimulationError
-
 SeedLike = Union[int, np.random.SeedSequence, np.random.Generator, None]
 
 
@@ -70,30 +68,10 @@ class SeedSequenceFactory:
 
     def __init__(self, seed: Optional[int] = None) -> None:
         self._root = np.random.SeedSequence(seed)
-        self._count = 0
-
-    @property
-    def root_entropy(self) -> int:
-        """Entropy of the root sequence (recordable for reproduction)."""
-        entropy = self._root.entropy
-        if isinstance(entropy, (list, tuple)):
-            return int(entropy[0])
-        # SeedSequence always auto-generates entropy when seeded with None,
-        # so a None here would be a numpy API change, not a valid state.
-        if entropy is None:
-            raise SimulationError("SeedSequence has no entropy to record")
-        return int(entropy)
-
-    @property
-    def streams_spawned(self) -> int:
-        """Number of child streams handed out so far."""
-        return self._count
 
     def spawn(self) -> np.random.SeedSequence:
         """Return the next independent child :class:`SeedSequence`."""
-        child = self._root.spawn(1)[0]
-        self._count += 1
-        return child
+        return self._root.spawn(1)[0]
 
     def generator(self) -> np.random.Generator:
         """Return a generator over the next independent child stream."""

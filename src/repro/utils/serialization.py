@@ -1,9 +1,8 @@
 """JSON round-tripping for experiment results.
 
 Experiment campaigns run long; these helpers persist
-:class:`~repro.experiments.result.FigureResult` and
-:class:`~repro.simulation.results.PsEstimate` objects to disk so sweeps can
-be resumed, diffed across revisions, or post-processed elsewhere. All
+:class:`~repro.experiments.result.FigureResult` objects to disk so sweeps
+can be resumed, diffed across revisions, or post-processed elsewhere. All
 output is plain JSON (no pickles) so results remain readable forever.
 """
 
@@ -15,12 +14,10 @@ from typing import Any, Dict, List, Sequence, Union
 
 from repro.errors import ExperimentError
 from repro.experiments.result import Claim, FigureResult
-from repro.simulation.results import PsEstimate
 
 PathLike = Union[str, Path]
 
 _SCHEMA_FIGURE = "repro.figure_result.v1"
-_SCHEMA_ESTIMATE = "repro.ps_estimate.v1"
 
 
 def figure_result_to_dict(result: FigureResult) -> Dict[str, Any]:
@@ -57,35 +54,6 @@ def figure_result_from_dict(data: Dict[str, Any]) -> FigureResult:
             for c in data.get("claims", [])
         ],
         notes=data.get("notes", ""),
-    )
-
-
-def ps_estimate_to_dict(estimate: PsEstimate) -> Dict[str, Any]:
-    """Convert a PsEstimate into a JSON-safe dictionary."""
-    return {
-        "schema": _SCHEMA_ESTIMATE,
-        "mean": estimate.mean,
-        "variance": estimate.variance,
-        "trials": estimate.trials,
-        "mean_bad_per_layer": {
-            str(layer): value for layer, value in estimate.mean_bad_per_layer.items()
-        },
-    }
-
-
-def ps_estimate_from_dict(data: Dict[str, Any]) -> PsEstimate:
-    if data.get("schema") != _SCHEMA_ESTIMATE:
-        raise ExperimentError(
-            f"not a serialized PsEstimate (schema={data.get('schema')!r})"
-        )
-    return PsEstimate(
-        mean=data["mean"],
-        variance=data["variance"],
-        trials=data["trials"],
-        mean_bad_per_layer={
-            int(layer): value
-            for layer, value in data.get("mean_bad_per_layer", {}).items()
-        },
     )
 
 

@@ -52,7 +52,7 @@ class TestUpstreamObserver:
         deployment = deploy()
         observe = upstream_observer(1.0)
         rng = np.random.default_rng(1)
-        plain = deployment.network.plain_nodes[0].node_id
+        plain = next(n.node_id for n in deployment.network if n.sos_layer is None)
         assert observe(deployment, plain, rng) == []
 
     def test_zero_observation_probability(self):

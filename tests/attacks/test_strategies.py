@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -40,7 +42,7 @@ class TestOneBurst:
             deployment, OneBurstAttack(0, 0), rng=1
         )
         assert outcome.total_broken == 0
-        assert outcome.total_congested == 0
+        assert sum(outcome.congested_per_layer.values()) == 0
         assert all(node.is_good for node in deployment.network)
 
     def test_p_b_one_breaks_every_attempted_sos_node(self):
@@ -111,7 +113,7 @@ class TestOneBurst:
                            break_in_success=1.0),
             rng=1,
         )
-        census = deployment.network.health_census()
+        census = Counter(node.health for node in deployment.network)
         # Every overlay node was attempted with P_B = 1, so the whole
         # population is compromised (non-SOS nodes just disclose nothing)
         # and there is nothing left for the congestion budget to touch.
@@ -203,7 +205,7 @@ class TestSuccessive:
                                   break_in_success=1.0)
         outcome = SuccessiveStrategy().execute(deployment, attack, rng=2)
         assert outcome.congestion_spent == 3
-        assert outcome.total_congested == 3
+        assert sum(outcome.congested_per_layer.values()) == 3
 
 
 class TestAttackerFacade:
@@ -238,7 +240,7 @@ class TestOutcome:
             assert count == outcome.broken_per_layer[layer] + (
                 outcome.congested_per_layer[layer]
             )
-        assert outcome.as_row()[0] == 1
+        assert outcome.rounds_executed == 1
 
     def test_outcome_matches_network_census(self):
         deployment = deploy()

@@ -100,7 +100,12 @@ def _state(deployment: SOSDeployment, outcome) -> tuple:
         + deployment.filters.store.health.tobytes()
     ).hexdigest()
     return (
-        outcome.as_row(),
+        (
+            outcome.rounds_executed,
+            outcome.break_in_attempts,
+            outcome.total_broken,
+            sum(outcome.congested_per_layer.values()),
+        ),
         outcome.congestion_spent,
         sorted(outcome.broken_per_layer.items()),
         sorted(outcome.congested_per_layer.items()),

@@ -105,10 +105,6 @@ class TestDerivedViews:
         arch = SOSArchitecture(layers=3)
         assert sum(arch.integer_layer_sizes) == 100
 
-    def test_non_sos_nodes(self):
-        arch = SOSArchitecture(layers=3)
-        assert arch.non_sos_nodes == pytest.approx(9900.0)
-
     def test_describe_mentions_key_features(self):
         text = SOSArchitecture(layers=4, mapping="one-to-two").describe()
         assert "L=4" in text

@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from repro.core import OneBurstAttack, SuccessiveAttack
+from repro.core.attack_models import MAX_ROUNDS
 from repro.errors import ConfigurationError
 
 
@@ -59,21 +60,17 @@ class TestSuccessive:
         with pytest.raises(ConfigurationError):
             SuccessiveAttack(rounds=0)
 
+    def test_rejects_unbounded_rounds(self):
+        SuccessiveAttack(rounds=MAX_ROUNDS)
+        for rounds in (MAX_ROUNDS + 1, 10**9):
+            with pytest.raises(ConfigurationError, match="rounds"):
+                SuccessiveAttack(rounds=rounds)
+
     def test_rejects_bad_prior_knowledge(self):
         with pytest.raises(ConfigurationError):
             SuccessiveAttack(prior_knowledge=-0.1)
         with pytest.raises(ConfigurationError):
             SuccessiveAttack(prior_knowledge=1.1)
-
-    def test_as_one_burst_projection(self):
-        attack = SuccessiveAttack(
-            break_in_budget=111, congestion_budget=222, break_in_success=0.3
-        )
-        projected = attack.as_one_burst()
-        assert isinstance(projected, OneBurstAttack)
-        assert projected.n_t == 111.0
-        assert projected.n_c == 222.0
-        assert projected.p_b == 0.3
 
     def test_equality_by_value(self):
         assert SuccessiveAttack() == SuccessiveAttack()

@@ -29,7 +29,7 @@ class TestCongestionCostModel:
 
     def test_bandwidth_round_trip(self):
         model = CongestionCostModel()
-        bandwidth = model.bandwidth_for(2000)
+        bandwidth = 2000 * model.required_flood_rate
         assert model.nodes_congestable(bandwidth) == 2000
 
     def test_saturated_nodes_rejected(self):

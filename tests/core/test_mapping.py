@@ -13,7 +13,6 @@ from repro.core.mapping import (
     ONE_TO_TWO,
     FixedMapping,
     FractionMapping,
-    degrees_for_layers,
     resolve_mapping,
 )
 from repro.errors import ConfigurationError
@@ -105,14 +104,6 @@ class TestResolve:
     def test_float_rejected(self):
         with pytest.raises(ConfigurationError):
             resolve_mapping(0.5)  # type: ignore[arg-type]
-
-
-class TestDegreesForLayers:
-    def test_mixed_layer_sizes(self):
-        assert degrees_for_layers("one-to-half", [40, 20, 10]) == [20, 10, 5]
-
-    def test_accepts_integer_policy(self):
-        assert degrees_for_layers(2, [10, 1]) == [2, 1]
 
 
 @given(

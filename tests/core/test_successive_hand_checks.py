@@ -98,7 +98,10 @@ class TestRoundTwo:
 
     def test_x2_is_previous_rounds_fresh_disclosure(self, breakdown):
         first, second = breakdown.rounds[0], breakdown.rounds[1]
-        assert second.known_at_start == pytest.approx(first.newly_known)
+        # X_2 = sum_{i<=L} d^N_{i,1}: the filter slot does not feed round 2.
+        assert second.known_at_start == pytest.approx(
+            sum(first.disclosed_unattacked[:-1])
+        )
 
     def test_disclosed_attacks_follow_eq10(self, breakdown):
         first, second = breakdown.rounds[0], breakdown.rounds[1]
@@ -138,4 +141,4 @@ class TestRoundTwo:
         untouched2 = 20 - x2 - first.attacked[1]
         round2 = x2 + (20 - x2) * (untouched1 + untouched2) / pool
         assert sum(second.attacked[:2]) == pytest.approx(round2)
-        assert breakdown.terminal_round == 2
+        assert len(breakdown.rounds) == 2

@@ -145,7 +145,7 @@ class TestMarkCollector:
             10, np.random.default_rng(1).random((50_000, 2))
         )
         assert (
-            collector.distinct_marks()
+            len(collector.marks_for(10))
             <= config.sources_per_target * config.path_depth
         )
 

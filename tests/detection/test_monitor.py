@@ -83,14 +83,6 @@ class TestBinning:
         observe(monitor, 2, 5.5, True)
         assert monitor.series(1).tolist() == [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
 
-    def test_window_counts_and_drop_rate(self):
-        monitor = step_monitor()
-        offered, dropped = monitor.window_counts(7, 0, 10)
-        assert offered == 50 and dropped == 0
-        assert monitor.drop_rate(7) == pytest.approx(
-            1000 / 2050, rel=1e-12
-        )
-
     def test_negative_time_rejected(self):
         monitor = TrafficMonitor(MonitorConfig())
         observe(monitor, 1, -0.5, True)

@@ -134,7 +134,6 @@ class TestLoop:
     def test_detected_mode_reports_false_positives(self):
         result = make_loop().run(mode="detected", phases=2)
         outcome = result.outcomes[0]
-        assert set(outcome.detected_true) <= set(outcome.flagged)
         assert set(outcome.false_positives) == set(outcome.flagged) - set(
             outcome.flooded
         )

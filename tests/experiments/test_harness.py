@@ -133,17 +133,17 @@ class TestRunFigureOverrides:
         assert main(["fig4a", "--no-plot", "--json", str(path)]) == 0
         [loaded] = load_results(path)
         assert loaded.figure_id == "fig4a"
-        assert loaded.all_claims_hold
+        assert loaded.failed_claims() == []
 
 
 class TestExtensionFigures:
     def test_latency_extension_runs_and_passes(self):
         result = run_figure("ext-latency")
-        assert result.all_claims_hold
+        assert result.failed_claims() == []
 
     def test_underlay_extension_runs_and_passes(self):
         result = run_figure("ext-underlay")
-        assert result.all_claims_hold
+        assert result.failed_claims() == []
 
 
 class TestRunnerErrorIsolation:

@@ -44,11 +44,10 @@ class TestFigureResult:
         result = make_result(
             claims=[Claim("good", True), Claim("bad", False)]
         )
-        assert not result.all_claims_hold
         assert [c.description for c in result.failed_claims()] == ["bad"]
 
     def test_all_claims_hold_when_empty(self):
-        assert make_result().all_claims_hold
+        assert make_result().failed_claims() == []
 
 
 class TestShapeHelpers:

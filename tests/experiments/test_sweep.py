@@ -47,7 +47,6 @@ class TestAttackSweep:
     def test_argmax_and_table(self):
         result = attack_sweep(arch(), SuccessiveAttack(), "rounds", [1, 3])
         assert result.argmax() == 1
-        assert "rounds" in result.as_table()
 
 
 class TestArchitectureSweep:
@@ -95,19 +94,9 @@ class TestGridSweep:
         column = grid.column(200)
         assert row.p_s[1] == column.p_s[1]  # the (4, 200) cell
 
-    def test_best_cell_is_grid_maximum(self, grid):
-        row_value, column_value, best = grid.best_cell()
-        assert best == max(v for row in grid.p_s for v in row)
-        assert best == grid.row(row_value).p_s[
-            grid.column_values.index(column_value)
-        ]
-
     def test_no_break_in_column_is_best(self, grid):
-        assert grid.best_cell()[1] == 0
-
-    def test_table_renders(self, grid):
-        text = grid.as_table()
-        assert "layers\\break_in_budget" in text
+        best = max(v for row in grid.p_s for v in row)
+        assert max(grid.column(0).p_s) == best
 
     def test_empty_rejected(self):
         with pytest.raises(ExperimentError):

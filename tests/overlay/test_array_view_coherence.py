@@ -41,16 +41,13 @@ def deployment(seed=17, nodes=300, sos=40):
 
 
 def brute_force_counts(dep):
-    """Recount bad/crashed per layer by walking every node object."""
+    """Recount bad nodes per layer by walking every node object."""
     layers = dep.architecture.layers + 1
     bad = {layer: 0 for layer in range(1, layers + 1)}
-    crashed = dict(bad)
     for layer in range(1, layers + 1):
         for node_id in dep.layer_members(layer):
-            node = dep.resolve(node_id)
-            bad[layer] += int(node.is_bad)
-            crashed[layer] += int(node.is_crashed)
-    return bad, crashed
+            bad[layer] += int(dep.resolve(node_id).is_bad)
+    return bad
 
 
 class TestMutationStormCoherence:
@@ -79,9 +76,7 @@ class TestMutationStormCoherence:
                     int(store.health[node._row]) != HEALTH_GOOD
                 )
             # Incremental counters equal the brute-force recount.
-            bad, crashed = brute_force_counts(dep)
-            assert dep.bad_counts() == bad
-            assert dep.crashed_counts() == crashed
+            assert dep.bad_counts() == brute_force_counts(dep)
 
     def test_column_writes_visible_in_objects(self):
         dep = deployment()
@@ -91,24 +86,19 @@ class TestMutationStormCoherence:
         for node_id in victims:
             node = dep.resolve(int(node_id))
             assert node.health is NodeHealth.CRASHED
-            assert node.is_crashed
-        assert dep.crashed_counts()[1] == 5
+        assert dep.bad_counts()[1] == 5
         # And back: restore through the object API drains the counter.
         for node_id in victims:
             assert dep.resolve(int(node_id)).restore()
-        assert dep.crashed_counts()[1] == 0
+        assert dep.bad_counts()[1] == 0
 
     def test_counter_recompute_is_idempotent(self):
         dep = deployment()
         store = dep.network.store
         dep.resolve(dep.sos_member_ids()[0]).compromise()
-        before = (
-            store._bad_per_layer.copy(),
-            store._crashed_per_layer.copy(),
-        )
+        before = store._bad_per_layer.copy()
         store.recompute_counters()
-        assert np.array_equal(store._bad_per_layer, before[0])
-        assert np.array_equal(store._crashed_per_layer, before[1])
+        assert np.array_equal(store._bad_per_layer, before)
 
 
 class TestNeighborTableCoherence:

@@ -134,12 +134,6 @@ class TestLookup:
         with pytest.raises(RoutingError):
             ring.lookup(5, start=18)
 
-    def test_lookup_key_hashes_strings(self):
-        ring = build_ring([1, 18, 36, 99, 200], bits=8)
-        result = ring.lookup_key("target:A", start=1)
-        assert result.succeeded
-        assert result.owner == ring.find_successor(ring.space.hash_key("target:A"))
-
 
 class TestJoin:
     def test_join_then_stabilize_converges(self):
@@ -238,31 +232,6 @@ class TestFailures:
         assert ring.node(99).predecessor == 18
         result = ring.lookup(30, start=1)
         assert result.owned if hasattr(result, "owned") else result.owner == 99
-
-
-class TestLookupStatistics:
-    def test_healthy_ring_statistics(self):
-        import math
-
-        rng = np.random.default_rng(4)
-        ids = sorted(int(i) for i in rng.choice(2**18, size=256, replace=False))
-        ring = ChordRing.build(ids, bits=18)
-        stats = ring.lookup_statistics(samples=150, rng=5)
-        assert stats.accuracy == 1.0
-        assert stats.failed == 0
-        assert stats.mean_hops <= 1.5 * math.log2(256)
-        assert stats.max_hops >= stats.mean_hops
-
-    def test_deterministic_under_seed(self):
-        ring = build_ring([1, 18, 36, 99, 200], bits=8)
-        a = ring.lookup_statistics(samples=50, rng=9)
-        b = ring.lookup_statistics(samples=50, rng=9)
-        assert a == b
-
-    def test_sample_validation(self):
-        ring = build_ring([1, 2], bits=8)
-        with pytest.raises(ConfigurationError):
-            ring.lookup_statistics(samples=0)
 
 
 class TestValidationAndLimits:

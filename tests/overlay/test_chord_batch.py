@@ -44,10 +44,19 @@ def churn(ring, rng, rounds=3):
             ring.leave(int(rng.choice(live)))
         elif action == 2:
             candidate = int(rng.integers(0, ring.space.size))
-            if candidate not in ring.known_node_ids:
+            if not ever_joined(ring, candidate):
                 ring.join(candidate)
         else:
             ring.stabilize(rounds=1)
+
+
+def ever_joined(ring, node_id):
+    """True when ``node_id`` is or was a ring member (dead nodes included)."""
+    try:
+        ring.node(node_id)
+    except RoutingError:
+        return False
+    return True
 
 
 def assert_batch_matches_oracle(ring, rng, queries=40):
@@ -200,7 +209,7 @@ class TestSnapshotFingerReads:
             live = sequential.live_node_ids
             if op == "join":
                 candidate = int(rng.integers(0, sequential.space.size))
-                while candidate in sequential.known_node_ids:
+                while ever_joined(sequential, candidate):
                     candidate = int(rng.integers(0, sequential.space.size))
                 target = candidate
             else:

@@ -59,8 +59,6 @@ class TestPutGet:
     def test_invalid_replicas(self, ring):
         with pytest.raises(ConfigurationError):
             ring.put(1, "v", replicas=0)
-        with pytest.raises(ConfigurationError):
-            ring.maintain_replicas(replicas=0)
 
 
 class TestFailureSurvival:
@@ -75,38 +73,3 @@ class TestFailureSurvival:
         ring.fail(holders[0])
         ring.fail(holders[1])
         assert ring.get(1234) == "v"
-
-    def test_maintain_replicas_restores_factor(self, ring):
-        holders = ring.put(1234, "v", replicas=3)
-        ring.fail(holders[0])
-        assert ring.replica_count(1234) == 2
-        copies = ring.maintain_replicas(replicas=3)
-        assert copies >= 1
-        assert ring.replica_count(1234) == 3
-        # The new owner is now among the holders.
-        new_owner = ring.find_successor(1234)
-        assert 1234 in ring.node(new_owner).store
-
-    def test_maintain_removes_over_replication(self, ring):
-        ring.put(1234, "v", replicas=3)
-        # Manually over-replicate on an unrelated node.
-        outsider = [
-            n for n in ring.live_node_ids if 1234 not in ring.node(n).store
-        ][0]
-        ring.node(outsider).store[1234] = "v"
-        ring.maintain_replicas(replicas=3)
-        assert ring.replica_count(1234) == 3
-        assert 1234 not in ring.node(outsider).store
-
-    def test_churn_cycle_preserves_all_keys(self, ring):
-        rng = np.random.default_rng(9)
-        keys = [int(k) for k in rng.integers(0, 2**16, size=20)]
-        for key in keys:
-            ring.put(key, f"value-{key}", replicas=3)
-        for _ in range(3):
-            victim = ring.live_node_ids[int(rng.integers(0, len(ring)))]
-            if len(ring) > 5:
-                ring.fail(victim)
-            ring.maintain_replicas(replicas=3)
-        for key in keys:
-            assert ring.get(key) == f"value-{key}"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.errors import ConfigurationError, RoutingError
@@ -22,12 +24,12 @@ class TestOverlayNode:
     def test_defaults(self):
         node = OverlayNode(node_id=5, address="node-5")
         assert node.is_good
-        assert not node.is_sos
+        assert node.sos_layer is None
         assert node.neighbors == ()
 
     def test_sos_enrollment(self):
         node = OverlayNode(node_id=5, address="node-5", sos_layer=2)
-        assert node.is_sos
+        assert node.sos_layer == 2
 
     def test_compromise_discloses_neighbors(self):
         node = OverlayNode(node_id=5, address="n", neighbors=(1, 2, 3))
@@ -110,27 +112,26 @@ class TestOverlayNetwork:
         nodes[1].sos_layer = 1
         nodes[2].sos_layer = 2
         assert len(network.sos_nodes) == 3
-        assert len(network.layer_nodes(1)) == 2
-        assert len(network.plain_nodes) == 17
+        assert int((network.store.layer == 1).sum()) == 2
+        assert int((network.store.layer == 0).sum()) == 17
 
     def test_health_census(self):
         network = OverlayNetwork(10, rng=1)
         nodes = list(network)
         nodes[0].congest()
         nodes[1].compromise()
-        census = network.health_census()
+        census = Counter(node.health for node in network)
         assert census[NodeHealth.CONGESTED] == 1
         assert census[NodeHealth.COMPROMISED] == 1
         assert census[NodeHealth.GOOD] == 8
-        assert len(network.bad_nodes()) == 2
-        assert len(network.good_nodes()) == 8
+        assert sum(node.is_bad for node in network) == 2
 
     def test_reset_health(self):
         network = OverlayNetwork(10, rng=1)
         for node in network:
             node.congest()
         network.reset_health()
-        assert len(network.good_nodes()) == 10
+        assert all(node.is_good for node in network)
 
     def test_reset_roles(self):
         network = OverlayNetwork(10, rng=1)

@@ -117,7 +117,8 @@ class TestStatisticalEquivalence:
             _, (event, fast) = flooded_pair(seed)
             assert fast.drops_per_layer == event.drops_per_layer
             assert fast.arrivals_per_layer == event.arrivals_per_layer
-            assert fast.bottleneck_layer() == event.bottleneck_layer() == 1
+            drops = fast.drops_per_layer
+            assert max(drops, key=drops.get) == 1
 
     def test_congested_node_sets_agree(self):
         targets, (event, fast) = flooded_pair(0)

@@ -95,8 +95,23 @@ class TestCorruptCheckpointRecovery:
         assert reloaded.completed(2) == {"p": 0.25, "bad": {"1": 1}}
 
 
+#: Trial records that parse as JSON but cannot be a trial's outcome; each
+#: replaces trial 0 of an otherwise valid checkpoint.
+MALFORMED_RECORDS = {
+    "p-not-a-number": {"p": "abc", "bad": {"1": 1}},
+    "p-missing": {"bad": {"1": 1}},
+    "p-out-of-range": {"p": 1.5, "bad": {"1": 1}},
+    "record-is-a-list": [0.5, {"1": 1}],
+    "layer-not-an-int": {"p": 0.5, "bad": {"x": 1}},
+    "negative-count": {"p": 0.5, "bad": {"1": -5}},
+}
+
+
 class TestEstimatorSurvivesCorruption:
-    def test_estimate_with_corrupt_checkpoint_matches_clean_run(self, tmp_path):
+    @pytest.mark.parametrize("case", ["truncated", *MALFORMED_RECORDS])
+    def test_estimate_with_corrupt_checkpoint_matches_clean_run(
+        self, tmp_path, case
+    ):
         """End to end: a corrupt checkpoint degrades to a fresh campaign
         whose aggregates are bit-identical to a never-checkpointed run."""
         arch = SOSArchitecture(
@@ -112,10 +127,16 @@ class TestEstimatorSurvivesCorruption:
         ).estimate(arch, attack)
 
         path = tmp_path / "campaign.json"
-        path.write_bytes(b'{"fingerprint": "...')  # killed mid-write
         config = MonteCarloConfig(
             trials=6, clients_per_trial=3, seed=11, checkpoint_path=str(path)
         )
+        if case == "truncated":
+            path.write_bytes(b'{"fingerprint": "...')  # killed mid-write
+        else:
+            MonteCarloEstimator(config).estimate(arch, attack)
+            state = json.loads(path.read_text(encoding="utf-8"))
+            state["trials"]["0"] = MALFORMED_RECORDS[case]
+            path.write_text(json.dumps(state), encoding="utf-8")
         with pytest.warns(RuntimeWarning, match="quarantined"):
             recovered = MonteCarloEstimator(config).estimate(arch, attack)
         assert recovered.mean == baseline.mean

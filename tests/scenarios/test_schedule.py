@@ -71,7 +71,7 @@ def test_empty_schedule_is_benign():
     schedule = InjectionSchedule(attack_times={})
     assert schedule.attack_targets == ()
     assert schedule.total_attack_packets == 0
-    assert schedule.total_surge_packets == 0
+    assert not schedule.surge_sources
     assert schedule.without_targets([1, 2]).attack_targets == ()
 
 

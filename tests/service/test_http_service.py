@@ -313,6 +313,26 @@ class TestCampaignsOverHttp:
 
         asyncio.run(scenario())
 
+    def test_unbounded_rounds_is_400(self, tmp_path):
+        attack = {"kind": "successive", "rounds": 10**9}
+
+        async def scenario():
+            server = HttpServer(SOSEvaluationService(_config(tmp_path)))
+            async with server:
+                for path, body in (
+                    ("/eval", {"architecture": ARCH, "attack": attack}),
+                    ("/sweep", {"scenarios": {"r": attack}, "layers": [2]}),
+                    ("/campaign", {"architecture": ARCH, "attack": attack,
+                                   "trials": 4, "seed": 5}),
+                ):
+                    status, _h, reply = await _request(
+                        server, "POST", path, body=body
+                    )
+                    assert status == 400, (path, reply)
+                    assert "rounds" in reply["error"]
+
+        asyncio.run(scenario())
+
     def test_campaign_with_retired_scalar_tier_is_400(self, tmp_path):
         async def scenario():
             server = HttpServer(SOSEvaluationService(_config(tmp_path)))

@@ -78,12 +78,6 @@ class TestTimeline:
         ]
         assert sum(after) / len(after) < 0.99
 
-    def test_p_s_at_lookup(self, no_repair_report):
-        assert no_repair_report.p_s_at(-1.0) == 1.0
-        assert no_repair_report.p_s_at(no_repair_report.times[-1]) == (
-            no_repair_report.p_s[-1]
-        )
-
     def test_deterministic_under_seed(self):
         a = run_campaign(arch(), ATTACK, NO_REPAIR, seed=4)
         b = run_campaign(arch(), ATTACK, NO_REPAIR, seed=4)

@@ -25,15 +25,6 @@ class TestEnrollment:
         with pytest.raises(ProtocolError, match="not enrolled"):
             auth.issue(1, 999, packet_id=7)
 
-    def test_revoked_member_fails_verification(self, auth):
-        mac = auth.issue(1, 101, packet_id=7)
-        auth.revoke(1, 101)
-        assert not auth.verify(1, 101, 7, mac)
-
-    def test_is_enrolled(self, auth):
-        assert auth.is_enrolled(1, 101)
-        assert not auth.is_enrolled(1, 202)
-
     def test_layers_property(self, auth):
         assert auth.layers == 3
 

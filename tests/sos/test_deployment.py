@@ -8,7 +8,6 @@ from repro.core import SOSArchitecture
 from repro.errors import ConfigurationError
 from repro.overlay import OverlayNetwork
 from repro.sos.deployment import SOSDeployment
-from repro.sos.roles import Role
 
 
 def small_arch(**kwargs):
@@ -96,25 +95,15 @@ class TestNeighborTables:
             assert deployment.filters.admits(node_id)
 
     def test_authenticator_enrollment(self, deployment):
+        auth = deployment.authenticator
         for layer in (1, 2, 3, 4):
             for node_id in deployment.layer_members(layer):
-                assert deployment.authenticator.is_enrolled(layer, node_id)
+                # Only enrolled members can issue a MAC at their layer.
+                mac = auth.issue(layer, node_id, packet_id=0)
+                assert auth.verify(layer, node_id, 0, mac)
 
 
 class TestViews:
-    def test_roles(self, deployment):
-        assert deployment.role_of(deployment.layer_members(1)[0]) is Role.ACCESS_POINT
-        assert deployment.role_of(deployment.layer_members(2)[0]) is Role.BEACON
-        assert (
-            deployment.role_of(deployment.layer_members(3)[0]) is Role.SECRET_SERVLET
-        )
-        assert deployment.role_of(deployment.filters.filter_ids[0]) is Role.FILTER
-
-    def test_role_of_plain_node_rejected(self, deployment):
-        plain = deployment.network.plain_nodes[0]
-        with pytest.raises(ConfigurationError, match="not enrolled"):
-            deployment.role_of(plain.node_id)
-
     def test_layer_members_out_of_range(self, deployment):
         with pytest.raises(ConfigurationError):
             deployment.layer_members(9)
@@ -136,7 +125,8 @@ class TestViews:
         counts = deployment.bad_counts()
         assert counts[2] == 1
         assert counts[4] == 1
-        deployment.reset_attack_state()
+        deployment.network.reset_health()
+        deployment.filters.reset_health()
         assert all(v == 0 for v in deployment.bad_counts().values())
 
     def test_good_members(self, deployment):
@@ -160,7 +150,8 @@ class TestViews:
         # Tables rewired and enrollment refreshed.
         first = deployment.layer_members(1)[0]
         assert deployment.network.get(first).neighbors
-        assert deployment.authenticator.is_enrolled(1, first)
+        auth = deployment.authenticator
+        assert auth.verify(1, first, 0, auth.issue(1, first, packet_id=0))
 
     def test_reassign_membership_wrong_count(self, deployment):
         import numpy as np

@@ -49,11 +49,6 @@ class TestServletAdmission:
     def test_unknown_servlet_rejected(self, ring):
         assert not ring.admits(7)
 
-    def test_disallow(self, ring):
-        ring.allow_servlet(7)
-        ring.disallow_servlet(7)
-        assert not ring.admits(7)
-
 
 class TestAttackSurface:
     def test_congest_disclosed_filter(self, ring):

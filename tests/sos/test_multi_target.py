@@ -86,47 +86,6 @@ class TestForwarding:
         assert r1.hop_trail == r2.hop_trail
 
 
-class TestAnalyticTargetPs:
-    def test_healthy_system_is_certain(self, overlay):
-        overlay.register_target("a", rng=1)
-        assert overlay.analytic_target_ps("a", [0.0, 0.0]) == 1.0
-
-    def test_matches_measured_rate_under_shared_damage(self, overlay):
-        import numpy as np
-
-        overlay.register_target("a", rng=1)
-        # Congest a third of layer 2 (a shared layer).
-        members = overlay.deployment.layer_members(2)
-        for node_id in members[: len(members) // 3]:
-            overlay.deployment.network.get(node_id).congest()
-        bad2 = len(members) // 3
-        analytic = overlay.analytic_target_ps("a", [0.0, float(bad2)])
-        rng = np.random.default_rng(5)
-        hits = sum(
-            overlay.send("c", "a", rng=rng).delivered for _ in range(400)
-        )
-        assert hits / 400 == pytest.approx(analytic, abs=0.07)
-
-    def test_dead_servlets_zero_availability(self, overlay):
-        site = overlay.register_target("a", rng=1)
-        for servlet_id in site.servlet_ids:
-            overlay.deployment.resolve(servlet_id).congest()
-        assert overlay.analytic_target_ps(
-            "a", [0.0, 0.0], servlet_bad_fraction=1.0
-        ) == 0.0
-
-    def test_dead_filters_zero_availability(self, overlay):
-        site = overlay.register_target("a", rng=1)
-        for filter_id in site.filters.filter_ids:
-            site.filters.congest(filter_id)
-        assert overlay.analytic_target_ps("a", [0.0, 0.0]) == 0.0
-
-    def test_wrong_layer_count_rejected(self, overlay):
-        overlay.register_target("a", rng=1)
-        with pytest.raises(ConfigurationError, match="shared-layer bad"):
-            overlay.analytic_target_ps("a", [0.0])
-
-
 class TestIsolation:
     def test_attacking_one_target_spares_the_other(self, overlay):
         overlay.register_target("victim", rng=1)

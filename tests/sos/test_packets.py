@@ -27,12 +27,6 @@ class TestPacket:
 
 
 class TestDeliveryReceipt:
-    def test_path_length(self):
-        receipt = DeliveryReceipt(
-            packet_id=1, delivered=True, hop_trail=(1, 2, 3)
-        )
-        assert receipt.path_length == 3
-
     def test_failure_carries_reason(self):
         receipt = DeliveryReceipt(
             packet_id=1, delivered=False, hop_trail=(),

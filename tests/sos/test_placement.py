@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import SOSArchitecture
-from repro.errors import ConfigurationError, RoutingError
+from repro.errors import ConfigurationError
 from repro.overlay.network import OverlayNetwork
 from repro.overlay.topology import UnderlayTopology
 from repro.sos.placement import (
@@ -26,22 +26,6 @@ def arch():
 
 
 class TestRouterFailures:
-    def test_fail_router_kills_attached_hops(self):
-        topology = UnderlayTopology(routers=30, rng=1)
-        topology.attach_overlay_nodes([1, 2])
-        router = topology.router_of(1)
-        other = topology.router_of(2)
-        if router == other:
-            pytest.skip("both nodes landed on the same router")
-        topology.fail_router(router)
-        assert not topology.router_alive(router)
-        assert topology.overlay_hop_latency(1, 2) == float("inf")
-
-    def test_fail_unknown_router_rejected(self):
-        topology = UnderlayTopology(routers=10, rng=1)
-        with pytest.raises(RoutingError):
-            topology.fail_router(10_000)
-
     def test_fail_busiest_targets_concentration(self):
         topology = UnderlayTopology(routers=40, rng=1)
         ids = list(range(60))

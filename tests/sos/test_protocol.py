@@ -8,7 +8,7 @@ import pytest
 from repro.core import SOSArchitecture
 from repro.sos.deployment import SOSDeployment
 from repro.sos.protocol import SOSProtocol
-from repro.sos.roles import Role
+from repro.sos.roles import Role, role_for_layer
 
 
 def deploy(mapping="one-to-half", layers=3, seed=7):
@@ -32,7 +32,11 @@ class TestHappyPath:
         receipt = protocol.send("client", "target", rng=1)
         assert receipt.delivered
         assert len(receipt.hop_trail) == 4  # 3 SOS layers + filter
-        roles = [protocol.deployment.role_of(h) for h in receipt.hop_trail]
+        deployment = protocol.deployment
+        roles = [
+            role_for_layer(deployment.resolve(h).sos_layer, 3)
+            for h in receipt.hop_trail
+        ]
         assert roles == [
             Role.ACCESS_POINT,
             Role.BEACON,
@@ -139,18 +143,3 @@ class TestReachabilityVsForwarding:
             if delivered:
                 assert exists  # forwarding success implies a path exists
         assert reachable >= forwarded
-
-
-class TestBeaconLookup:
-    def test_beacon_is_sos_member(self, protocol):
-        beacon = protocol.beacon_for("target-A")
-        sos_ids = {n.node_id for n in protocol.deployment.network.sos_nodes}
-        assert beacon in sos_ids
-
-    def test_beacon_stable_for_same_target(self, protocol):
-        assert protocol.beacon_for("t1") == protocol.beacon_for("t1")
-
-    def test_beacon_lookup_from_any_start(self, protocol):
-        starts = protocol.deployment.chord.live_node_ids
-        owners = {protocol.beacon_for("t2", start_id=s) for s in starts[:10]}
-        assert len(owners) == 1

@@ -1,17 +1,22 @@
-"""Tests for the DHT-backed target directory (beacon state)."""
+"""Tests for the DHT-backed target directory (beacon state).
+
+The directory belongs to :class:`~repro.sos.multi_target.MultiTargetSOS`:
+registering a target stores its servlet set in the deployment's Chord
+ring under ``multi-target:<name>``, replicated on three ring successors,
+and the final beacon resolves it from there.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.core import SOSArchitecture
-from repro.errors import ProtocolError
 from repro.sos.deployment import SOSDeployment
-from repro.sos.protocol import SOSProtocol
+from repro.sos.multi_target import MultiTargetSOS
 
 
 @pytest.fixture
-def protocol():
+def overlay():
     arch = SOSArchitecture(
         layers=3,
         mapping="one-to-half",
@@ -19,58 +24,35 @@ def protocol():
         sos_nodes=60,
         filters=5,
     )
-    return SOSProtocol(SOSDeployment.deploy(arch, rng=7))
+    return MultiTargetSOS(SOSDeployment.deploy(arch, rng=7))
+
+
+def directory_key(overlay, name):
+    return overlay.deployment.chord.space.hash_key(f"multi-target:{name}")
 
 
 class TestPublishResolve:
-    def test_round_trip(self, protocol):
-        servlet = protocol.deployment.layer_members(3)[0]
-        holders = protocol.publish_target("hospital", servlet)
+    def test_holders_are_sos_members(self, overlay):
+        overlay.register_target("hospital", rng=1)
+        chord = overlay.deployment.chord
+        key = directory_key(overlay, "hospital")
+        holders = [n for n in chord.live_node_ids if key in chord.node(n).store]
         assert len(holders) == 3
-        assert protocol.resolve_servlet("hospital") == servlet
-
-    def test_holders_are_sos_members(self, protocol):
-        servlet = protocol.deployment.layer_members(3)[0]
-        holders = protocol.publish_target("hospital", servlet)
-        sos_ids = {n.node_id for n in protocol.deployment.network.sos_nodes}
+        sos_ids = {n.node_id for n in overlay.deployment.network.sos_nodes}
         assert set(holders) <= sos_ids
 
-    def test_only_servlets_publishable(self, protocol):
-        beacon = protocol.deployment.layer_members(2)[0]
-        with pytest.raises(ProtocolError, match="not a secret servlet"):
-            protocol.publish_target("hospital", beacon)
-
-    def test_unpublished_target_rejected(self, protocol):
-        with pytest.raises(ProtocolError, match="no servlet binding"):
-            protocol.resolve_servlet("ghost")
-
-    def test_rebinding_overwrites(self, protocol):
-        servlets = protocol.deployment.layer_members(3)
-        protocol.publish_target("t", servlets[0])
-        protocol.publish_target("t", servlets[1])
-        assert protocol.resolve_servlet("t") == servlets[1]
-
-    def test_resolution_from_any_start(self, protocol):
-        servlet = protocol.deployment.layer_members(3)[0]
-        protocol.publish_target("t", servlet)
-        for start in protocol.deployment.chord.live_node_ids[:6]:
-            assert protocol.resolve_servlet("t", start_id=start) == servlet
+    def test_resolution_from_any_start(self, overlay):
+        site = overlay.register_target("t", rng=1)
+        chord = overlay.deployment.chord
+        for start in chord.live_node_ids[:6]:
+            assert chord.get_key("multi-target:t", start=start) == list(
+                site.servlet_ids
+            )
 
 
 class TestBeaconFailure:
-    def test_binding_survives_beacon_crash(self, protocol):
-        servlet = protocol.deployment.layer_members(3)[0]
-        protocol.publish_target("hospital", servlet)
-        beacon = protocol.beacon_for("hospital")
-        protocol.deployment.chord.fail(beacon)
-        assert protocol.resolve_servlet("hospital") == servlet
-
-    def test_re_replication_after_crash(self, protocol):
-        chord = protocol.deployment.chord
-        servlet = protocol.deployment.layer_members(3)[0]
-        protocol.publish_target("hospital", servlet)
-        key = chord.space.hash_key("target:hospital")
-        chord.fail(chord.find_successor(key))
-        chord.maintain_replicas(replicas=3)
-        assert chord.replica_count(key) == 3
-        assert protocol.resolve_servlet("hospital") == servlet
+    def test_binding_survives_beacon_crash(self, overlay):
+        site = overlay.register_target("hospital", rng=1)
+        chord = overlay.deployment.chord
+        chord.fail(chord.find_successor(directory_key(overlay, "hospital")))
+        assert overlay.resolve_servlets("hospital") == list(site.servlet_ids)

@@ -28,7 +28,7 @@ from repro.simulation import (
     flood_layer,
 )
 from repro.sos import SOSDeployment, SOSProtocol
-from repro.sos.roles import Role
+from repro.sos.roles import Role, role_for_layer
 
 
 @pytest.fixture(scope="module")
@@ -52,8 +52,11 @@ class TestFullStack:
         contacts = protocol.register_client(rng=rng)
         receipt = protocol.send("alice", "hospital", contacts=contacts, rng=rng)
         assert receipt.delivered
-        assert deployment.role_of(receipt.hop_trail[0]) is Role.ACCESS_POINT
-        assert deployment.role_of(receipt.hop_trail[-1]) is Role.FILTER
+        first, last = (
+            deployment.resolve(receipt.hop_trail[i]).sos_layer for i in (0, -1)
+        )
+        assert role_for_layer(first, architecture.layers) is Role.ACCESS_POINT
+        assert role_for_layer(last, architecture.layers) is Role.FILTER
 
         # Attack it.
         attack = SuccessiveAttack(
@@ -106,7 +109,7 @@ class TestFullStack:
             if len(chord) > 1:
                 chord.fail(int(node_id))
         start = chord.live_node_ids[0]
-        result = chord.lookup_key("target:hospital", start=start)
+        result = chord.lookup(chord.space.hash_key("target:hospital"), start)
         assert result.succeeded
         assert result.owner == chord.find_successor(
             chord.space.hash_key("target:hospital")

@@ -8,7 +8,7 @@ from repro.core import SOSArchitecture, SuccessiveAttack, evaluate
 from repro.core.budget import BreakInCampaign, CongestionCostModel
 from repro.errors import ConfigurationError
 from repro.planner import DefensePlan, plan_defense, required_detection
-from repro.repair.analysis import analyze_successive_with_repair
+from repro.repair import analyze_successive_with_repair
 
 
 def arch():

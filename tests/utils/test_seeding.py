@@ -38,15 +38,5 @@ class TestSeedSequenceFactory:
         second = factory.generator().random(3)
         assert not np.array_equal(first, second)
 
-    def test_stream_counter(self):
-        factory = SeedSequenceFactory(0)
-        assert factory.streams_spawned == 0
-        factory.generator()
-        factory.generator()
-        assert factory.streams_spawned == 2
-
-    def test_root_entropy_recorded(self):
-        assert SeedSequenceFactory(1234).root_entropy == 1234
-
     def test_generators_yields_requested_count(self):
         assert len(list(SeedSequenceFactory(1).generators(7))) == 7

@@ -8,13 +8,10 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.experiments.result import Claim, FigureResult
-from repro.simulation.results import PsEstimate
 from repro.utils.serialization import (
     figure_result_from_dict,
     figure_result_to_dict,
     load_results,
-    ps_estimate_from_dict,
-    ps_estimate_to_dict,
     save_results,
 )
 
@@ -48,25 +45,6 @@ class TestFigureResultRoundTrip:
     def test_wrong_schema_rejected(self):
         with pytest.raises(ExperimentError, match="schema"):
             figure_result_from_dict({"schema": "something.else"})
-
-
-class TestPsEstimateRoundTrip:
-    def test_round_trip(self):
-        estimate = PsEstimate(
-            mean=0.4, variance=0.02, trials=50, mean_bad_per_layer={1: 3.5, 2: 1.0}
-        )
-        rebuilt = ps_estimate_from_dict(ps_estimate_to_dict(estimate))
-        assert rebuilt == estimate
-
-    def test_layer_keys_restored_as_ints(self):
-        estimate = PsEstimate(mean=0.4, variance=0.0, trials=5,
-                              mean_bad_per_layer={3: 1.0})
-        rebuilt = ps_estimate_from_dict(ps_estimate_to_dict(estimate))
-        assert list(rebuilt.mean_bad_per_layer) == [3]
-
-    def test_wrong_schema_rejected(self):
-        with pytest.raises(ExperimentError):
-            ps_estimate_from_dict({"schema": "nope"})
 
 
 class TestFiles:
