@@ -18,8 +18,12 @@ import time
 import numpy as np
 
 from repro.core import SOSArchitecture
-from repro.perf.fastsim import encode_deployment, run_fast
-from repro.simulation.packet_sim import PacketSimConfig, flood_layer
+from repro.perf.fastsim import encode_deployment
+from repro.simulation.packet_sim import (
+    PacketLevelSimulation,
+    PacketSimConfig,
+    flood_layer,
+)
 from repro.sos.deployment import SOSDeployment
 from tests.perf.oracles import _encode_deployment_objects
 
@@ -118,7 +122,9 @@ def _flooded_run(deployment):
 
     rng = make_rng(SEED)
     targets = flood_layer(deployment, 1, 0.25, rng=rng)
-    return run_fast(deployment, CONFIG, rng=rng, flood_targets=targets)
+    return PacketLevelSimulation(deployment, CONFIG, rng=rng).run(
+        flood_targets=targets
+    )
 
 
 def test_flooded_fastsim_100k(benchmark):

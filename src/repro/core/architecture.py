@@ -36,6 +36,14 @@ DEFAULT_TOTAL_OVERLAY_NODES = 10_000
 DEFAULT_SOS_NODES = 100
 DEFAULT_FILTERS = 10
 
+#: Largest ``layers``. Each layer is a size, a mapping degree and a term of
+#: every evaluation, so one field would otherwise set an unbounded amount
+#: of work; the paper's figures stop at ``L = 8``.
+MAX_LAYERS = 100
+
+#: Layer sizes the "at least one node" error echoes before eliding.
+_SHOWN_SIZES = 8
+
 
 @dataclasses.dataclass(frozen=True)
 class SOSArchitecture:
@@ -102,6 +110,10 @@ class SOSArchitecture:
 
     def __post_init__(self) -> None:
         check_positive_int("layers", self.layers)
+        if self.layers > MAX_LAYERS:
+            raise ConfigurationError(
+                f"layers must be <= {MAX_LAYERS}, got {self.layers}"
+            )
         check_positive_int("total_overlay_nodes", self.total_overlay_nodes)
         check_positive_int("filters", self.filters)
 
@@ -113,11 +125,12 @@ class SOSArchitecture:
         )
 
         if self.layer_sizes is not None:
-            sizes = tuple(float(s) for s in self.layer_sizes)
-            if len(sizes) != self.layers:
+            if len(self.layer_sizes) != self.layers:
                 raise ConfigurationError(
-                    f"layer_sizes has {len(sizes)} entries, expected {self.layers}"
+                    f"layer_sizes has {len(self.layer_sizes)} entries, "
+                    f"expected {self.layers}"
                 )
+            sizes = tuple(float(s) for s in self.layer_sizes)
             total = sum(sizes)
             object.__setattr__(self, "sos_nodes", int(round(total)))
         else:
@@ -128,9 +141,12 @@ class SOSArchitecture:
             total = float(self.sos_nodes)
 
         if any(s < 1 for s in sizes):
+            shown = tuple(round(s, 3) for s in sizes[:_SHOWN_SIZES])
+            elided = len(sizes) - len(shown)
+            more = f" and {elided} more" if elided else ""
             raise ConfigurationError(
                 f"every layer must hold at least one node; the requested "
-                f"distribution yields {tuple(round(s, 3) for s in sizes)!r} — "
+                f"distribution yields {shown!r}{more} — "
                 f"use fewer layers or more SOS nodes"
             )
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.architecture import SOSArchitecture
+from repro.core.architecture import MAX_LAYERS, SOSArchitecture
 from repro.core.attack_models import OneBurstAttack, SuccessiveAttack
 from repro.core.distributions import NodeDistribution
 from repro.core.model import evaluate
@@ -63,9 +63,15 @@ def enumerate_designs(
     filters: int = 10,
 ) -> List[SOSArchitecture]:
     """Materialize the design grid, silently skipping infeasible points
-    (e.g. skewed distributions that starve a layer below one node)."""
+    (e.g. skewed distributions that starve a layer below one node). A
+    layer count above :data:`~repro.core.architecture.MAX_LAYERS` is out
+    of range, not infeasible, so it raises instead."""
     designs = []
     for layer_count in layers:
+        if layer_count > MAX_LAYERS:
+            raise ConfigurationError(
+                f"layers must be <= {MAX_LAYERS}, got {layer_count}"
+            )
         for mapping in mappings:
             for distribution in distributions:
                 try:

@@ -16,17 +16,11 @@ The store also maintains **incremental per-layer health counters**: every
 health or layer transition adjusts the per-layer ``bad`` tally, so
 :meth:`~repro.sos.deployment.SOSDeployment.bad_counts` is O(layers) instead
 of an O(N) rescan in the detect→repair loop.
-
-The :func:`share_columns` / :func:`attach_columns` helpers at the bottom
-serialize a set of named arrays into one ``multiprocessing.shared_memory``
-block and reconstruct zero-copy read-only views in worker processes — the
-transport :func:`repro.perf.fastsim.run_packet_replicas` uses to shard
-replicas without pickling deployments.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -38,9 +32,6 @@ __all__ = [
     "HEALTH_CONGESTED",
     "HEALTH_CRASHED",
     "OverlayStore",
-    "share_columns",
-    "attach_columns",
-    "SharedColumns",
 ]
 
 #: Health codes, stable across processes and serializations. Order matches
@@ -396,89 +387,3 @@ class OverlayStore:
             )
         return self._nbr_table[self._nbr_index[rows], :width]
 
-
-# ----------------------------------------------------------------------
-# Shared-memory transport for named column sets
-# ----------------------------------------------------------------------
-
-
-class SharedColumns:
-    """A set of named numpy arrays packed into one shared-memory block.
-
-    Created by :func:`share_columns` in the parent; workers call
-    :func:`attach_columns` with the ``(name, meta)`` pair to get zero-copy
-    **read-only** views over the same physical pages. The parent owns the
-    block: call :meth:`close` (and it unlinks) exactly once after every
-    worker is done.
-    """
-
-    def __init__(self, shm: object, meta: Dict[str, object]) -> None:
-        self.shm = shm
-        self.meta = meta
-
-    @property
-    def name(self) -> str:
-        return self.shm.name  # type: ignore[attr-defined]
-
-    def close(self, unlink: bool = True) -> None:
-        self.shm.close()  # type: ignore[attr-defined]
-        if unlink:
-            try:
-                self.shm.unlink()  # type: ignore[attr-defined]
-            except FileNotFoundError:  # already unlinked (double close)
-                pass
-
-
-def _align(offset: int, alignment: int = 64) -> int:
-    return (offset + alignment - 1) // alignment * alignment
-
-
-def share_columns(named: Dict[str, np.ndarray]) -> SharedColumns:
-    """Copy ``named`` arrays into one fresh shared-memory segment.
-
-    Returns a :class:`SharedColumns` whose ``meta`` (a plain picklable
-    dict) carries the segment layout; ship ``(columns.name, columns.meta)``
-    to workers and rebuild with :func:`attach_columns`.
-    """
-    from multiprocessing import shared_memory
-
-    layout: List[Tuple[str, str, Tuple[int, ...], int]] = []
-    offset = 0
-    for key, array in named.items():
-        contiguous = np.ascontiguousarray(array)
-        offset = _align(offset)
-        layout.append((key, contiguous.dtype.str, contiguous.shape, offset))
-        offset += contiguous.nbytes
-    shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-    for (key, dtype, shape, start), array in zip(layout, named.values()):
-        flat = np.ascontiguousarray(array)
-        view = np.ndarray(shape, dtype=dtype, buffer=shm.buf, offset=start)
-        view[...] = flat
-    return SharedColumns(shm, {"layout": layout})
-
-
-def attach_columns(
-    name: str, meta: Dict[str, object]
-) -> Tuple[Dict[str, np.ndarray], object]:
-    """Attach to a :func:`share_columns` segment; returns ``(arrays, shm)``.
-
-    The arrays are read-only views over the shared pages (zero copies).
-    Keep the returned ``shm`` handle alive as long as the arrays are in
-    use, then ``close()`` it (never ``unlink`` — the parent owns that).
-    """
-    from multiprocessing import shared_memory
-
-    # Attaching re-registers the segment with the resource tracker; pool
-    # workers are children of the creator, so they share its tracker
-    # process and the registration set is idempotent — the creator's
-    # ``unlink`` performs the one real unregister. (Unregistering here,
-    # the usual bpo-38119 workaround, would *remove* the creator's
-    # registration from the shared tracker and make the final unlink
-    # complain.)
-    shm = shared_memory.SharedMemory(name=name)
-    arrays: Dict[str, np.ndarray] = {}
-    for key, dtype, shape, start in meta["layout"]:  # type: ignore[index]
-        view = np.ndarray(tuple(shape), dtype=dtype, buffer=shm.buf, offset=start)
-        view.flags.writeable = False
-        arrays[key] = view
-    return arrays, shm

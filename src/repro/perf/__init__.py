@@ -7,7 +7,8 @@ scalar oracle to within 1e-12 (property-tested).
 :mod:`repro.perf.fastsim` is the packet engine of the packet-level
 flooding simulation (hop-synchronous numpy batches, checked bit for bit
 against an event-driven oracle in the test suite) plus process-parallel
-replica sweeps.
+replica sweeps. Run the engine through
+:class:`repro.simulation.packet_sim.PacketLevelSimulation`.
 :mod:`repro.perf.parallel` is the one seeded parallel map that runs
 Monte Carlo trials (``MonteCarloConfig.workers``) and packet replicas
 in-process or over a process pool; ``docs/PERFORMANCE.md`` documents it
@@ -40,7 +41,6 @@ from repro.perf.compiled import (
 _FASTSIM_EXPORTS = (
     "encode_deployment",
     "mean_delivery_ratio",
-    "run_fast",
     "run_packet_replicas",
 )
 
@@ -63,6 +63,5 @@ __all__ = [
     "hop_success_probability_batch",
     "mean_delivery_ratio",
     "resolve_tier",
-    "run_fast",
     "run_packet_replicas",
 ]

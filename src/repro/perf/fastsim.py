@@ -62,11 +62,19 @@ identity promise. Poisson sources and compiled scenario vectors tie
 with probability zero; hand-built schedules on a ``hop_latency`` grid
 can tie on purpose.
 
+Stages: :class:`~repro.simulation.packet_sim.PacketLevelSimulation`
+draws the contacts and spawns the streams, then :func:`run_fast`
+validates the inputs (:func:`_validate`), pre-samples every source
+(:func:`_sample_injections`, :func:`_sample_attacks`), picks each
+packet's entry contact (:func:`_enter`) and, per layer, runs the offer
+scan (:func:`_offer_scan`), then delivery (:func:`_deliver`) or
+fixed-point routing (:func:`_route`).
+
 ``run_packet_replicas`` scales multi-replica sweeps across cores through
-:func:`repro.perf.parallel.parallel_map`: per-replica ``SeedSequence``
-streams are pre-spawned in the parent in replica order and reports come
-back in replica order, so aggregates are bit-identical for any worker
-count.
+:func:`repro.perf.parallel.parallel_map`: each replica deploys afresh
+from its own ``SeedSequence``, pre-spawned in the parent in replica
+order, and reports come back in replica order, so aggregates are
+bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -77,8 +85,7 @@ from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.architecture import SOSArchitecture
-from repro.errors import SimulationError
-from repro.overlay.arrays import attach_columns, share_columns
+from repro.errors import DetectionError, SimulationError
 from repro.perf.compiled import (
     choice_sampler,
     get_kernels,
@@ -86,19 +93,15 @@ from repro.perf.compiled import (
     poisson_sampler,
     resolve_tier,
 )
-from repro.perf.parallel import check_count, parallel_map, resolve_workers
+from repro.perf.parallel import check_count, parallel_map
 from repro.simulation.packet_sim import (
     PacketLevelSimulation,
     PacketSimConfig,
     PacketSimReport,
     flood_layer,
 )
-from repro.sos.deployment import (
-    SOSDeployment,
-    choose_fraction,
-    sample_contact_matrix,
-)
-from repro.utils.seeding import child_generator, make_rng, spawn_seeds
+from repro.sos.deployment import SOSDeployment
+from repro.utils.seeding import make_rng
 
 __all__ = [
     "DeploymentArrays",
@@ -341,49 +344,24 @@ def _surge_slots(
 
 
 def _contact_slots(
-    arrays: DeploymentArrays,
-    client_contacts: Any,
-    surge_slots: Optional[np.ndarray],
-    clients: int,
+    baseline: np.ndarray, surge_slots: Optional[np.ndarray]
 ) -> np.ndarray:
     """Entry-contact slots, one row per source: baseline clients first,
     then surge sources.
 
-    Baseline rows are layer-1 positions, which already are layer-1 slots
-    (layer 1 opens the slot order of :func:`encode_deployment`), so they
-    are used as they stand. ``surge_slots`` is :func:`_surge_slots`'
-    result, or ``None`` without a schedule.
+    ``baseline`` is the deployment's own ``(clients, m_1)`` draw of
+    layer-1 positions, which already are layer-1 slots (layer 1 opens
+    the slot order of :func:`encode_deployment`), so it is used as it
+    stands. ``surge_slots`` is :func:`_surge_slots`' result, or ``None``
+    without a schedule.
     """
-    malformed = SimulationError(
-        "client_contacts must be a (clients, m_1) matrix of layer-1 positions"
-    )
-    try:
-        baseline = np.asarray(client_contacts, dtype=np.int64)
-    except (TypeError, ValueError):
-        raise malformed from None
-    rows = len(baseline) if baseline.ndim else 0
-    if rows != clients:
-        raise SimulationError(
-            f"client_contacts has {rows} rows for {clients} clients"
-        )
-    parts = []
-    degrees = set()
-    if clients:
-        layer_one = len(arrays.members[1])
-        if baseline.ndim != 2 or baseline.size == 0:
-            raise malformed
-        if int(baseline.min()) < 0 or int(baseline.max()) >= layer_one:
-            raise SimulationError(
-                f"client_contacts must hold layer-1 positions in "
-                f"0..{layer_one - 1}"
-            )
-        parts.append(baseline)
-        degrees.add(baseline.shape[1])
-    if surge_slots is not None and len(surge_slots):
-        degrees.add(surge_slots.shape[1])
-        if len(degrees) > 1:
-            raise SimulationError(_DEGREE_MISMATCH)
-        parts.append(surge_slots)
+    parts = [
+        part
+        for part in (baseline, surge_slots)
+        if part is not None and len(part)
+    ]
+    if len({part.shape[1] for part in parts}) > 1:
+        raise SimulationError(_DEGREE_MISMATCH)
     if not parts:
         # Zero sources: keep the matrix 2-D so the entry-choice
         # arithmetic stays shape-correct on empty inputs.
@@ -396,104 +374,48 @@ def _contact_slots(
 # ----------------------------------------------------------------------
 
 
-def run_fast(
-    deployment: Optional[SOSDeployment],
-    config: PacketSimConfig,
-    rng: Any = None,
-    flood_targets: Optional[Sequence[int]] = None,
-    client_contacts: Optional[np.ndarray] = None,
-    streams: Optional[Tuple[Sequence[np.random.SeedSequence], np.random.Generator, np.random.SeedSequence]] = None,
-    monitor: Optional[Any] = None,
-    marking: Optional[Any] = None,
-    mark_master: Optional[np.random.Generator] = None,
-    arrays: Optional[DeploymentArrays] = None,
-    schedule: Optional[Any] = None,
-) -> PacketSimReport:
-    """Run the vectorized packet engine; returns a :class:`PacketSimReport`.
+class _Plan(NamedTuple):
+    """A run's validated inputs: what the draws are made for."""
 
-    Semantics mirror :meth:`PacketLevelSimulation.run`: Poisson clients
-    inject from ``warmup`` to ``duration``, floods consume capacity at
-    their targets without being forwarded, every arrival offers one
-    token, packets route uniformly among next-layer neighbors that are
-    healthy and not congested, and filter-layer acceptances count as
-    deliveries at ``(layers + 1) * hop_latency`` latency.
+    targets: List[int]  # classic flood targets, ascending
+    target_slots: np.ndarray  # their slots, in the same order
+    scheduled: Dict[int, np.ndarray]  # scheduled target -> offer instants
+    surges: Tuple[Any, ...]  # scheduled surge sources
+    contacts: np.ndarray  # (sources, degree) entry-contact slots
 
-    ``client_contacts`` is the int64 ``(clients, m_1)`` matrix of each
-    client's access points as layer-1 *positions* — the
-    :meth:`~repro.sos.deployment.SOSDeployment.client_contact_matrix`
-    draw, one row per client, which the engine uses as layer-1 slots
-    with no lookup. A row count other than ``config.clients`` or a
-    position outside layer 1 raises :class:`SimulationError`. When
-    absent it is drawn here from ``rng``.
 
-    ``streams`` is the ``(arrival_seeds, routing_rng, flood_master)``
-    triple :class:`PacketLevelSimulation` spawns: one child
-    ``SeedSequence`` per client, the routing ``Generator``, and the
-    ``SeedSequence`` that spawns one child per flood target. The seeds
-    are the children ``rng.spawn(clients + 2)`` would wrap, and each
-    Poisson source draws from ``Generator(type(bit_generator)(seed))``
-    with the routing stream's bit-generator type. When absent the triple
-    is spawned here from ``rng`` with the identical construction, so a
-    standalone ``run_fast(dep, cfg, rng=seed)`` matches
-    ``PacketLevelSimulation(dep, cfg, rng=seed).run()``.
+class _Packets(NamedTuple):
+    """The legitimate packets in flight at one layer, one entry each."""
 
-    ``monitor`` (a :class:`~repro.detection.monitor.TrafficMonitor`)
-    receives every token-bucket offer in per-layer batches; ``marking``
-    (a :class:`~repro.detection.marking.MarkCollector`) receives two
-    uniforms per flood packet from per-target streams spawned off
-    ``mark_master``, one ``(n, 2)`` block per target. Both default to
-    ``None`` at zero cost: no extra stream is spawned and no draw is
-    made, so a detection-free run is bit-identical to one from before
-    the detection subsystem existed.
+    sent_t: np.ndarray  # injection instant
+    arrive_t: np.ndarray  # arrival instant at the current layer
+    choice_u: np.ndarray  # (n, layers + 1) pre-drawn routing uniforms
+    current: np.ndarray  # slot of the node the packet is offered to
 
-    ``arrays`` supplies a pre-encoded :class:`DeploymentArrays`
-    (shared-memory replica workers run without any deployment object at
-    all); when given, ``deployment`` is only consulted to sample client
-    contacts, so ``deployment=None`` is legal as long as
-    ``client_contacts`` is supplied.
+    def keep(self, mask: np.ndarray) -> "_Packets":
+        return _Packets(*(column[mask] for column in self))
 
-    ``config.tier`` selects the kernel set (:mod:`repro.perf.compiled`)
-    that runs the bucket scan at layer 1 (later hops reuse the accept
-    flags of the table their routing settled on), the congestion
-    timelines and routes of each routing refinement, and the latency
-    fold: ``numpy`` (default) or
-    ``compiled`` (C, degrading to numpy with a one-time warning when
-    it cannot be built). Routing hands the kernels each packet's row of
-    the layer's neighbor table, never a per-packet copy of the row.
-    Both make identical RNG draws and identical accept/drop/route
-    decisions, so reports are bit-identical across tiers.
 
-    ``schedule`` (an :class:`~repro.scenarios.schedule.InjectionSchedule`)
-    contributes precompiled vector traffic: per-node attack offer rows
-    merged into the flood structures and surge sources appended to the
-    client injection pipeline (their routing uniforms come from the
-    shared routing stream in global time order, exactly like baseline
-    clients). The instants are data, not draws. Surge contacts must be
-    layer-1 SOS nodes; any other contact raises :class:`SimulationError`
-    before any draw.
-    """
-    generator = make_rng(rng)
-    if arrays is None:
-        if deployment is None:
-            raise SimulationError(
-                "run_fast needs a deployment or pre-encoded arrays"
-            )
-        arrays = encode_deployment(deployment)
-    layers = arrays.layers
-    capacity = config.node_capacity
-    burst = 2.0 * config.node_capacity
-    kernels = get_kernels(resolve_tier(config.tier))
-    total_slots = len(arrays.node_ids)
-    report = PacketSimReport()
+def _tally(counts: Dict[int, int], layer: int, count: int) -> None:
+    """Add ``count`` to ``counts[layer]``; a zero adds no key."""
+    if count:
+        counts[layer] = counts.get(layer, 0) + count
 
-    # --- validate every input before any draw ------------------------
-    sched_attack: Dict[int, np.ndarray] = {}
-    surge_sources: Tuple[Any, ...] = ()
+
+def _validate(
+    arrays: DeploymentArrays,
+    simulation: PacketLevelSimulation,
+    flood_targets: Optional[Sequence[int]],
+    schedule: Optional[Any],
+) -> _Plan:
+    """Check every outside input of a run; no draw happens here."""
+    config = simulation.config
+    marking = simulation.marking
+    scheduled: Dict[int, np.ndarray] = {}
+    surges: Tuple[Any, ...] = ()
     surge_slots: Optional[np.ndarray] = None
     if schedule is not None:
         if marking is not None:
-            from repro.errors import DetectionError
-
             raise DetectionError(
                 "packet marking does not support scheduled scenario "
                 "vectors; run marking against a classic flood instead"
@@ -508,16 +430,16 @@ def run_fast(
         # schedule see the same prefix.
         for node in schedule.attack_targets:
             row = np.asarray(schedule.attack_times[node], dtype=np.float64)
-            sched_attack[int(node)] = row[row < config.duration]
-        surge_sources = tuple(schedule.surge_sources)
-        if surge_sources:
-            surge_slots = _surge_slots(arrays, surge_sources)
+            scheduled[int(node)] = row[row < config.duration]
+        surges = tuple(schedule.surge_sources)
+        if surges:
+            surge_slots = _surge_slots(arrays, surges)
 
     targets = sorted(flood_targets or ())
     try:
         target_slots = arrays.slot_of.lookup(
             np.asarray(targets, dtype=np.int64)
-        ).tolist()
+        )
     except KeyError as exc:
         raise SimulationError(
             f"flood target {exc.args[0]} is not an SOS node or filter"
@@ -525,102 +447,30 @@ def run_fast(
     if marking is not None and targets:
         uncovered = set(targets) - set(marking.graph.victims())
         if uncovered:
-            from repro.errors import DetectionError
-
             raise DetectionError(
                 "marking attack graph does not cover flood targets "
                 f"{sorted(uncovered)}"
             )
+    contacts = _contact_slots(simulation._contacts, surge_slots)
+    return _Plan(targets, target_slots, scheduled, surges, contacts)
 
-    if client_contacts is None:
-        if deployment is None:
-            raise SimulationError(
-                "client_contacts must be supplied when running from "
-                "arrays alone"
-            )
-        client_contacts = deployment.client_contact_matrix(
-            generator, config.clients
-        )
-    if streams is None:
-        spawned = spawn_seeds(generator, config.clients + 2)
-        streams = (
-            spawned[: config.clients],
-            child_generator(generator, spawned[config.clients]),
-            spawned[config.clients + 1],
-        )
-        # Standalone marking runs spawn the mark master *after* the main
-        # streams, mirroring PacketLevelSimulation.__init__ exactly.
-        if marking is not None and mark_master is None:
-            mark_master = generator.spawn(1)[0]
-    arrival_seeds, routing_rng, flood_master = streams
-    contact_matrix = _contact_slots(
-        arrays, client_contacts, surge_slots, config.clients
-    )
 
-    # --- pre-sample every Poisson source -----------------------------
-    # Each sampler call returns one flat times array and row offsets.
-    bit_generator = type(routing_rng.bit_generator)
+def _sample_injections(
+    simulation: PacketLevelSimulation, plan: _Plan
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Pre-sample every legitimate injection: the post-warmup instants
+    in time order, and each one's source row in ``plan.contacts``."""
+    config = simulation.config
     inject_t, inject_offsets = poisson_rows(
-        arrival_seeds, config.client_rate, config.duration,
-        bit_generator=bit_generator,
+        simulation._arrival_seeds, config.client_rate, config.duration,
+        bit_generator=type(simulation._routing_rng.bit_generator),
     )
-    flood_t, flood_offsets = poisson_rows(
-        flood_master.spawn(len(targets)) if targets else [],
-        config.flood_rate,
-        config.duration,
-        start=config.flood_start,
-        bit_generator=bit_generator,
-    )
-    flood_counts = np.diff(flood_offsets)
-    report.attack_packets_absorbed = int(flood_offsets[-1])
-    if marking is not None and targets:
-        if mark_master is None:
-            raise SimulationError(
-                "marking requires a mark_master stream when streams are "
-                "supplied externally"
-            )
-        # Per-target mark streams in sorted-target order; a ``(n, 2)``
-        # block draw consumes a stream exactly like n sequential
-        # ``random(2)`` calls (row-major), one per flood packet.
-        mark_streams = mark_master.spawn(len(targets))
-        for target, mark_stream, count in zip(
-            targets, mark_streams, flood_counts.tolist()
-        ):
-            if count:
-                marking.observe_batch(target, mark_stream.random((count, 2)))
-    # Attack offers as flat (slot, time) events: the classic rows in
-    # sorted-target order, then the scheduled rows. Downstream (bucket
-    # scans, timelines, monitor batches) groups offers by slot and
-    # orders each slot's offers by time, so neither the row order nor
-    # where a slot's offers came from can change a result.
-    fslots = np.repeat(np.asarray(target_slots, dtype=np.int64), flood_counts)
-    ftimes = flood_t
-    if sched_attack:
-        sched_rows = list(sched_attack.values())
-        sched_slots = arrays.slot_of.lookup(
-            np.fromiter(sched_attack, dtype=np.int64, count=len(sched_attack))
-        )
-        fslots = np.concatenate(
-            [fslots, np.repeat(sched_slots, [len(row) for row in sched_rows])]
-        )
-        ftimes = np.concatenate([ftimes, *sched_rows])
-        report.attack_packets_absorbed += int(
-            sum(len(row) for row in sched_rows)
-        )
-    # Each layer's share of the flood events, in event order.
-    flood_layer_of = arrays.layer_of[fslots]
-    layer_floods = {
-        layer: (fslots[in_layer], ftimes[in_layer])
-        for layer in range(1, layers + 2)
-        for in_layer in [flood_layer_of == layer]
-    }
-
     row_counts = np.diff(inject_offsets)
     # Surge sources ride the client injection pipeline: rows appended
     # after the baseline clients, matching their contact-matrix rows.
-    if surge_sources:
+    if plan.surges:
         surge_rows: List[np.ndarray] = []
-        for source in surge_sources:
+        for source in plan.surges:
             row = np.asarray(source.times, dtype=np.float64)
             surge_rows.append(row[row < config.duration])
         inject_t = np.concatenate([inject_t, *surge_rows])
@@ -634,172 +484,321 @@ def run_fast(
     inject_t = inject_t[warm]
     client_index = client_index[warm]
     # Global injection order: each packet's choice vector is drawn at
-    # its injection instant, so row k of the block below belongs to the
-    # k-th post-warmup injection in time order.
+    # its injection instant, so row k of the routing block belongs to
+    # the k-th post-warmup injection in time order.
     order = np.argsort(inject_t, kind="stable")
-    inject_t = inject_t[order]
-    client_index = client_index[order]
-    report.sent = int(len(inject_t))
+    return inject_t[order], client_index[order]
 
+
+def _sample_attacks(
+    simulation: PacketLevelSimulation, arrays: DeploymentArrays, plan: _Plan
+) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+    """Pre-sample every attack offer (and its marks); returns each
+    layer's share as flat ``(slots, times)`` events."""
+    config = simulation.config
+    targets = plan.targets
+    flood_t, flood_offsets = poisson_rows(
+        simulation._flood_master.spawn(len(targets)) if targets else [],
+        config.flood_rate,
+        config.duration,
+        start=config.flood_start,
+        bit_generator=type(simulation._routing_rng.bit_generator),
+    )
+    flood_counts = np.diff(flood_offsets)
+    marking = simulation.marking
+    if marking is not None and targets:
+        # Per-target mark streams in sorted-target order; a ``(n, 2)``
+        # block draw consumes a stream exactly like n sequential
+        # ``random(2)`` calls (row-major), one per flood packet.
+        mark_streams = simulation._mark_master.spawn(len(targets))
+        for target, mark_stream, count in zip(
+            targets, mark_streams, flood_counts.tolist()
+        ):
+            if count:
+                marking.observe_batch(target, mark_stream.random((count, 2)))
+    # The classic rows in sorted-target order, then the scheduled rows.
+    # Downstream (bucket scans, timelines, monitor batches) groups offers
+    # by slot and orders each slot's offers by time, so neither the row
+    # order nor where a slot's offers came from can change a result.
+    fslots = np.repeat(plan.target_slots, flood_counts)
+    ftimes = flood_t
+    if plan.scheduled:
+        sched_rows = list(plan.scheduled.values())
+        sched_slots = arrays.slot_of.lookup(
+            np.fromiter(plan.scheduled, dtype=np.int64, count=len(sched_rows))
+        )
+        fslots = np.concatenate(
+            [fslots, np.repeat(sched_slots, [len(row) for row in sched_rows])]
+        )
+        ftimes = np.concatenate([ftimes, *sched_rows])
+    flood_layer_of = arrays.layer_of[fslots]
+    return {
+        layer: (fslots[in_layer], ftimes[in_layer])
+        for layer in range(1, arrays.layers + 2)
+        for in_layer in [flood_layer_of == layer]
+    }
+
+
+def _enter(
+    contacts: np.ndarray, client_index: np.ndarray, entry_u: np.ndarray
+) -> np.ndarray:
+    """Entry choice: each packet's layer-1 slot, picked uniformly among
+    its source's contacts by the packet's first routing uniform."""
+    contact_count = contacts.shape[1]
+    entry_choice = np.minimum(
+        (entry_u * contact_count).astype(np.int64), contact_count - 1
+    )
+    return contacts[client_index, entry_choice]
+
+
+def _offer_scan(
+    kernels: Any,
+    arrays: DeploymentArrays,
+    config: PacketSimConfig,
+    packets: _Packets,
+    floods: Tuple[np.ndarray, np.ndarray],
+    accept_flat: Optional[np.ndarray],
+    monitor: Optional[Any],
+    offered: np.ndarray,
+    dropped: np.ndarray,
+) -> np.ndarray:
+    """One layer's offers: merge its legitimate arrivals with the floods
+    aimed at its members, replay every member's token bucket (unless
+    ``accept_flat`` already holds the outcome), feed the monitor, and
+    add to the per-node tallies. Returns the arrivals' accept flags."""
+    total_slots = len(arrays.node_ids)
+    flood_slots, flood_times = floods
+    slots_flat = np.concatenate([packets.current, flood_slots])
+    times_flat = np.concatenate([packets.arrive_t, flood_times])
+    if accept_flat is None:
+        accept_flat = kernels.bucket_scan(
+            slots_flat, times_flat, total_slots,
+            config.node_capacity, 2.0 * config.node_capacity,
+        )
+    if monitor is not None:
+        # Every offer this layer's buckets saw (legit + flood) with its
+        # accept/drop outcome — the batch mirror of the event engine's
+        # per-offer ``monitor.observe`` calls.
+        monitor.observe_batch(
+            arrays.node_ids[slots_flat], times_flat, accept_flat
+        )
+    offered += np.bincount(slots_flat, minlength=total_slots)
+    dropped += np.bincount(slots_flat[~accept_flat], minlength=total_slots)
+    return accept_flat[: len(packets.current)]
+
+
+def _deliver(
+    report: PacketSimReport,
+    kernels: Any,
+    config: PacketSimConfig,
+    packets: _Packets,
+    ok: np.ndarray,
+) -> None:
+    """Count the filter layer's acceptances as deliveries and fold their
+    latencies into the report's streaming statistics."""
+    report.delivered += int(ok.sum())
+    latency_values = packets.arrive_t[ok] - packets.sent_t[ok]
+    (
+        report.latency_count,
+        report.latency_mean,
+        report.latency_m2,
+        report.max_latency,
+    ) = kernels.welford(
+        latency_values,
+        report.latency_count,
+        report.latency_mean,
+        report.latency_m2,
+        report.max_latency,
+    )
+    if config.keep_latencies:
+        report.latencies.extend(latency_values.tolist())
+
+
+def _route(
+    kernels: Any,
+    arrays: DeploymentArrays,
+    config: PacketSimConfig,
+    layer: int,
+    packets: _Packets,
+    next_floods: Tuple[np.ndarray, np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fixed-point routing out of ``layer`` (see the module docstring).
+
+    The first iterate assumes no legitimate arrivals, so it routes
+    against the next layer's floods alone; each refinement rebuilds the
+    next layer's timelines from its floods plus the arrivals the current
+    routes send it, then re-routes with the same per-packet uniforms (no
+    stream consumption). After a refinement that changes something, the
+    earliest changed decision and every earlier one are final, so a
+    layer settles within (its decisions + 1) refinements. A table with
+    the flips of the one the current routes came from would route them
+    again unchanged, so the layer settles without the call.
+
+    Returns ``(routable, chosen, accept)``: which packets found a
+    neighbor, the slot each chose, and the accept flags of the settled
+    table, which replayed exactly the next layer's offers — these
+    routes' arrivals, then its floods.
+    """
+    total_slots = len(arrays.node_ids)
+    hop_u = packets.choice_u[:, layer]
+    # Packets name their neighbor-table row; the kernels read the
+    # layer's table in place instead of a per-packet row copy.
+    rows = arrays.local_of[packets.current]
+    neighbor_table = arrays.neighbors[layer]
+    next_slots, next_times = next_floods
+    next_arrival = packets.arrive_t + config.hop_latency
+    routable = np.zeros(len(hop_u), dtype=bool)
+    chosen = packets.current  # unread while nothing is routable
+    routed_flips: Optional[Tuple[np.ndarray, ...]] = None
+    while True:
+        table, table_accept = kernels.timeline_table(
+            np.concatenate([chosen[routable], next_slots]),
+            np.concatenate([next_arrival[routable], next_times]),
+            total_slots,
+            config.node_capacity,
+            2.0 * config.node_capacity,
+        )
+        flips = table.flips
+        if routed_flips is not None and all(
+            np.array_equal(ours, theirs)
+            for ours, theirs in zip(flips, routed_flips)
+        ):
+            break
+        routed_flips = flips
+        refined_routable, refined_chosen = kernels.route(
+            hop_u, rows, neighbor_table, arrays.is_bad, packets.arrive_t,
+            table,
+        )
+        settled = np.array_equal(refined_routable, routable) and (
+            np.array_equal(refined_chosen[routable], chosen[routable])
+        )
+        routable, chosen = refined_routable, refined_chosen
+        if settled:
+            break
+    return routable, chosen, table_accept
+
+
+def _advance(
+    report: PacketSimReport,
+    kernels: Any,
+    arrays: DeploymentArrays,
+    simulation: PacketLevelSimulation,
+    packets: _Packets,
+    layer_floods: Dict[int, Tuple[np.ndarray, np.ndarray]],
+) -> None:
+    """Hop-synchronous advance: every layer's offer scan, then delivery
+    at the filters or fixed-point routing into the next layer."""
+    config = simulation.config
+    layers = arrays.layers
+    offered = np.zeros(len(arrays.node_ids), dtype=np.int64)
+    dropped = np.zeros(len(arrays.node_ids), dtype=np.int64)
+    # The accept flags of the table the previous layer's routing settled
+    # on: that table replayed exactly this layer's offers.
+    settled_accept: Optional[np.ndarray] = None
+    for layer in range(1, layers + 2):
+        accept_flat, settled_accept = settled_accept, None
+        floods = layer_floods[layer]
+        if len(packets.current) == 0 and len(floods[0]) == 0:
+            continue
+        # Arrival clocks accumulate one hop_latency per layer — the
+        # same sequence of float additions the event scheduler performs
+        # — so the degenerate single-packet report matches the oracle
+        # bit for bit.
+        packets = packets._replace(
+            arrive_t=packets.arrive_t + config.hop_latency
+        )
+        _tally(report.arrivals_per_layer, layer, len(packets.current))
+        accept = _offer_scan(
+            kernels, arrays, config, packets, floods, accept_flat,
+            simulation.monitor, offered, dropped,
+        )
+        ok = accept & ~arrays.is_bad[packets.current]
+        stage_drops = len(ok) - int(ok.sum())
+        report.dropped_at_congested += stage_drops
+        _tally(report.drops_per_layer, layer, stage_drops)
+        if layer == layers + 1:
+            _deliver(report, kernels, config, packets, ok)
+            break
+        packets = packets.keep(ok)
+        if len(packets.current) == 0:
+            continue
+        routable, chosen, settled_accept = _route(
+            kernels, arrays, config, layer, packets, layer_floods[layer + 1]
+        )
+        stranded = len(routable) - int(routable.sum())
+        report.dropped_no_neighbor += stranded
+        _tally(report.drops_per_layer, layer + 1, stranded)
+        packets = packets._replace(current=chosen).keep(routable)
+
+    congested = (offered >= 10) & (dropped / np.maximum(offered, 1) >= 0.5)
+    report.congested_nodes = np.sort(arrays.node_ids[congested]).tolist()
+
+
+def run_fast(
+    simulation: PacketLevelSimulation,
+    flood_targets: Optional[Sequence[int]] = None,
+    schedule: Optional[Any] = None,
+) -> PacketSimReport:
+    """Run the packet engine for ``simulation``; returns its report.
+
+    Reached through :meth:`PacketLevelSimulation.run`, whose constructor
+    drew the inputs this reads: the ``(clients, m_1)`` client-contact
+    matrix, one arrival seed per client, the routing stream, the master
+    seed that spawns one stream per flood target and, with marking, the
+    mark master. Poisson clients inject from ``warmup`` to ``duration``,
+    floods consume capacity at their targets without being forwarded,
+    every arrival offers one token, packets route uniformly among
+    next-layer neighbors that are healthy and not congested, and
+    filter-layer acceptances count as deliveries at
+    ``(layers + 1) * hop_latency`` latency.
+
+    The simulation's ``monitor`` (a
+    :class:`~repro.detection.monitor.TrafficMonitor`) receives every
+    token-bucket offer in per-layer batches; its ``marking`` (a
+    :class:`~repro.detection.marking.MarkCollector`) receives two
+    uniforms per flood packet from per-target streams spawned off the
+    mark master, one ``(n, 2)`` block per target. Without them no extra
+    stream is spawned and no draw is made, so a detection-free run is
+    bit-identical to one from before the detection subsystem existed.
+
+    ``config.tier`` selects the kernel set (:mod:`repro.perf.compiled`)
+    that runs the bucket scan at layer 1 (later hops reuse the accept
+    flags of the table their routing settled on), the congestion
+    timelines and routes of each routing refinement, and the latency
+    fold: ``numpy`` (default) or ``compiled`` (C, degrading to numpy
+    with a one-time warning when it cannot be built). Both make
+    identical RNG draws and identical accept/drop/route decisions, so
+    reports are bit-identical across tiers.
+
+    ``schedule`` (an :class:`~repro.scenarios.schedule.InjectionSchedule`)
+    contributes precompiled vector traffic: per-node attack offer rows
+    merged into the flood structures and surge sources appended to the
+    client injection pipeline (their routing uniforms come from the
+    shared routing stream in global time order, exactly like baseline
+    clients). The instants are data, not draws. Surge contacts must be
+    layer-1 SOS nodes; any other contact raises :class:`SimulationError`
+    before any draw.
+    """
+    arrays = encode_deployment(simulation.deployment)
+    kernels = get_kernels(resolve_tier(simulation.config.tier))
+    plan = _validate(arrays, simulation, flood_targets, schedule)
+    report = PacketSimReport()
+    inject_t, client_index = _sample_injections(simulation, plan)
+    layer_floods = _sample_attacks(simulation, arrays, plan)
+    report.attack_packets_absorbed = sum(
+        len(times) for _slots, times in layer_floods.values()
+    )
+    report.sent = len(inject_t)
     # One uniform per decision, pre-assigned per packet: column 0 picks
     # the entry contact, column h the forwarding target out of layer h.
     # Drawn as one block, the matrix equals one (layers + 1)-vector
     # drawn per packet at injection time.
-    choice_u = routing_rng.random((len(inject_t), layers + 1))
-    contact_count = contact_matrix.shape[1]
-    entry_choice = np.minimum(
-        (choice_u[:, 0] * contact_count).astype(np.int64),
-        contact_count - 1,
+    choice_u = simulation._routing_rng.random(
+        (len(inject_t), arrays.layers + 1)
     )
-    current = contact_matrix[client_index, entry_choice]
-
-    # --- per-node offer tallies (for congested_nodes) ----------------
-    offered = np.zeros(total_slots, dtype=np.int64)
-    dropped = np.zeros(total_slots, dtype=np.int64)
-
-    # Arrival clocks accumulate one hop_latency per layer — the same
-    # sequence of float additions the event scheduler performs — so the
-    # degenerate single-packet report matches the oracle bit for bit.
-    sent_t = inject_t
-    arrive_t = inject_t
-    # The accept flags of the table the previous layer's routing settled
-    # on: that table replayed exactly this layer's offers.
-    settled_accept: Optional[np.ndarray] = None
-
-    # --- hop-synchronous advance -------------------------------------
-    for layer in range(1, layers + 2):
-        accept_flat, settled_accept = settled_accept, None
-        flood_slots, flood_times = layer_floods[layer]
-        if len(arrive_t) == 0 and len(flood_slots) == 0:
-            continue
-        arrive_t = arrive_t + config.hop_latency
-        arrival_t = arrive_t
-        if len(arrival_t):
-            report.arrivals_per_layer[layer] = (
-                report.arrivals_per_layer.get(layer, 0) + int(len(arrival_t))
-            )
-
-        # Merge this layer's legitimate arrivals with the floods aimed
-        # at its members, then replay every member's token bucket.
-        legit_count = len(arrival_t)
-        slots_flat = np.concatenate([current, flood_slots])
-        times_flat = np.concatenate([arrival_t, flood_times])
-        if accept_flat is None:
-            accept_flat = kernels.bucket_scan(
-                slots_flat, times_flat, total_slots, capacity, burst
-            )
-        if monitor is not None:
-            # Every offer this layer's buckets saw (legit + flood) with
-            # its accept/drop outcome — the batch mirror of the event
-            # engine's per-offer ``monitor.observe`` calls.
-            monitor.observe_batch(
-                arrays.node_ids[slots_flat], times_flat, accept_flat
-            )
-        offered += np.bincount(slots_flat, minlength=total_slots)
-        dropped += np.bincount(
-            slots_flat[~accept_flat], minlength=total_slots
-        )
-        accept = accept_flat[:legit_count]
-
-        ok = accept & ~arrays.is_bad[current]
-        stage_drops = int(legit_count - int(ok.sum()))
-        if stage_drops:
-            report.dropped_at_congested += stage_drops
-            report.drops_per_layer[layer] = (
-                report.drops_per_layer.get(layer, 0) + stage_drops
-            )
-
-        if layer == layers + 1:
-            delivered = int(ok.sum())
-            report.delivered += delivered
-            latency_values = arrive_t[ok] - sent_t[ok]
-            (
-                report.latency_count,
-                report.latency_mean,
-                report.latency_m2,
-                report.max_latency,
-            ) = kernels.welford(
-                latency_values,
-                report.latency_count,
-                report.latency_mean,
-                report.latency_m2,
-                report.max_latency,
-            )
-            if config.keep_latencies:
-                report.latencies.extend(latency_values.tolist())
-            break
-
-        sent_t = sent_t[ok]
-        arrive_t = arrive_t[ok]
-        decision_t = arrival_t[ok]
-        choice_u = choice_u[ok]
-        survivors = current[ok]
-        if len(survivors) == 0:
-            current = survivors
-            continue
-        # Packets name their neighbor-table row; the kernels read the
-        # layer's table in place instead of a per-packet row copy.
-        rows = arrays.local_of[survivors]
-        neighbor_table = arrays.neighbors[layer]
-
-        # Fixed-point routing (see the module docstring). The first
-        # iterate assumes no legitimate arrivals, so it routes against
-        # the next layer's floods alone; each refinement rebuilds the
-        # next layer's timelines from its floods plus the arrivals the
-        # current routes send it, then re-routes with the same
-        # per-packet uniforms (no stream consumption). The loop ends:
-        # after a refinement that changes something, the earliest
-        # changed decision and every earlier one are final, so a layer
-        # settles within (its decisions + 1) refinements. A table with
-        # the flips of the one the current routes came from would route
-        # them again unchanged, so the layer settles without the call.
-        hop_u = choice_u[:, layer]
-        next_slots, next_times = layer_floods[layer + 1]
-        next_arrival = arrive_t + config.hop_latency
-        routable = np.zeros(len(hop_u), dtype=bool)
-        chosen = survivors  # unread while nothing is routable
-        routed_flips: Optional[Tuple[np.ndarray, ...]] = None
-        while True:
-            table, table_accept = kernels.timeline_table(
-                np.concatenate([chosen[routable], next_slots]),
-                np.concatenate([next_arrival[routable], next_times]),
-                total_slots,
-                capacity,
-                burst,
-            )
-            flips = table.flips
-            if routed_flips is not None and all(
-                np.array_equal(ours, theirs)
-                for ours, theirs in zip(flips, routed_flips)
-            ):
-                break
-            routed_flips = flips
-            refined_routable, refined_chosen = kernels.route(
-                hop_u, rows, neighbor_table, arrays.is_bad, decision_t, table
-            )
-            settled = np.array_equal(refined_routable, routable) and (
-                np.array_equal(refined_chosen[routable], chosen[routable])
-            )
-            routable, chosen = refined_routable, refined_chosen
-            if settled:
-                break
-        # The settled table replayed exactly the next layer's offers:
-        # these routes' arrivals, then its floods.
-        settled_accept = table_accept
-
-        stranded_count = int(len(routable) - int(routable.sum()))
-        if stranded_count:
-            report.dropped_no_neighbor += stranded_count
-            report.drops_per_layer[layer + 1] = (
-                report.drops_per_layer.get(layer + 1, 0) + stranded_count
-            )
-        sent_t = sent_t[routable]
-        arrive_t = arrive_t[routable]
-        choice_u = choice_u[routable]
-        current = chosen[routable]
-
-    congested = (offered >= 10) & (dropped / np.maximum(offered, 1) >= 0.5)
-    report.congested_nodes = np.sort(arrays.node_ids[congested]).tolist()
+    current = _enter(plan.contacts, client_index, choice_u[:, 0])
+    packets = _Packets(inject_t, inject_t, choice_u, current)
+    _advance(report, kernels, arrays, simulation, packets, layer_floods)
     return report
 
 
@@ -808,102 +807,13 @@ def run_fast(
 # ----------------------------------------------------------------------
 
 
-def _arrays_to_columns(arrays: DeploymentArrays) -> Dict[str, np.ndarray]:
-    """Flatten :class:`DeploymentArrays` into the named-column form
-    :func:`repro.overlay.arrays.share_columns` ships to workers."""
-    sizes = np.asarray(
-        [len(arrays.members[layer]) for layer in range(1, arrays.layers + 2)],
-        dtype=np.int64,
-    )
-    named = {
-        "layer_sizes": sizes,
-        "node_ids": arrays.node_ids,
-        "layer_of": arrays.layer_of,
-        "local_of": arrays.local_of,
-        "is_bad": arrays.is_bad,
-    }
-    for layer in range(1, arrays.layers + 1):
-        named[f"neighbors_{layer}"] = arrays.neighbors[layer]
-    return named
-
-
-def _arrays_from_columns(named: Dict[str, np.ndarray]) -> DeploymentArrays:
-    """Rebuild :class:`DeploymentArrays` over attached column views.
-
-    Everything except the (worker-local) slot index and member ranges
-    stays a zero-copy view of the shared pages.
-    """
-    sizes = named["layer_sizes"]
-    layers = len(sizes) - 1
-    members: Dict[int, np.ndarray] = {}
-    start = 0
-    for layer, size in enumerate(sizes.tolist(), start=1):
-        members[layer] = np.arange(start, start + size, dtype=np.int64)
-        start += size
-    return DeploymentArrays(
-        layers=layers,
-        node_ids=named["node_ids"],
-        slot_of=SlotIndex(named["node_ids"]),
-        layer_of=named["layer_of"],
-        local_of=named["local_of"],
-        members=members,
-        neighbors={
-            layer: named[f"neighbors_{layer}"]
-            for layer in range(1, layers + 1)
-        },
-        is_bad=named["is_bad"],
-    )
-
-
-def _flood_layer_arrays(
-    arrays: DeploymentArrays,
-    layer: int,
-    fraction: float,
-    rng: np.random.Generator,
-) -> List[int]:
-    """:func:`~repro.simulation.packet_sim.flood_layer` over the encoded
-    arrays — same draw (:func:`~repro.sos.deployment.choose_fraction` over
-    the sorted members), no deployment object needed."""
-    if not 0.0 < fraction <= 1.0:
-        raise SimulationError(f"fraction must be in (0, 1], got {fraction}")
-    member_slots = arrays.members.get(layer)
-    if member_slots is None:
-        raise SimulationError(
-            f"layer {layer} out of range 1..{arrays.layers + 1}"
-        )
-    return choose_fraction(rng, arrays.node_ids[member_slots], fraction)
-
-
 class _Replicas(NamedTuple):
-    """What every replica of one sweep reads; built once per process.
-
-    ``arrays`` is the shared deployment's encoding in shared-deployment
-    mode (``None`` when every replica deploys afresh); ``segment`` keeps
-    a pool worker's shared-memory mapping alive under it.
-    """
+    """What every replica of one sweep reads; built once per process."""
 
     architecture: SOSArchitecture
     config: PacketSimConfig
     layer: Optional[int]
     fraction: float
-    arrays: Optional[DeploymentArrays] = None
-    segment: Any = None
-
-
-def _attach_replicas(
-    name: str,
-    meta: Dict[str, Any],
-    architecture: SOSArchitecture,
-    config: PacketSimConfig,
-    layer: Optional[int],
-    fraction: float,
-) -> _Replicas:
-    """Pool-worker state over the parent's shared-memory segment."""
-    named, segment = attach_columns(name, meta)
-    return _Replicas(
-        architecture, config, layer, fraction, _arrays_from_columns(named),
-        segment,
-    )
 
 
 def _run_one_replica(
@@ -914,38 +824,10 @@ def _run_one_replica(
     rng = make_rng(job[1])
     deployment = SOSDeployment.deploy(state.architecture, rng=rng)
     targets: List[int] = []
-    if state.layer is not None and state.fraction > 0.0:
+    if state.layer is not None:
         targets = flood_layer(deployment, state.layer, state.fraction, rng=rng)
     simulation = PacketLevelSimulation(deployment, state.config, rng=rng)
     return simulation.run(flood_targets=targets)
-
-
-def _run_one_shared_replica(
-    state: _Replicas, job: Tuple[int, np.random.SeedSequence]
-) -> PacketSimReport:
-    """One replica over a shared (read-only) deployment encoding: the
-    flood-target, client-contact, and packet draws all come from the
-    replica's own pre-spawned stream; the deployment state is common."""
-    rng = make_rng(job[1])
-    arrays = state.arrays
-    targets: List[int] = []
-    if state.layer is not None and state.fraction > 0.0:
-        targets = _flood_layer_arrays(arrays, state.layer, state.fraction, rng)
-    layer_one = len(arrays.members[1])
-    contacts = sample_contact_matrix(
-        rng,
-        layer_one,
-        min(state.architecture.mapping_degree(1), layer_one),
-        state.config.clients,
-    )
-    return run_fast(
-        None,
-        state.config,
-        rng=rng,
-        flood_targets=targets,
-        client_contacts=contacts,
-        arrays=arrays,
-    )
 
 
 def run_packet_replicas(
@@ -956,60 +838,38 @@ def run_packet_replicas(
     flood_fraction: float = 1.0,
     seed: Optional[int] = None,
     workers: int = 1,
-    deployment: Optional[SOSDeployment] = None,
 ) -> List[PacketSimReport]:
     """Run independent packet-sim replicas, optionally across processes.
 
     Each replica deploys a fresh SOS instance, floods ``flood_fraction``
-    of layer ``flood_layer_index`` (no flood when ``None``), and runs
-    the packet engine. Replica RNG streams are pre-spawned here in
-    replica order and :func:`repro.perf.parallel.parallel_map` returns
-    reports in replica order, so the result is bit-identical for any
-    ``workers`` value (``1`` runs in-process, ``0`` means "all cores").
-
-    ``deployment`` switches to **shared-deployment** mode: every replica
-    runs over that one deployment's encoded arrays (health snapshot
-    included) and only the flood-target, client-contact, and packet
-    draws vary per replica. In-process the replicas read the encoding
-    as it is; a pool gets it as one ``multiprocessing.shared_memory``
-    segment that workers map read-only — zero copies and no per-worker
-    deployment pickling — which is what makes million-node replica
-    sweeps fit in memory.
+    (in ``(0, 1]``) of layer ``flood_layer_index`` (in ``1..L+1``; no
+    flood when ``None``), and runs the packet engine. Both are checked
+    here, before any replica deploys. Replica RNG streams are
+    pre-spawned here in replica order and
+    :func:`repro.perf.parallel.parallel_map` returns reports in replica
+    order, so the result is bit-identical for any ``workers`` value
+    (``1`` runs in-process, ``0`` means "all cores").
     """
     check_count("replicas", replicas, minimum=1)
     check_count("workers", workers)
-    if deployment is not None and deployment.architecture != architecture:
+    if not 0.0 < flood_fraction <= 1.0:
         raise SimulationError(
-            "deployment was built for a different architecture"
+            f"flood_fraction must be in (0, 1], got {flood_fraction}"
         )
+    if flood_layer_index is not None:
+        check_count("flood_layer_index", flood_layer_index, minimum=1)
+        if flood_layer_index > architecture.layers + 1:
+            raise SimulationError(
+                f"flood_layer_index must be in 1..{architecture.layers + 1}, "
+                f"got {flood_layer_index}"
+            )
     jobs = list(enumerate(np.random.SeedSequence(seed).spawn(replicas)))
     # Load the C library and run both samplers' self-checks here, so
     # forked workers inherit them instead of each paying for them.
     choice_sampler()
     poisson_sampler()
     args = (architecture, config, flood_layer_index, flood_fraction)
-    if deployment is None:
-        return list(parallel_map(jobs, _run_one_replica, workers, _Replicas, args))
-    arrays = encode_deployment(deployment)
-    if resolve_workers(workers) == 1:
-        return list(
-            parallel_map(
-                jobs, _run_one_shared_replica, 1, _Replicas, (*args, arrays)
-            )
-        )
-    shared = share_columns(_arrays_to_columns(arrays))
-    try:
-        return list(
-            parallel_map(
-                jobs,
-                _run_one_shared_replica,
-                workers,
-                _attach_replicas,
-                (shared.name, shared.meta, *args),
-            )
-        )
-    finally:
-        shared.close()
+    return list(parallel_map(jobs, _run_one_replica, workers, _Replicas, args))
 
 
 def mean_delivery_ratio(reports: Sequence[PacketSimReport]) -> float:

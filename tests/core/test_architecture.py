@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -12,6 +13,7 @@ from repro.core import (
     SOSArchitecture,
     original_sos_architecture,
 )
+from repro.core.architecture import MAX_LAYERS
 from repro.errors import ConfigurationError
 
 
@@ -58,6 +60,25 @@ class TestConstruction:
     def test_rejects_zero_layers(self):
         with pytest.raises(ConfigurationError):
             SOSArchitecture(layers=0)
+
+    def test_rejects_unbounded_layers(self):
+        SOSArchitecture(layers=MAX_LAYERS)
+        for kwargs in (
+            dict(layers=MAX_LAYERS + 1),
+            dict(layers=10**6),
+            dict(layers=10**5, total_overlay_nodes=10**9, sos_nodes=10**7),
+            dict(layers=3, layer_sizes=[1.0] * 10**6),
+        ):
+            start = time.perf_counter()
+            with pytest.raises(ConfigurationError, match="layer") as info:
+                SOSArchitecture(**kwargs)
+            assert time.perf_counter() - start < 0.5
+            assert len(str(info.value)) < 100
+
+    def test_thin_layer_message_is_bounded(self):
+        with pytest.raises(ConfigurationError, match="and 92 more") as info:
+            SOSArchitecture(layers=MAX_LAYERS, sos_nodes=50)
+        assert len(str(info.value)) < 300
 
     def test_rejects_zero_filters(self):
         with pytest.raises(ConfigurationError):

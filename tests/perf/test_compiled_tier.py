@@ -28,8 +28,12 @@ from repro.perf.compiled import (
     compiled_backend,
     resolve_tier,
 )
-from repro.perf.fastsim import run_fast, run_packet_replicas
-from repro.simulation.packet_sim import PacketSimConfig, flood_layer
+from repro.perf.fastsim import run_packet_replicas
+from repro.simulation.packet_sim import (
+    PacketLevelSimulation,
+    PacketSimConfig,
+    flood_layer,
+)
 from repro.sos.deployment import SOSDeployment
 from tests.perf.oracles import scalar_detection_bins
 
@@ -76,7 +80,9 @@ def run_at(tier, seed, *, targets=False, clients=40, dep_seed=11,
         flood_rate=120.0,
         tier=tier,
     )
-    return run_fast(dep, config, rng=seed, flood_targets=flood)
+    return PacketLevelSimulation(dep, config, rng=seed).run(
+        flood_targets=flood
+    )
 
 
 #: Flooded layer x mapping x seed. Layer 1 under one-to-half — the

@@ -425,6 +425,36 @@ class TestReplicaDispatcher:
             for a, b in zip(serial, parallel):
                 assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("workers", True),
+            ("workers", 2.5),
+            ("workers", "2"),
+            ("workers", -1),
+            ("replicas", True),
+            ("replicas", 2.5),
+            ("replicas", "2"),
+            ("replicas", 0),
+            ("flood_fraction", float("nan")),
+            ("flood_fraction", -0.5),
+            ("flood_fraction", 0.0),
+            ("flood_fraction", 2.0),
+            ("flood_layer_index", 0),
+            ("flood_layer_index", 5),
+        ],
+    )
+    def test_counts_must_be_ints(self, field, value, monkeypatch):
+        # Every bad argument fails before any replica deploys.
+        def no_deploy(*args, **kwargs):
+            raise AssertionError("deployed before validating")
+
+        monkeypatch.setattr(SOSDeployment, "deploy", no_deploy)
+        kwargs = {"replicas": 2, "workers": 1, "flood_layer_index": 1}
+        kwargs[field] = value
+        with pytest.raises(SimulationError, match=field):
+            run_packet_replicas(self.ARCH, self.CONFIG, **kwargs)
+
     def test_mean_delivery_ratio_helper(self):
         reports = run_packet_replicas(
             self.ARCH, self.CONFIG, replicas=3, seed=5, workers=1

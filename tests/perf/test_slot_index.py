@@ -1,4 +1,4 @@
-"""SlotIndex edge cases, the arrays-only engine path and its contact matrix."""
+"""SlotIndex edge cases, zero-client runs and the client-contact matrix."""
 
 from __future__ import annotations
 
@@ -7,8 +7,12 @@ import pytest
 
 from repro.core import SOSArchitecture
 from repro.errors import SimulationError
-from repro.perf.fastsim import SlotIndex, encode_deployment, run_fast
-from repro.simulation.packet_sim import PacketSimConfig, flood_layer
+from repro.perf.fastsim import SlotIndex
+from repro.simulation.packet_sim import (
+    PacketLevelSimulation,
+    PacketSimConfig,
+    flood_layer,
+)
 from repro.sos.deployment import SOSDeployment
 
 
@@ -107,6 +111,8 @@ class TestSlotIndex:
 
 
 class TestZeroClientArraysRun:
+    """A run with no clients: nothing is sent, floods still congest."""
+
     def _deployment(self):
         arch = SOSArchitecture(
             layers=3,
@@ -120,38 +126,35 @@ class TestZeroClientArraysRun:
     @pytest.mark.parametrize("tier", ["numpy", "compiled"])
     def test_zero_clients_no_contacts(self, tier):
         dep = self._deployment()
-        arrays = encode_deployment(dep)
         config = PacketSimConfig(
             duration=10.0, warmup=2.0, clients=0, client_rate=1.0, tier=tier
         )
-        report = run_fast(
-            None, config, rng=9, client_contacts=[], arrays=arrays
-        )
+        report = PacketLevelSimulation(dep, config, rng=9).run()
         assert report.sent == 0
         assert report.delivered == 0
         assert report.latency_count == 0
 
     def test_zero_clients_flooded_still_congests(self):
-        dep = self._deployment()
-        targets = flood_layer(dep, layer=1, fraction=0.5, rng=2)
-        arrays = encode_deployment(dep)
-        config = PacketSimConfig(
-            duration=20.0, warmup=2.0, clients=0, client_rate=1.0,
-            flood_rate=150.0,
-        )
-        report = run_fast(
-            None, config, rng=9, flood_targets=targets,
-            client_contacts=[], arrays=arrays,
-        )
-        assert report.sent == 0
-        assert report.attack_packets_absorbed > 0
+        for tier in ("numpy", "compiled"):
+            dep = self._deployment()
+            targets = flood_layer(dep, layer=1, fraction=0.5, rng=2)
+            config = PacketSimConfig(
+                duration=20.0, warmup=2.0, clients=0, client_rate=1.0,
+                flood_rate=150.0, tier=tier,
+            )
+            report = PacketLevelSimulation(dep, config, rng=9).run(
+                flood_targets=targets
+            )
+            assert report.sent == 0
+            assert report.attack_packets_absorbed == 12_101
+            assert len(report.congested_nodes) == 4
 
 
 class TestContactMatrix:
-    """``run_fast`` takes baseline contacts as a ``(clients, m_1)`` matrix
-    of layer-1 positions, one row per client — no more, no fewer."""
+    """Baseline contacts are a ``(clients, m_1)`` matrix of layer-1
+    positions, one row per client."""
 
-    def _setup(self, clients=6):
+    def test_matrix_rows_are_sample_client_contacts_draws(self):
         arch = SOSArchitecture(
             layers=3,
             mapping="one-to-half",
@@ -160,52 +163,10 @@ class TestContactMatrix:
             filters=4,
         )
         dep = SOSDeployment.deploy(arch, rng=5)
-        config = PacketSimConfig(
-            duration=10.0, warmup=2.0, clients=clients, client_rate=1.0
-        )
-        contacts = dep.client_contact_matrix(np.random.default_rng(3), clients)
-        return dep, encode_deployment(dep), config, contacts
-
-    def test_too_few_rows_raise(self):
-        _, arrays, config, contacts = self._setup()
-        with pytest.raises(SimulationError, match="5 rows for 6 clients"):
-            run_fast(
-                None, config, rng=9, client_contacts=contacts[:5],
-                arrays=arrays,
-            )
-
-    def test_too_many_rows_raise(self):
-        _, arrays, config, contacts = self._setup()
-        extra = np.concatenate([contacts, contacts[:1]])
-        with pytest.raises(SimulationError, match="7 rows for 6 clients"):
-            run_fast(
-                None, config, rng=9, client_contacts=extra, arrays=arrays
-            )
-
-    def test_positions_outside_layer_one_raise(self):
-        dep, arrays, config, contacts = self._setup()
-        node_ids = dep.member_array(1)[contacts]  # ids, not positions
-        with pytest.raises(SimulationError, match="layer-1 positions"):
-            run_fast(
-                None, config, rng=9, client_contacts=node_ids, arrays=arrays
-            )
-
-    def test_matrix_rows_are_sample_client_contacts_draws(self):
-        dep, _, _, contacts = self._setup()
+        contacts = dep.client_contact_matrix(np.random.default_rng(3), 6)
         rng = np.random.default_rng(3)
         members = dep.member_array(1)
         for row in contacts:
             drawn = dep.sample_client_contacts(rng)
             assert drawn == members[row].tolist()
             assert all(type(node_id) is int for node_id in drawn)
-
-    def test_standalone_matches_supplied_matrix(self):
-        dep, arrays, config, _ = self._setup()
-        rng = np.random.default_rng(21)
-        contacts = dep.client_contact_matrix(rng, config.clients)
-        supplied = run_fast(
-            None, config, rng=rng, client_contacts=contacts, arrays=arrays
-        )
-        standalone = run_fast(dep, config, rng=np.random.default_rng(21))
-        assert supplied == standalone
-        assert supplied.sent > 0

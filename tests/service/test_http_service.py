@@ -333,6 +333,27 @@ class TestCampaignsOverHttp:
 
         asyncio.run(scenario())
 
+    def test_unbounded_layers_is_400(self, tmp_path):
+        arch = {**ARCH, "layers": 10**6}
+
+        async def scenario():
+            server = HttpServer(SOSEvaluationService(_config(tmp_path)))
+            async with server:
+                for path, body in (
+                    ("/eval", {"architecture": arch, "attack": ATTACK}),
+                    ("/sweep", {"scenarios": {"a": ATTACK},
+                                "layers": [10**6]}),
+                    ("/campaign", {"architecture": arch, "attack": ATTACK,
+                                   "trials": 4, "seed": 5}),
+                ):
+                    status, _h, reply = await _request(
+                        server, "POST", path, body=body
+                    )
+                    assert status == 400, (path, reply)
+                    assert "layers" in reply["error"]
+
+        asyncio.run(scenario())
+
     def test_campaign_with_retired_scalar_tier_is_400(self, tmp_path):
         async def scenario():
             server = HttpServer(SOSEvaluationService(_config(tmp_path)))

@@ -56,10 +56,14 @@ from repro.perf.compiled import (
     compiled_backend,
     poisson_sampler,
 )
-from repro.perf.fastsim import encode_deployment, run_fast
+from repro.perf.fastsim import encode_deployment
 from repro.scenarios.runner import run_scenario
 from repro.scenarios.zoo import list_scenarios, load_scenario
-from repro.simulation.packet_sim import PacketSimConfig, flood_layer
+from repro.simulation.packet_sim import (
+    PacketLevelSimulation,
+    PacketSimConfig,
+    flood_layer,
+)
 from repro.sos.deployment import SOSDeployment
 
 LADDER_VERSION = 1
@@ -93,14 +97,12 @@ def _prepare_flooded(
     )
     deployment = SOSDeployment.deploy(arch, rng=7)
     targets = flood_layer(deployment, layer=1, fraction=0.5, rng=2)
-    arrays = encode_deployment(deployment)
-    contacts = deployment.client_contact_matrix(
-        np.random.default_rng(123), clients
-    )
+    # Fill the encoding's structure cache, so timed rounds re-gather
+    # only the health snapshot.
+    encode_deployment(deployment)
     return {
-        "arrays": arrays,
+        "deployment": deployment,
         "targets": targets,
-        "contacts": contacts,
         "clients": clients,
         "duration": duration,
         "flood_rate": flood_rate,
@@ -116,13 +118,8 @@ def _run_flooded(state: Dict[str, Any], tier: str) -> Tuple[Any, ...]:
         flood_rate=state["flood_rate"],
         tier=tier,
     )
-    report = run_fast(
-        None,
-        config,
-        rng=1,
-        flood_targets=state["targets"],
-        client_contacts=state["contacts"],
-        arrays=state["arrays"],
+    report = PacketLevelSimulation(state["deployment"], config, rng=1).run(
+        flood_targets=state["targets"]
     )
     return (
         report.sent,

@@ -46,8 +46,12 @@ def run_scale_smoke(
     import numpy as np
 
     from repro.core import SOSArchitecture
-    from repro.perf.fastsim import encode_deployment, run_fast
-    from repro.simulation.packet_sim import PacketSimConfig, flood_layer
+    from repro.perf.fastsim import encode_deployment
+    from repro.simulation.packet_sim import (
+        PacketLevelSimulation,
+        PacketSimConfig,
+        flood_layer,
+    )
     from repro.sos.deployment import SOSDeployment
     from repro.utils.seeding import make_rng
 
@@ -85,7 +89,9 @@ def run_scale_smoke(
     )
     start = time.perf_counter()
     targets = flood_layer(deployment, 1, flood_fraction, rng=rng)
-    report = run_fast(deployment, config, rng=rng, flood_targets=targets)
+    report = PacketLevelSimulation(deployment, config, rng=rng).run(
+        flood_targets=targets
+    )
     phases["flooded_fastsim"] = {
         "seconds": time.perf_counter() - start,
         "flood_targets": len(targets),
