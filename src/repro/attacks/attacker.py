@@ -25,7 +25,7 @@ class IntelligentAttacker:
     >>> outcome = IntelligentAttacker().execute(
     ...     deployment, SuccessiveAttack(break_in_budget=40,
     ...                                  congestion_budget=80), rng=5)
-    >>> outcome.total_broken <= 40
+    >>> sum(outcome.broken_per_layer.values()) <= 40
     True
     """
 

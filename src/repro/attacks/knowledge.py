@@ -40,31 +40,9 @@ class AttackerKnowledge:
             if node_id not in self.attempted:
                 self.known_unattacked.add(node_id)
 
-    def learn_disclosure(
-        self, node_ids: Iterable[int], filter_ids: Iterable[int] = ()
-    ) -> None:
-        """Absorb a compromised node's neighbor table.
-
-        Overlap discounting is automatic: nodes already attempted never
-        re-enter the attack pool, and duplicates collapse in the sets.
-        """
-        for node_id in node_ids:
-            self.disclosed.add(node_id)
-            if node_id not in self.attempted:
-                self.known_unattacked.add(node_id)
-        for filter_id in filter_ids:
-            self.disclosed_filters.add(filter_id)
-
     # ------------------------------------------------------------------
     # Attack bookkeeping
     # ------------------------------------------------------------------
-    def record_attempt(self, node_id: int, success: bool) -> None:
-        """Mark a break-in attempt and its outcome."""
-        self.attempted.add(node_id)
-        self.known_unattacked.discard(node_id)
-        if success:
-            self.broken.add(node_id)
-
     def absorb_break_ins(
         self,
         attempted: Iterable[int],
@@ -76,10 +54,11 @@ class AttackerKnowledge:
 
         ``broken`` are the successful attempts; ``disclosed`` and
         ``disclosed_filters`` are what their neighbor tables revealed.
-        The sets end exactly as :meth:`record_attempt` per attempt plus
-        :meth:`learn_disclosure` per success would leave them: a node
-        disclosed by one attempt and attacked by a later one of the same
-        batch is attempted, not known-unattacked.
+        Overlap discounting is automatic: nodes already attempted never
+        re-enter the attack pool, duplicates collapse in the sets, and a
+        node disclosed by one attempt and attacked by a later one of the
+        same batch is attempted, not known-unattacked (the sets end as a
+        replay of the batch attempt by attempt would leave them).
         """
         attempted = set(attempted)
         self.attempted |= attempted

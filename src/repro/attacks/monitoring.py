@@ -80,7 +80,7 @@ class MonitoringAttacker(IntelligentAttacker):
     >>> outcome = MonitoringAttacker().execute(
     ...     deployment, SuccessiveAttack(break_in_budget=40,
     ...                                  congestion_budget=60), rng=2)
-    >>> outcome.total_broken <= 40
+    >>> sum(outcome.broken_per_layer.values()) <= 40
     True
     """
 

@@ -24,11 +24,6 @@ class AttackOutcome:
     congestion_spent: int
     knowledge: AttackerKnowledge
 
-    @property
-    def total_broken(self) -> int:
-        """``N_B`` — successfully compromised overlay nodes."""
-        return sum(self.broken_per_layer.values())
-
     def bad_per_layer(self) -> Dict[int, int]:
         """``s_i`` — bad nodes per layer (broken + congested)."""
         layers = set(self.broken_per_layer) | set(self.congested_per_layer)

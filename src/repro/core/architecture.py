@@ -215,13 +215,6 @@ class SOSArchitecture:
         """Integer layer sizes (largest-remainder rounding) for deployment."""
         return integerize(list(self._layer_sizes))
 
-    def layer_size(self, layer: int) -> float:
-        """Size of 1-indexed ``layer`` (``layers + 1`` selects the filters)."""
-        self._check_layer_index(layer)
-        if layer == self.layers + 1:
-            return float(self.filters)
-        return self._layer_sizes[layer - 1]
-
     def mapping_degree(self, layer: int) -> int:
         """Mapping degree ``m_layer`` toward 1-indexed ``layer``."""
         self._check_layer_index(layer)

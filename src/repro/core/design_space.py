@@ -8,7 +8,6 @@ on the anticipated attack mix. This module operationalizes that:
 * :func:`enumerate_designs` — build the (L, mapping, distribution) grid;
 * :func:`evaluate_designs` — score every design against a set of attack
   scenarios (worst case or weighted average across scenarios);
-* :func:`best_design` — argmax over the grid;
 * :func:`tradeoff_frontier` — Pareto frontier between resilience to a
   break-in-heavy scenario and a congestion-heavy scenario, exhibiting the
   trade-off the paper describes qualitatively.
@@ -17,7 +16,7 @@ on the anticipated attack mix. This module operationalizes that:
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.architecture import MAX_LAYERS, SOSArchitecture
 from repro.core.attack_models import OneBurstAttack, SuccessiveAttack
@@ -144,29 +143,6 @@ def evaluate_designs(
         )
     scores.sort(key=lambda s: s.aggregate, reverse=True)
     return scores
-
-
-def best_design(
-    scenarios: Dict[str, Attack],
-    layers: Iterable[int] = range(1, 9),
-    mappings: Sequence[str] = DEFAULT_MAPPINGS,
-    distributions: Sequence[Union[str, NodeDistribution]] = ("even",),
-    aggregate: str = "min",
-    **grid_kwargs: Any,
-) -> DesignScore:
-    """Best design on the grid for the given scenarios.
-
-    Examples
-    --------
-    >>> from repro.core.attack_models import SuccessiveAttack
-    >>> score = best_design({"default": SuccessiveAttack()})
-    >>> score.architecture.mapping_policy.label
-    'one-to-2'
-    """
-    designs = enumerate_designs(
-        layers=layers, mappings=mappings, distributions=distributions, **grid_kwargs
-    )
-    return evaluate_designs(designs, scenarios, aggregate=aggregate)[0]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -140,10 +140,6 @@ class ResultStore:
             return None
         return self._clock() - entry.stored_at
 
-    def invalidate(self, key: Hashable) -> bool:
-        """Drop ``key`` entirely; True when it existed."""
-        return self._entries.pop(key, None) is not None
-
     def clear(self) -> None:
         self._entries.clear()
 

@@ -29,7 +29,17 @@ bit-comparable across modes (they diverge only through repair).
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Callable, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -43,7 +53,6 @@ from repro.detection.marking import (
 )
 from repro.detection.monitor import MonitorConfig, TrafficMonitor
 from repro.errors import DetectionError
-from repro.perf.compiled import TIERS
 from repro.repair.policy import RepairPolicy
 from repro.repair.defender import RepairingDefender
 from repro.simulation.packet_sim import (
@@ -134,26 +143,18 @@ class DetectionRepairLoop:
         policy: RepairPolicy,
         marking_config: Optional[MarkingConfig] = None,
         seed: Optional[int] = None,
-        tier: Optional[str] = None,
     ) -> None:
         if policy.is_noop:
             raise DetectionError(
                 "repair policy is a no-op (detection_probability <= 0); "
                 "detector-driven repair needs detection_probability=1.0"
             )
-        if tier is not None:
-            if tier not in TIERS:
-                raise DetectionError(
-                    f"tier must be one of {TIERS}, got {tier!r}"
-                )
-            sim_config = dataclasses.replace(sim_config, tier=tier)
         self.architecture = architecture
         self.sim_config = sim_config
         self.monitor_config = monitor_config
         self.policy = policy
         self.marking_config = marking_config
         self.seed = seed
-        self.tier = tier
 
     def run(
         self,
@@ -163,12 +164,7 @@ class DetectionRepairLoop:
         flood_fraction: float = 0.5,
     ) -> LoopResult:
         """Run ``phases`` flood phases under the given repair ``mode``."""
-        if mode not in LOOP_MODES:
-            raise DetectionError(
-                f"mode must be one of {LOOP_MODES}, got {mode!r}"
-            )
-        if phases < 1:
-            raise DetectionError(f"phases must be >= 1, got {phases}")
+        _check_campaign(mode, phases)
         seeds = np.random.SeedSequence(self.seed).spawn(3 + phases)
         deployment = SOSDeployment.deploy(
             self.architecture, rng=make_rng(seeds[0])
@@ -186,6 +182,43 @@ class DetectionRepairLoop:
             graph = build_attack_graph(targets, self.marking_config)
             collector = MarkCollector(graph, self.marking_config)
 
+        outcomes = self._run_phases(
+            deployment,
+            targets,
+            mode,
+            seeds,
+            lambda phase, active, repaired: {"flood_targets": active},
+            collector=collector,
+        )
+        return LoopResult(
+            mode=mode,
+            outcomes=outcomes,
+            initial_targets=tuple(targets),
+            graph=graph,
+            collector=collector,
+        )
+
+    def _run_phases(
+        self,
+        deployment: SOSDeployment,
+        targets: Sequence[int],
+        mode: str,
+        seeds: Sequence[np.random.SeedSequence],
+        phase_inputs: Callable[[int, List[int], Set[int]], Dict[str, Any]],
+        collector: Optional[MarkCollector] = None,
+        abort_check: Optional[Callable[[], None]] = None,
+    ) -> List[PhaseOutcome]:
+        """The detect -> repair phases every campaign runs.
+
+        ``seeds`` is the campaign's fan-out: slot 2 seeds the defender
+        and slot ``3 + phase`` each phase's simulation. A repaired node
+        is re-keyed: the attacker's flood against its old identity no
+        longer lands, so each phase floods the targets minus every node
+        repaired so far. ``phase_inputs(phase, active, repaired)`` gives
+        the phase's :meth:`PacketLevelSimulation.run` keywords;
+        ``collector`` records packet marks during phase 0; ``abort_check``
+        is called before each phase.
+        """
         defender: Optional[RepairingDefender] = None
         oracle_feed: Optional[OracleFloodDetector] = None
         monitor_feed: Optional[MonitorBackedDetector] = None
@@ -200,18 +233,22 @@ class DetectionRepairLoop:
                 self.policy, rng=make_rng(seeds[2]), detector=monitor_feed
             )
 
-        active = list(targets)
+        repaired_so_far: Set[int] = set()
         outcomes: List[PhaseOutcome] = []
-        for phase in range(phases):
+        for phase, phase_seed in enumerate(seeds[3:]):
+            if abort_check is not None:
+                abort_check()
+            active = [n for n in targets if n not in repaired_so_far]
+            inputs = phase_inputs(phase, active, repaired_so_far)
             monitor = TrafficMonitor(self.monitor_config)
             simulation = PacketLevelSimulation(
                 deployment,
                 self.sim_config,
-                rng=make_rng(seeds[3 + phase]),
+                rng=make_rng(phase_seed),
                 monitor=monitor,
                 marking=collector if phase == 0 else None,
             )
-            report = simulation.run(flood_targets=active)
+            report = simulation.run(**inputs)
             flagged = tuple(monitor.flagged_nodes())
 
             repaired: Tuple[int, ...] = ()
@@ -235,19 +272,8 @@ class DetectionRepairLoop:
                     attack_packets=report.attack_packets_absorbed,
                 )
             )
-            # A repaired node is re-keyed: the attacker's flood against
-            # its old identity no longer lands, so it leaves the active
-            # set for later phases.
-            if repaired:
-                gone = set(repaired)
-                active = [n for n in active if n not in gone]
-        return LoopResult(
-            mode=mode,
-            outcomes=outcomes,
-            initial_targets=tuple(targets),
-            graph=graph,
-            collector=collector,
-        )
+            repaired_so_far.update(repaired)
+        return outcomes
 
     # ------------------------------------------------------------------
     # Scenario campaigns
@@ -267,10 +293,9 @@ class DetectionRepairLoop:
         spec's seed (both default to what the spec pins, keeping zoo
         runs reproducible from the JSON alone).
         """
-        resolved_tier = tier if tier is not None else spec.tier
         return cls(
             architecture=spec.build_architecture(),
-            sim_config=spec.sim_config(tier=resolved_tier),
+            sim_config=spec.sim_config(tier=tier),
             monitor_config=(
                 monitor_config if monitor_config is not None else MonitorConfig()
             ),
@@ -280,7 +305,6 @@ class DetectionRepairLoop:
                 else RepairPolicy(detection_probability=1.0)
             ),
             seed=seed,
-            tier=resolved_tier,
         )
 
     def run_scenario(
@@ -305,12 +329,7 @@ class DetectionRepairLoop:
         """
         from repro.scenarios.schedule import compile_scenario
 
-        if mode not in LOOP_MODES:
-            raise DetectionError(
-                f"mode must be one of {LOOP_MODES}, got {mode!r}"
-            )
-        if phases < 1:
-            raise DetectionError(f"phases must be >= 1, got {phases}")
+        _check_campaign(mode, phases)
         if self.marking_config is not None:
             raise DetectionError(
                 "scenario campaigns do not support packet marking; run "
@@ -325,66 +344,26 @@ class DetectionRepairLoop:
             self.architecture, rng=make_rng(seeds[0])
         )
         base = compile_scenario(spec, deployment, salt=0)
-        targets = list(base.schedule.attack_targets)
 
-        defender: Optional[RepairingDefender] = None
-        oracle_feed: Optional[OracleFloodDetector] = None
-        monitor_feed: Optional[MonitorBackedDetector] = None
-        if mode == "oracle":
-            oracle_feed = OracleFloodDetector(targets)
-            defender = RepairingDefender(
-                self.policy, rng=make_rng(seeds[2]), detector=oracle_feed
-            )
-        elif mode == "detected":
-            monitor_feed = MonitorBackedDetector()
-            defender = RepairingDefender(
-                self.policy, rng=make_rng(seeds[2]), detector=monitor_feed
-            )
-
-        repaired_union: Set[int] = set()
-        outcomes: List[PhaseOutcome] = []
-        for phase in range(phases):
-            if abort_check is not None:
-                abort_check()
+        def phase_inputs(
+            phase: int, active: List[int], repaired: Set[int]
+        ) -> Dict[str, Any]:
             compiled = (
                 base
                 if phase == 0
                 else compile_scenario(spec, deployment, salt=phase)
             )
-            schedule = compiled.schedule.without_targets(repaired_union)
-            active = [n for n in targets if n not in repaired_union]
-            monitor = TrafficMonitor(self.monitor_config)
-            simulation = PacketLevelSimulation(
-                deployment,
-                self.sim_config,
-                rng=make_rng(seeds[3 + phase]),
-                monitor=monitor,
-            )
-            report = simulation.run(schedule=schedule)
-            flagged = tuple(monitor.flagged_nodes())
+            return {"schedule": compiled.schedule.without_targets(repaired)}
 
-            repaired: Tuple[int, ...] = ()
-            if defender is not None:
-                if oracle_feed is not None:
-                    oracle_feed.retarget(active)
-                if monitor_feed is not None:
-                    monitor_feed.attach(monitor, flagged)
-                defender.scan_and_repair(
-                    deployment, knowledge=None, now=float(phase)
-                )
-                repaired = tuple(defender.last_repaired)
-            outcomes.append(
-                PhaseOutcome(
-                    phase=phase,
-                    delivery_ratio=report.delivery_ratio,
-                    flooded=tuple(active),
-                    flagged=flagged,
-                    repaired=repaired,
-                    sent=report.sent,
-                    attack_packets=report.attack_packets_absorbed,
-                )
-            )
-            repaired_union.update(repaired)
+        targets = list(base.schedule.attack_targets)
+        outcomes = self._run_phases(
+            deployment,
+            targets,
+            mode,
+            seeds,
+            phase_inputs,
+            abort_check=abort_check,
+        )
         return LoopResult(
             mode=mode,
             outcomes=outcomes,
@@ -393,3 +372,12 @@ class DetectionRepairLoop:
             collector=None,
             scenario=spec.name,
         )
+
+
+def _check_campaign(mode: str, phases: int) -> None:
+    if mode not in LOOP_MODES:
+        raise DetectionError(
+            f"mode must be one of {LOOP_MODES}, got {mode!r}"
+        )
+    if phases < 1:
+        raise DetectionError(f"phases must be >= 1, got {phases}")

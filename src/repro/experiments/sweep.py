@@ -4,13 +4,12 @@ The per-figure modules hard-code the paper's exact grids; this module is
 the general tool users reach for afterwards ("what if *my* attacker runs
 five rounds and knows half the first layer?"):
 
-* :func:`attack_sweep` — vary one attack parameter, everything else fixed;
-* :func:`architecture_sweep` — vary one design feature;
-* :func:`grid_sweep` — full cross of one attack and one design parameter,
-  returned as a :class:`SweepGrid` with row/column views and an ASCII
-  heat table.
+:func:`grid_sweep` crosses one design parameter with one attack
+parameter and returns a :class:`SweepGrid`; its :meth:`SweepGrid.row`
+and :meth:`SweepGrid.column` views are the one-dimensional sweeps (a
+one-value axis varies only the other parameter).
 
-All sweeps evaluate the analytical model, whole grids at once through
+The sweep evaluates the analytical model, the whole grid at once through
 the batch kernel (:mod:`repro.perf.batch`), which is an order of
 magnitude faster on large grids than a per-point :func:`evaluate` loop
 and agrees with it to within 1e-12 (``tests/perf``). Monte Carlo
@@ -86,60 +85,6 @@ def _replace(instance, parameter: str, value):
     return dataclasses.replace(instance, **{parameter: value})
 
 
-def _evaluate_points(
-    architectures: List[SOSArchitecture], attacks: List[Attack]
-) -> List[float]:
-    """Evaluate paired points in one batch."""
-    return [float(value) for value in evaluate_batch(architectures, attacks)]
-
-
-def attack_sweep(
-    architecture: SOSArchitecture,
-    base_attack: Attack,
-    parameter: str,
-    values: Sequence[Any],
-) -> SweepResult:
-    """Sweep one attack parameter against a fixed architecture.
-
-    Examples
-    --------
-    >>> from repro.core import SOSArchitecture, SuccessiveAttack
-    >>> result = attack_sweep(SOSArchitecture(layers=4, mapping="one-to-two"),
-    ...                       SuccessiveAttack(), "rounds", [1, 2, 3])
-    >>> result.p_s[0] >= result.p_s[-1]
-    True
-    """
-    if not values:
-        raise ExperimentError("values must be non-empty")
-    attacks = [_replace(base_attack, parameter, value) for value in values]
-    outcomes = _evaluate_points([architecture] * len(attacks), attacks)
-    return SweepResult(
-        parameter=parameter, values=tuple(values), p_s=tuple(outcomes)
-    )
-
-
-def architecture_sweep(
-    base_architecture: SOSArchitecture,
-    attack: Attack,
-    parameter: str,
-    values: Sequence[Any],
-) -> SweepResult:
-    """Sweep one design feature against a fixed attack.
-
-    Infeasible design points (e.g. too many layers for the node count)
-    raise; filter them beforehand or catch ``ConfigurationError``.
-    """
-    if not values:
-        raise ExperimentError("values must be non-empty")
-    designs = [
-        _replace(base_architecture, parameter, value) for value in values
-    ]
-    outcomes = _evaluate_points(designs, [attack] * len(designs))
-    return SweepResult(
-        parameter=parameter, values=tuple(values), p_s=tuple(outcomes)
-    )
-
-
 def grid_sweep(
     base_architecture: SOSArchitecture,
     base_attack: Attack,
@@ -153,6 +98,15 @@ def grid_sweep(
     The full grid is evaluated in one batch; on grids of a thousand
     points and up that is typically >= 5x faster than a per-point
     :func:`~repro.core.model.evaluate` loop (``benchmarks/bench_batch.py``).
+
+    Examples
+    --------
+    >>> from repro.core import SOSArchitecture, SuccessiveAttack
+    >>> grid = grid_sweep(SOSArchitecture(layers=4, mapping="one-to-two"),
+    ...                   SuccessiveAttack(), "layers", [4], "rounds", [1, 2, 3])
+    >>> by_rounds = grid.row(4)
+    >>> by_rounds.p_s[0] >= by_rounds.p_s[-1]
+    True
     """
     if not architecture_values or not attack_values:
         raise ExperimentError("both value lists must be non-empty")
@@ -170,7 +124,9 @@ def grid_sweep(
         for attack in attacks:
             flat_designs.append(design)
             flat_attacks.append(attack)
-    outcomes = _evaluate_points(flat_designs, flat_attacks)
+    outcomes = [
+        float(value) for value in evaluate_batch(flat_designs, flat_attacks)
+    ]
     columns = len(attacks)
     rows: List[Tuple[float, ...]] = [
         tuple(outcomes[start : start + columns])

@@ -224,10 +224,6 @@ class OverlayStore:
             return 0
         return int(self._bad_per_layer[layer])
 
-    def census(self) -> np.ndarray:
-        """Counts per health code (length 4, ``HEALTH_*`` order)."""
-        return np.bincount(self.health, minlength=4)
-
     def recompute_counters(self) -> None:
         """Rebuild the per-layer counters from the columns (bulk ops)."""
         layers = self.layer.astype(np.int64)

@@ -22,8 +22,8 @@ Supported operations:
 * bulk :meth:`ChordRing.build` with exact routing state;
 * incremental :meth:`ChordRing.join` followed by :meth:`ChordRing.stabilize`
   rounds (``stabilize``/``notify``/``fix_fingers`` from the paper's Fig. 6);
-* node failure (:meth:`ChordRing.fail`) and graceful departure
-  (:meth:`ChordRing.leave`), with lookups routing around dead nodes;
+* crash failure (:meth:`ChordRing.fail`), with lookups routing around
+  dead nodes;
 * iterative :meth:`ChordRing.lookup` returning the full hop path, so tests
   can assert the O(log N) bound, and :meth:`ChordRing.lookup_batch`, one
   hop-synchronous numpy loop that matches it query for query.
@@ -451,19 +451,6 @@ class ChordRing:
             index = 0
         return self._alive_sorted[index]
 
-    def _ideal_predecessor(self, node_id: int) -> int:
-        index = bisect_left(self._alive_sorted, node_id)
-        return self._alive_sorted[index - 1]
-
-    def _ideal_successor_list(self, node_id: int) -> List[int]:
-        ring = self._alive_sorted
-        index = bisect_right(ring, node_id)
-        length = min(self.successor_list_length, max(1, len(ring) - 1) if len(ring) > 1 else 1)
-        result = []
-        for offset in range(length):
-            result.append(ring[(index + offset) % len(ring)])
-        return result
-
     def find_successor(self, key: int) -> int:
         """Ground-truth owner of ``key`` among live nodes."""
         key = self.space.validate(key)
@@ -536,23 +523,6 @@ class ChordRing:
         self._alive_set.discard(node_id)
         if not self._alive_sorted:
             raise RoutingError("last live node failed; ring is empty")
-
-    def leave(self, node_id: int) -> None:
-        """Graceful departure: hand pointers over before going away."""
-        node = self.node(node_id)
-        if not node.alive:
-            return
-        self._invalidate_batch_cache()
-        predecessor_id = self._ideal_predecessor(node_id)
-        successor_id = self._ideal_successor((node_id + 1) % self.space.size)
-        self.fail(node_id)
-        if predecessor_id != node_id:
-            predecessor = self._node_view(predecessor_id)
-            predecessor.successor_list = self._ideal_successor_list(predecessor_id)
-        if successor_id != node_id:
-            successor = self._node_view(successor_id)
-            if successor.predecessor == node_id:
-                successor.predecessor = predecessor_id if predecessor_id != node_id else None
 
     # ------------------------------------------------------------------
     # Stabilization protocol (Chord Fig. 6)

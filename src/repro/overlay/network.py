@@ -14,7 +14,7 @@ objects, while the object API keeps working unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List
 
 import numpy as np
 
@@ -42,8 +42,8 @@ class OverlayNetwork:
     >>> network = OverlayNetwork(100, rng=7)
     >>> len(network)
     100
-    >>> node = network.random_nodes(1)[0]
-    >>> network.get(node.node_id) is node
+    >>> node_id = network.node_ids[0]
+    >>> network.get(node_id).node_id == node_id
     True
     """
 
@@ -164,31 +164,6 @@ class OverlayNetwork:
     # ------------------------------------------------------------------
     # Sampling and mutation
     # ------------------------------------------------------------------
-    def random_nodes(
-        self,
-        count: int,
-        rng: SeedLike = None,
-        exclude: Optional[Sequence[int]] = None,
-    ) -> List[OverlayNode]:
-        """Sample ``count`` distinct nodes uniformly at random.
-
-        ``exclude`` removes identifiers from the candidate pool; asking for
-        more nodes than remain raises :class:`ConfigurationError`.
-        """
-        generator = self._rng if rng is None else make_rng(rng)
-        if exclude:
-            excluded = np.asarray(sorted(set(exclude)), dtype=np.int64)
-            keep = ~np.isin(self.store.ids, excluded)
-            pool_rows = np.flatnonzero(keep)
-        else:
-            pool_rows = np.arange(len(self.store))
-        if count > len(pool_rows):
-            raise ConfigurationError(
-                f"cannot sample {count} nodes from a pool of {len(pool_rows)}"
-            )
-        chosen = generator.choice(len(pool_rows), size=count, replace=False)
-        return [self._view(int(pool_rows[int(i)])) for i in chosen]
-
     def reset_health(self) -> None:
         """Restore every node to GOOD (fresh trial in Monte Carlo runs)."""
         self.store.reset_health()

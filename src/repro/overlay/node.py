@@ -19,7 +19,7 @@ works — it allocates a private single-row store.
 from __future__ import annotations
 
 import enum
-from typing import FrozenSet, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.overlay import arrays as _arrays
@@ -185,15 +185,6 @@ class OverlayNode:
     # ------------------------------------------------------------------
     # Transitions
     # ------------------------------------------------------------------
-    def compromise(self) -> FrozenSet[int]:
-        """Break into the node; returns the disclosed neighbor identifiers.
-
-        Compromising is idempotent; a congested node can still be broken
-        into (the attacker would not bother, but the model allows it).
-        """
-        self._store.set_health(self._row, _arrays.HEALTH_COMPROMISED)
-        return frozenset(self.neighbors)
-
     def congest(self) -> None:
         """Flood the node. Compromised nodes stay compromised (the paper's
         attacker never wastes congestion resources on nodes it owns)."""

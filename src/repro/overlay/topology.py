@@ -9,8 +9,8 @@ although hard to analyze." This module provides that substrate:
   vertices are underlay routers with link latencies;
 * overlay nodes are attached to random routers; the latency of an overlay
   hop is the shortest-path latency between the two routers;
-* link failures (:meth:`UnderlayTopology.fail_link`) partition or lengthen
-  paths; :meth:`overlay_hop_latency` returns ``inf`` when the endpoints are
+* link failures (:meth:`UnderlayTopology.fail_random_links`) partition
+  or lengthen paths; :meth:`overlay_hop_latency` returns ``inf`` when the endpoints are
   disconnected, which the latency and routing layers interpret as an
   unusable hop.
 
@@ -205,13 +205,6 @@ class UnderlayTopology:
     # ------------------------------------------------------------------
     # Underlay attacks
     # ------------------------------------------------------------------
-    def fail_link(self, u: int, v: int) -> None:
-        """Cut one underlay link (e.g. a cable cut or a saturated trunk)."""
-        if not self.graph.has_edge(u, v):
-            raise RoutingError(f"no link between routers {u} and {v}")
-        self.graph.remove_edge(u, v)
-        self._distance_cache = None
-
     def fail_random_links(self, count: int) -> List[Tuple[int, int]]:
         """Cut ``count`` uniformly random links; returns the cut set."""
         edges = list(self.graph.edges)

@@ -39,7 +39,7 @@ from repro.service.admission import (
     QueueTimeout,
     Shed,
 )
-from repro.service.deadline import NO_DEADLINE, Deadline
+from repro.service.deadline import Deadline
 from repro.service.jobs import canonical_key, validate_payload
 from repro.service.metrics import ServiceMetrics
 from repro.service.pool import JobResult, PoolConfig, WorkerPool
@@ -197,7 +197,7 @@ class SOSEvaluationService:
                 if kind == "sweep"
                 else self.config.default_deadline_ms
             )
-        return Deadline.from_timeout_ms(float(raw))
+        return Deadline.from_timeout_ms(raw)
 
     def _priority_for(self, kind: str, body: Dict[str, Any]) -> str:
         requested = body.get("priority")
@@ -220,10 +220,10 @@ class SOSEvaluationService:
     ) -> Response:
         try:
             validate_payload(kind, body)
+            deadline = self._deadline_for(kind, body, headers)
         except ReproError as exc:
             self.metrics.incr("http.bad_request")
             return 400, {"error": str(exc)}, {}
-        deadline = self._deadline_for(kind, body, headers)
         key = canonical_key(kind, body)
 
         cached = self.store.lookup(key)
@@ -335,6 +335,7 @@ class SOSEvaluationService:
     async def _submit_campaign(self, body: Dict[str, Any]) -> Response:
         try:
             validate_payload("campaign", body)
+            deadline = Deadline.from_timeout_ms(body.get("deadline_ms"))
         except ReproError as exc:
             self.metrics.incr("http.bad_request")
             return 400, {"error": str(exc)}, {}
@@ -348,11 +349,6 @@ class SOSEvaluationService:
             # Idempotent resubmission: same payload, same campaign.
             return 200, self._campaign_view(existing), {}
 
-        deadline = (
-            Deadline.from_timeout_ms(float(body["deadline_ms"]))
-            if body.get("deadline_ms") is not None
-            else NO_DEADLINE
-        )
         payload = self._job_payload("campaign", body)
         payload["checkpoint_path"] = os.path.join(
             self.spool_dir, f"campaign_{campaign_id}.json"

@@ -18,8 +18,9 @@ compare across processes). Every stage consults the same object:
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import ServiceError
 
@@ -48,24 +49,40 @@ class Deadline:
         """Deadline ``seconds`` from now; None means unbounded."""
         if seconds is None:
             return cls(at=None, clock=clock)
-        if seconds <= 0:
-            raise ServiceError(f"deadline must be > 0 seconds, got {seconds}")
+        if not 0 < seconds < math.inf:
+            raise ServiceError(
+                f"deadline must be finite and > 0 seconds, got {seconds}"
+            )
         return cls(at=clock() + seconds, clock=clock)
 
     @classmethod
     def from_timeout_ms(
         cls,
-        timeout_ms: Optional[float],
+        timeout_ms: Any,
         clock: Callable[[], float] = time.monotonic,
     ) -> "Deadline":
-        """Deadline from a client-supplied millisecond budget."""
+        """Deadline from a client-supplied millisecond budget.
+
+        The one parser of a client's budget (a JSON ``deadline_ms`` or an
+        ``X-Deadline-Ms`` header): a number or numeric string, finite
+        and > 0; anything else raises :class:`ServiceError`.
+        """
         if timeout_ms is None:
             return cls(at=None, clock=clock)
-        return cls.after(float(timeout_ms) / 1000.0, clock=clock)
-
-    @property
-    def unbounded(self) -> bool:
-        return self.at is None
+        milliseconds = math.nan
+        if isinstance(timeout_ms, (int, float, str)) and not isinstance(
+            timeout_ms, bool
+        ):
+            try:
+                milliseconds = float(timeout_ms)
+            except (ValueError, OverflowError):
+                pass
+        if not 0 < milliseconds < math.inf:
+            raise ServiceError(
+                "deadline_ms must be a finite number of milliseconds > 0, "
+                f"got {timeout_ms!r}"
+            )
+        return cls.after(milliseconds / 1000.0, clock=clock)
 
     def remaining(self) -> Optional[float]:
         """Seconds left (may be negative once expired); None if unbounded."""

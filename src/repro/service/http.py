@@ -61,13 +61,21 @@ def _encode_response(
     return head + payload
 
 
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One line; a line past the reader's buffer limit is a ServiceError."""
+    try:
+        return await reader.readline()
+    except ValueError as exc:  # asyncio.LimitOverrunError, re-raised
+        raise ServiceError(f"request line too long: {exc}") from exc
+
+
 async def _read_request(
     reader: asyncio.StreamReader,
 ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
     """Parse one request; None on clean EOF; ServiceError on bad input."""
     try:
         request_line = await asyncio.wait_for(
-            reader.readline(), timeout=IDLE_TIMEOUT
+            _read_line(reader), timeout=IDLE_TIMEOUT
         )
     except asyncio.TimeoutError:
         return None
@@ -81,7 +89,7 @@ async def _read_request(
     headers: Dict[str, str] = {}
     total = len(request_line)
     while True:
-        line = await reader.readline()
+        line = await _read_line(reader)
         total += len(line)
         if total > MAX_HEADER_BYTES:
             raise ServiceError("headers exceed limit")
@@ -96,11 +104,10 @@ async def _read_request(
     body = b""
     length = headers.get("content-length")
     if length is not None:
-        try:
-            size = int(length)
-        except ValueError as exc:
-            raise ServiceError(f"bad Content-Length {length!r}") from exc
-        if size < 0 or size > MAX_BODY_BYTES:
+        if not (length.isascii() and length.isdigit()):
+            raise ServiceError(f"bad Content-Length {length!r}")
+        size = int(length)
+        if size > MAX_BODY_BYTES:
             raise ServiceError(f"body size {size} outside [0, {MAX_BODY_BYTES}]")
         body = await reader.readexactly(size)
     return method.upper(), path, headers, body

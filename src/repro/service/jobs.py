@@ -22,7 +22,7 @@ admission, so malformed requests cost a 400 — never a worker round-trip.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.architecture import SOSArchitecture
 from repro.core.attack_models import OneBurstAttack, SuccessiveAttack
@@ -75,9 +75,12 @@ def build_architecture(payload: Dict[str, Any]) -> SOSArchitecture:
             f"unknown architecture fields: {sorted(unknown)}"
         )
     kwargs = dict(payload)
-    if "layer_sizes" in kwargs and kwargs["layer_sizes"] is not None:
-        kwargs["layer_sizes"] = tuple(kwargs["layer_sizes"])
-    return SOSArchitecture(**kwargs)
+    try:
+        if "layer_sizes" in kwargs and kwargs["layer_sizes"] is not None:
+            kwargs["layer_sizes"] = tuple(kwargs["layer_sizes"])
+        return SOSArchitecture(**kwargs)
+    except TypeError as exc:  # a missing 'layers' or a wrongly typed field
+        raise ServiceError(f"invalid architecture: {exc}") from exc
 
 
 def build_attack(payload: Dict[str, Any]) -> "OneBurstAttack | SuccessiveAttack":
@@ -106,6 +109,22 @@ def build_attack(payload: Dict[str, Any]) -> "OneBurstAttack | SuccessiveAttack"
         return SuccessiveAttack(**common, **extra)
     raise ServiceError(
         f"unknown attack kind {kind!r}; expected 'one-burst' or 'successive'"
+    )
+
+
+def _model_inputs(
+    payload: Dict[str, Any],
+) -> "Tuple[SOSArchitecture, OneBurstAttack | SuccessiveAttack]":
+    """The architecture and attack of an ``eval`` or ``campaign`` body.
+
+    Both fields are required; validation and execution read them through
+    this one function, so a body that validates also executes.
+    """
+    for name in ("architecture", "attack"):
+        if name not in payload:
+            raise ServiceError(f"the body needs an {name!r} object")
+    return build_architecture(payload["architecture"]), build_attack(
+        payload["attack"]
     )
 
 
@@ -164,8 +183,7 @@ def validate_payload(kind: str, payload: Dict[str, Any]) -> None:
             # and seed, so the Monte-Carlo fields do not apply.
             _validate_scenario_campaign(payload)
             return
-        build_architecture(payload.get("architecture", {}))
-        build_attack(payload.get("attack", {}))
+        _model_inputs(payload)
         if kind == "campaign":
             _campaign_config(payload, checkpoint_path=None)
         return
@@ -260,10 +278,7 @@ def execute_job(
     if kind == "ping":
         return {"pong": True}
     if kind == "eval":
-        performance = evaluate(
-            build_architecture(payload["architecture"]),
-            build_attack(payload["attack"]),
-        )
+        performance = evaluate(*_model_inputs(payload))
         return {
             "p_s": performance.p_s,
             "broken_in_total": performance.broken_in_total,
@@ -313,9 +328,7 @@ def execute_job(
             return report.to_dict()
         config = _campaign_config(payload, checkpoint_path)
         estimate = MonteCarloEstimator(config).estimate(
-            build_architecture(payload["architecture"]),
-            build_attack(payload["attack"]),
-            abort_check=abort_check,
+            *_model_inputs(payload), abort_check=abort_check
         )
         return {
             "mean": estimate.mean,

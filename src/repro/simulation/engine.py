@@ -59,7 +59,6 @@ class EventScheduler:
         self._queue: List[_ScheduledEvent] = []
         self._sequence = itertools.count()
         self._now = 0.0
-        self._processed = 0
         self._tombstones = 0
 
     @property
@@ -76,16 +75,6 @@ class EventScheduler:
     def queued(self) -> int:
         """Raw heap size, cancelled tombstones included."""
         return len(self._queue)
-
-    @property
-    def tombstones(self) -> int:
-        """Cancelled events still occupying heap slots."""
-        return self._tombstones
-
-    @property
-    def processed(self) -> int:
-        """Number of events executed so far."""
-        return self._processed
 
     def schedule_at(self, time: float, action: Action) -> _ScheduledEvent:
         """Schedule ``action`` at absolute ``time`` (>= now)."""
@@ -154,7 +143,6 @@ class EventScheduler:
             event = heapq.heappop(self._queue)
             self._now = event.time
             event.action()
-            self._processed += 1
             executed += 1
             if executed >= max_events:
                 raise SimulationError(
@@ -177,5 +165,4 @@ class EventScheduler:
         event = heapq.heappop(self._queue)
         self._now = event.time
         event.action()
-        self._processed += 1
         return True

@@ -221,6 +221,7 @@ class PacketLevelSimulation:
         # never perturb earlier ones, so disabling detection leaves every
         # existing stream — and thus every report bit — unchanged.
         self._mark_master = self.rng.spawn(1)[0] if marking is not None else None
+        self._ran = False
 
     def run(
         self,
@@ -247,6 +248,11 @@ class PacketLevelSimulation:
         a classic ``flood_targets`` flood. Packet marking covers only the
         classic flood graph, so combining ``marking`` with a schedule is
         rejected. Every input is validated before any draw.
+
+        A simulation runs once: its flood and routing streams continue
+        from where a first run left them, so a second run would replay
+        the same client arrivals against different draws. It raises
+        :class:`SimulationError`; build a new simulation per run.
         """
         if not fast:
             raise SimulationError(
@@ -254,11 +260,17 @@ class PacketLevelSimulation:
                 "library; it survives as the test oracle in "
                 "tests/perf/event_oracle.py (EventPacketSimulation)"
             )
+        if self._ran:
+            raise SimulationError(
+                "this PacketLevelSimulation has already run; build a new "
+                "one per run"
+            )
         # Looked up at call time, so a wrapper installed on the module
         # attribute (as the benchmark's tracer does) sees every run.
         from repro.perf.fastsim import run_fast
 
         self.report = run_fast(self, flood_targets, schedule)
+        self._ran = True
         return self.report
 
 

@@ -43,10 +43,6 @@ class HopAuthenticator:
         """Highest SOS layer with a key (excludes the client pseudo-layer 0)."""
         return max(self._keys)
 
-    def enroll(self, layer: int, member_id: int) -> None:
-        """Register ``member_id`` as a legitimate layer member."""
-        self.enroll_many(layer, (member_id,))
-
     def enroll_many(self, layer: int, member_ids: Iterable[int]) -> None:
         """Register many legitimate members of ``layer`` at once."""
         self._check_layer(layer)

@@ -133,8 +133,8 @@ class SOSDeployment:
         network.reset_roles()
         network.reset_health()
 
-        # The same draws as ``network.random_nodes`` followed by a shuffle
-        # of the chosen nodes, kept as store rows.
+        # ``count`` distinct rows drawn uniformly without replacement,
+        # then shuffled.
         count = sum(architecture.integer_layer_sizes)
         if count > len(network):
             raise ConfigurationError(

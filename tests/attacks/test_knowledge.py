@@ -14,22 +14,22 @@ class TestLearning:
 
     def test_disclosure_splits_filters(self):
         knowledge = AttackerKnowledge()
-        knowledge.learn_disclosure([10, 11], filter_ids=[900])
+        knowledge.absorb_break_ins((), (), [10, 11], [900])
         assert knowledge.known_unattacked == {10, 11}
         assert knowledge.disclosed_filters == {900}
 
     def test_already_attempted_nodes_not_reattacked(self):
         knowledge = AttackerKnowledge()
-        knowledge.record_attempt(10, success=False)
-        knowledge.learn_disclosure([10, 11])
+        knowledge.absorb_break_ins([10], [])
+        knowledge.absorb_break_ins((), (), [10, 11])
         assert knowledge.known_unattacked == {11}
         # ...but the attacker still knows node 10 is an SOS node.
         assert 10 in knowledge.disclosed
 
     def test_duplicate_disclosures_collapse(self):
         knowledge = AttackerKnowledge()
-        knowledge.learn_disclosure([5])
-        knowledge.learn_disclosure([5])
+        knowledge.absorb_break_ins((), (), [5])
+        knowledge.absorb_break_ins((), (), [5])
         assert knowledge.known_unattacked == {5}
 
 
@@ -37,14 +37,14 @@ class TestAttempts:
     def test_attempt_moves_out_of_pool(self):
         knowledge = AttackerKnowledge()
         knowledge.learn_prior([1])
-        knowledge.record_attempt(1, success=False)
+        knowledge.absorb_break_ins([1], [])
         assert knowledge.known_unattacked == set()
         assert knowledge.attempted == {1}
         assert knowledge.broken == set()
 
     def test_successful_attempt_recorded(self):
         knowledge = AttackerKnowledge()
-        knowledge.record_attempt(2, success=True)
+        knowledge.absorb_break_ins([2], [2])
         assert knowledge.broken == {2}
 
 
@@ -60,21 +60,20 @@ class TestForfeit:
 class TestCongestionTargets:
     def test_disclosed_not_broken(self):
         knowledge = AttackerKnowledge()
-        knowledge.learn_disclosure([1, 2, 3])
-        knowledge.record_attempt(1, success=True)
-        knowledge.record_attempt(2, success=False)
+        knowledge.absorb_break_ins((), (), [1, 2, 3])
+        knowledge.absorb_break_ins([1, 2], [1])
         assert knowledge.congestion_targets == {2, 3}
 
     def test_filters_separate(self):
         knowledge = AttackerKnowledge()
-        knowledge.learn_disclosure([], filter_ids=[7, 8])
+        knowledge.absorb_break_ins((), (), (), [7, 8])
         assert knowledge.congestion_filter_targets == {7, 8}
         assert knowledge.congestion_targets == set()
 
     def test_snapshot_counts(self):
         knowledge = AttackerKnowledge()
-        knowledge.learn_disclosure([1, 2], filter_ids=[9])
-        knowledge.record_attempt(1, success=True)
+        knowledge.absorb_break_ins((), (), [1, 2], [9])
+        knowledge.absorb_break_ins([1], [1])
         snap = knowledge.snapshot()
         assert snap["disclosed"] == 2
         assert snap["broken"] == 1

@@ -6,9 +6,10 @@ the analytical model's overlap discounting relies on (Fig. 5 of the
 paper): the pools must stay disjoint where the derivation assumes
 disjointness, and nothing may be both broken and congestible.
 
-A shadow knowledge base replays every bulk ``absorb_break_ins`` batch
-attempt by attempt (``record_attempt``, then ``learn_disclosure`` for a
-success); the two must agree on every set after every step.
+A shadow knowledge base replays every bulk ``absorb_break_ins`` call
+attempt by attempt through the per-node set updates below (mark the
+attempt, then add a success's disclosures); the two must agree on every
+set after every step.
 """
 
 from __future__ import annotations
@@ -28,6 +29,23 @@ NODE_IDS = st.integers(min_value=0, max_value=60)
 FILTER_IDS = st.integers(min_value=1000, max_value=1010)
 
 
+def replay_disclosure(knowledge, node_ids, filter_ids):
+    """Per-node reference: absorb one neighbor table."""
+    for node_id in node_ids:
+        knowledge.disclosed.add(node_id)
+        if node_id not in knowledge.attempted:
+            knowledge.known_unattacked.add(node_id)
+    knowledge.disclosed_filters.update(filter_ids)
+
+
+def replay_attempt(knowledge, node_id, success):
+    """Per-node reference: mark one break-in attempt and its outcome."""
+    knowledge.attempted.add(node_id)
+    knowledge.known_unattacked.discard(node_id)
+    if success:
+        knowledge.broken.add(node_id)
+
+
 class KnowledgeMachine(RuleBasedStateMachine):
     @initialize()
     def setup(self):
@@ -44,13 +62,13 @@ class KnowledgeMachine(RuleBasedStateMachine):
         filter_ids=st.lists(FILTER_IDS, max_size=3),
     )
     def learn_disclosure(self, node_ids, filter_ids):
-        for knowledge in (self.knowledge, self.replay):
-            knowledge.learn_disclosure(node_ids, filter_ids)
+        self.knowledge.absorb_break_ins((), (), node_ids, filter_ids)
+        replay_disclosure(self.replay, node_ids, filter_ids)
 
     @rule(node_id=NODE_IDS, success=st.booleans())
     def attempt(self, node_id, success):
-        for knowledge in (self.knowledge, self.replay):
-            knowledge.record_attempt(node_id, success)
+        self.knowledge.absorb_break_ins([node_id], [node_id] if success else [])
+        replay_attempt(self.replay, node_id, success)
 
     @rule(
         batch=st.lists(
@@ -73,9 +91,9 @@ class KnowledgeMachine(RuleBasedStateMachine):
             [node for _, _, _, filters in successes for node in filters],
         )
         for node_id, success, nodes, filters in batch:
-            self.replay.record_attempt(node_id, success)
+            replay_attempt(self.replay, node_id, success)
             if success:
-                self.replay.learn_disclosure(nodes, filters)
+                replay_disclosure(self.replay, nodes, filters)
 
     @rule(node_ids=st.lists(NODE_IDS, max_size=8))
     def forfeit(self, node_ids):

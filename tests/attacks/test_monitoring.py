@@ -14,6 +14,7 @@ from repro.attacks import (
 )
 from repro.core import SOSArchitecture, SuccessiveAttack
 from repro.errors import ConfigurationError
+from repro.overlay.node import NodeHealth
 from repro.sos.deployment import SOSDeployment
 
 
@@ -90,9 +91,9 @@ class TestMonitoringAttacker:
         observe = upstream_observer(1.0)
         rng = np.random.default_rng(1)
         victim = deployment.layer_members(2)[0]
-        deployment.network.get(victim).compromise()
+        deployment.network.get(victim).health = NodeHealth.COMPROMISED
         upstream = observe(deployment, victim, rng)
-        knowledge.learn_disclosure(upstream)
+        knowledge.absorb_break_ins((), (), upstream)
         layer_one = set(deployment.layer_members(1))
         assert knowledge.disclosed & layer_one
 

@@ -34,14 +34,14 @@ class TestOneBurst:
         )
         assert outcome.break_in_attempts == 50
         assert outcome.congestion_spent <= 100
-        assert outcome.total_broken <= 50
+        assert sum(outcome.broken_per_layer.values()) <= 50
 
     def test_zero_resources_do_nothing(self):
         deployment = deploy()
         outcome = OneBurstStrategy().execute(
             deployment, OneBurstAttack(0, 0), rng=1
         )
-        assert outcome.total_broken == 0
+        assert sum(outcome.broken_per_layer.values()) == 0
         assert sum(outcome.congested_per_layer.values()) == 0
         assert all(node.is_good for node in deployment.network)
 
@@ -54,7 +54,7 @@ class TestOneBurst:
             rng=1,
         )
         # Every SOS node was attempted (budget == N) and P_B = 1.
-        assert outcome.total_broken == 60
+        assert sum(outcome.broken_per_layer.values()) == 60
 
     def test_p_b_zero_breaks_nothing_but_still_congests_randomly(self):
         deployment = deploy()
@@ -64,7 +64,7 @@ class TestOneBurst:
                            break_in_success=0.0),
             rng=1,
         )
-        assert outcome.total_broken == 0
+        assert sum(outcome.broken_per_layer.values()) == 0
         # With nothing disclosed the congestion is purely random overlay-wide.
         assert outcome.knowledge.congestion_targets == set()
 

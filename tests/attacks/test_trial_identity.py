@@ -103,7 +103,7 @@ def _state(deployment: SOSDeployment, outcome) -> tuple:
         (
             outcome.rounds_executed,
             outcome.break_in_attempts,
-            outcome.total_broken,
+            sum(outcome.broken_per_layer.values()),
             sum(outcome.congested_per_layer.values()),
         ),
         outcome.congestion_spent,

@@ -106,17 +106,12 @@ class TestMappingDegrees:
         assert arch.mapping_degree(1) == 17  # round(33.33 / 2)
         assert arch.mapping_degree(4) == 5  # half of 10 filters
 
-    def test_layer_size_accessor(self):
-        arch = SOSArchitecture(layers=2)
-        assert arch.layer_size(1) == pytest.approx(50.0)
-        assert arch.layer_size(3) == 10.0  # filter layer
-
     def test_layer_index_bounds(self):
         arch = SOSArchitecture(layers=2)
         with pytest.raises(ConfigurationError):
-            arch.layer_size(0)
+            arch.mapping_degree(0)
         with pytest.raises(ConfigurationError):
-            arch.layer_size(4)
+            arch.mapping_degree(4)
         with pytest.raises(ConfigurationError):
             arch.mapping_degree(1.5)  # type: ignore[arg-type]
 

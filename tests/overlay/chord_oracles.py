@@ -11,6 +11,8 @@ rests on.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 
 from repro.overlay.chord import ChordRing
@@ -19,14 +21,19 @@ from repro.overlay.chord import ChordRing
 def rebuild_routing_state_scalar(ring: ChordRing) -> None:
     """Exact fingers, successor lists and predecessors, node by node."""
     ring._invalidate_batch_cache()
-    for node_id in ring.live_node_ids:
+    live = ring.live_node_ids
+    length = min(ring.successor_list_length, max(1, len(live) - 1))
+    for node_id in live:
         node = ring.node(node_id)
         node.fingers = [
             ring._ideal_successor(ring.space.finger_start(node_id, i))
             for i in range(ring.space.bits)
         ]
-        node.successor_list = ring._ideal_successor_list(node_id)
-        node.predecessor = ring._ideal_predecessor(node_id)
+        after = bisect_right(live, node_id)
+        node.successor_list = [
+            live[(after + offset) % len(live)] for offset in range(length)
+        ]
+        node.predecessor = live[bisect_left(live, node_id) - 1]
 
 
 def stabilize_round_from_snapshot(ring: ChordRing) -> None:

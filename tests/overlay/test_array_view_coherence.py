@@ -53,7 +53,13 @@ def brute_force_counts(dep):
 class TestMutationStormCoherence:
     """Random object-API churn never desynchronizes columns or counters."""
 
-    MUTATIONS = ("compromise", "congest", "crash", "restore", "recover")
+    MUTATIONS = (
+        lambda node: setattr(node, "health", NodeHealth.COMPROMISED),
+        lambda node: node.congest(),
+        lambda node: node.crash(),
+        lambda node: node.restore(),
+        lambda node: node.recover(),
+    )
 
     @pytest.mark.parametrize("seed", range(5))
     def test_object_writes_visible_in_columns(self, seed):
@@ -64,7 +70,7 @@ class TestMutationStormCoherence:
             for node_id in rng.choice(members, size=12, replace=False):
                 node = dep.resolve(int(node_id))
                 action = self.MUTATIONS[int(rng.integers(len(self.MUTATIONS)))]
-                getattr(node, action)()
+                action(node)
             # Column truth equals object truth, node by node.
             for node_id in members:
                 node = dep.resolve(node_id)
@@ -95,7 +101,7 @@ class TestMutationStormCoherence:
     def test_counter_recompute_is_idempotent(self):
         dep = deployment()
         store = dep.network.store
-        dep.resolve(dep.sos_member_ids()[0]).compromise()
+        dep.resolve(dep.sos_member_ids()[0]).health = NodeHealth.COMPROMISED
         before = store._bad_per_layer.copy()
         store.recompute_counters()
         assert np.array_equal(store._bad_per_layer, before)
@@ -174,7 +180,10 @@ class TestEncoderBitIdentity:
         rng = make_rng(seed)
         for node_id in rng.choice(dep.sos_member_ids(), size=10, replace=False):
             node = dep.resolve(int(node_id))
-            (node.compromise if rng.random() < 0.5 else node.congest)()
+            if rng.random() < 0.5:
+                node.health = NodeHealth.COMPROMISED
+            else:
+                node.congest()
         fast = encode_deployment(dep)
         oracle = _encode_deployment_objects(dep)
         assert fast.layers == oracle.layers

@@ -224,16 +224,6 @@ class TestFailures:
         for node_id in ring.live_node_ids:
             assert ring.node(node_id).successor in ring
 
-    def test_leave_hands_over_pointers(self):
-        ring = build_ring([1, 18, 36, 99], bits=8)
-        ring.leave(36)
-        assert 36 not in ring
-        assert ring.node(18).successor == 99
-        assert ring.node(99).predecessor == 18
-        result = ring.lookup(30, start=1)
-        assert result.owned if hasattr(result, "owned") else result.owner == 99
-
-
 class TestValidationAndLimits:
     def test_bad_successor_list_length(self):
         with pytest.raises(ConfigurationError):

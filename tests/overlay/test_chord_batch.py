@@ -2,7 +2,7 @@
 
 The batch engine promises *exact* agreement — owners, hop counts, and
 success flags — with the scalar lookup on any ring state: freshly
-built, churned (failures, joins, leaves), stabilized or stale, across
+built, churned (failures and joins), stabilized or stale, across
 identifier-space widths, with and without a warm batch cache. These
 tests sweep random rings through random churn and check every promise,
 plus the vectorized ``rebuild_routing_state`` against its per-node
@@ -34,15 +34,13 @@ def random_ring(rng, bits, size):
 
 
 def churn(ring, rng, rounds=3):
-    """Apply random fails/joins/leaves/stabilizes, keeping >= 2 live."""
+    """Apply random fails/joins/stabilizes, keeping >= 2 live."""
     for _ in range(rounds):
-        action = int(rng.integers(0, 4))
+        action = int(rng.integers(0, 3))
         live = ring.live_node_ids
         if action == 0 and len(live) > 2:
             ring.fail(int(rng.choice(live)))
-        elif action == 1 and len(live) > 2:
-            ring.leave(int(rng.choice(live)))
-        elif action == 2:
+        elif action == 1:
             candidate = int(rng.integers(0, ring.space.size))
             if not ever_joined(ring, candidate):
                 ring.join(candidate)
@@ -134,8 +132,6 @@ def _apply_churn(ring, rng, op):
     live = ring.live_node_ids
     if op == "fail" and len(live) > 1:
         ring.fail(int(rng.choice(live)))
-    elif op == "leave" and len(live) > 1:
-        ring.leave(int(rng.choice(live)))
     elif op == "join":
         candidate = int(rng.integers(0, ring.space.size))
         if candidate not in ring:
@@ -150,7 +146,7 @@ def _apply_churn(ring, rng, op):
     size=st.integers(min_value=1, max_value=40),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     ops=st.lists(
-        st.sampled_from(["fail", "leave", "join", "stabilize"]), max_size=8
+        st.sampled_from(["fail", "join", "stabilize"]), max_size=8
     ),
     cold=st.booleans(),
 )

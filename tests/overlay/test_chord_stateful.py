@@ -1,8 +1,8 @@
 """Stateful property tests: Chord under arbitrary churn.
 
-Hypothesis drives random interleavings of joins, crash failures, graceful
-departures, and stabilization rounds; after stabilization, lookups from
-every live node must agree with the ground-truth successor oracle.
+Hypothesis drives random interleavings of joins, crash failures and
+stabilization rounds; after stabilization, lookups from every live node
+must agree with the ground-truth successor oracle.
 """
 
 from __future__ import annotations
@@ -43,13 +43,6 @@ class ChordChurnMachine(RuleBasedStateMachine):
         # Crash the owner of node_id's position (a live node, arbitrary).
         victim = self.ring.find_successor(node_id)
         self.ring.fail(victim)
-        self.stable = False
-
-    @rule(node_id=IDS)
-    @precondition(lambda self: len(self.ring) > 4)
-    def leave(self, node_id):
-        victim = self.ring.find_successor(node_id)
-        self.ring.leave(victim)
         self.stable = False
 
     @rule()

@@ -31,13 +31,6 @@ class TestOverlayNode:
         node = OverlayNode(node_id=5, address="node-5", sos_layer=2)
         assert node.sos_layer == 2
 
-    def test_compromise_discloses_neighbors(self):
-        node = OverlayNode(node_id=5, address="n", neighbors=(1, 2, 3))
-        disclosed = node.compromise()
-        assert disclosed == frozenset({1, 2, 3})
-        assert node.health is NodeHealth.COMPROMISED
-        assert node.is_bad
-
     def test_congest(self):
         node = OverlayNode(node_id=5, address="n")
         node.congest()
@@ -45,7 +38,7 @@ class TestOverlayNode:
 
     def test_congest_does_not_downgrade_compromised(self):
         node = OverlayNode(node_id=5, address="n")
-        node.compromise()
+        node.health = NodeHealth.COMPROMISED
         node.congest()
         assert node.health is NodeHealth.COMPROMISED
 
@@ -119,7 +112,7 @@ class TestOverlayNetwork:
         network = OverlayNetwork(10, rng=1)
         nodes = list(network)
         nodes[0].congest()
-        nodes[1].compromise()
+        nodes[1].health = NodeHealth.COMPROMISED
         census = Counter(node.health for node in network)
         assert census[NodeHealth.CONGESTED] == 1
         assert census[NodeHealth.COMPROMISED] == 1
@@ -140,22 +133,6 @@ class TestOverlayNetwork:
             node.set_neighbors((1,))
         network.reset_roles()
         assert network.sos_nodes == []
-
-    def test_random_sample_distinct(self):
-        network = OverlayNetwork(50, rng=1)
-        sample = network.random_nodes(20, rng=2)
-        assert len({node.node_id for node in sample}) == 20
-
-    def test_random_sample_respects_exclusions(self):
-        network = OverlayNetwork(50, rng=1)
-        excluded = network.node_ids[:40]
-        sample = network.random_nodes(10, rng=2, exclude=excluded)
-        assert all(node.node_id not in set(excluded) for node in sample)
-
-    def test_random_sample_pool_exhaustion(self):
-        network = OverlayNetwork(5, rng=1)
-        with pytest.raises(ConfigurationError):
-            network.random_nodes(6)
 
     def test_rejects_bad_size(self):
         with pytest.raises(ConfigurationError):

@@ -87,15 +87,6 @@ class TestLatency:
 
 
 class TestLinkFailures:
-    def test_fail_link_removes_edge(self, topology):
-        u, v = next(iter(topology.graph.edges))
-        topology.fail_link(u, v)
-        assert not topology.graph.has_edge(u, v)
-
-    def test_fail_missing_link_rejected(self, topology):
-        with pytest.raises(RoutingError):
-            topology.fail_link(0, 0)
-
     def test_failures_never_shorten_paths(self):
         topo = UnderlayTopology(routers=60, rng=5)
         routers = list(topo.graph.nodes)

@@ -8,7 +8,7 @@ import math
 
 from repro.core import OneBurstAttack, SOSArchitecture, SuccessiveAttack, evaluate
 from repro.core.design_space import enumerate_designs, evaluate_designs
-from repro.experiments.sweep import architecture_sweep, attack_sweep, grid_sweep
+from repro.experiments.sweep import grid_sweep
 
 TOLERANCE = 1e-12
 
@@ -30,7 +30,9 @@ def _assert_close(vector_values, scalar_values):
 class TestSweepEquivalence:
     def test_attack_sweep(self):
         values = [0, 100, 500, 1000, 2000]
-        fast = attack_sweep(ARCH, SUCCESSIVE, "break_in_budget", values)
+        fast = grid_sweep(
+            ARCH, SUCCESSIVE, "layers", [ARCH.layers], "break_in_budget", values
+        ).row(ARCH.layers)
         slow = [
             evaluate(
                 ARCH, dataclasses.replace(SUCCESSIVE, break_in_budget=value)
@@ -41,7 +43,9 @@ class TestSweepEquivalence:
 
     def test_architecture_sweep(self):
         values = [1, 2, 3, 5, 8]
-        fast = architecture_sweep(ARCH, SUCCESSIVE, "layers", values)
+        fast = grid_sweep(
+            ARCH, SUCCESSIVE, "layers", values, "rounds", [SUCCESSIVE.rounds]
+        ).column(SUCCESSIVE.rounds)
         slow = [
             evaluate(dataclasses.replace(ARCH, layers=value), SUCCESSIVE).p_s
             for value in values

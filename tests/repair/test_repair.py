@@ -9,6 +9,7 @@ from repro.attacks import IntelligentAttacker
 from repro.attacks.knowledge import AttackerKnowledge
 from repro.attacks.strategies import SuccessiveStrategy
 from repro.core import SOSArchitecture, SuccessiveAttack, evaluate
+from repro.overlay.node import NodeHealth
 from repro.repair import (
     NO_REPAIR,
     RepairPolicy,
@@ -53,10 +54,9 @@ class TestRepairingDefender:
         knowledge = AttackerKnowledge()
         victims = deployment.layer_members(2)[:5]
         for node_id in victims:
-            deployment.network.get(node_id).compromise()
-            knowledge.record_attempt(node_id, success=True)
-            knowledge.learn_disclosure(
-                deployment.network.get(node_id).neighbors
+            deployment.network.get(node_id).health = NodeHealth.COMPROMISED
+            knowledge.absorb_break_ins(
+                [node_id], [node_id], deployment.network.get(node_id).neighbors
             )
         return deployment, knowledge, victims
 

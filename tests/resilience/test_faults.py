@@ -68,7 +68,7 @@ class TestNodeCrashSemantics:
     def test_crash_only_hits_good_nodes(self):
         dep = deployment()
         node = dep.resolve(dep.sos_member_ids()[0])
-        node.compromise()
+        node.health = NodeHealth.COMPROMISED
         assert node.crash() is False
         assert node.health is NodeHealth.COMPROMISED
 

@@ -45,9 +45,8 @@ class TestDeadline:
     def test_unbounded_never_expires(self):
         assert NO_DEADLINE.remaining() is None
         assert not NO_DEADLINE.expired
-        assert NO_DEADLINE.unbounded
         assert Deadline.after(None).remaining() is None
-        assert not Deadline.after(1.0).unbounded
+        assert Deadline.after(1.0).remaining() is not None
 
     def test_clamp_caps_a_wait_to_the_budget(self):
         clock = FakeClock()

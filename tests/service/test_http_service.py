@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import asyncio
+import json
+import logging
 
 from repro.resilience.breaker import BreakerConfig
 from repro.service import (
@@ -420,3 +422,123 @@ class TestHttpLayer:
                 await writer.wait_closed()
 
         asyncio.run(scenario())
+
+
+async def _raw_exchange(server, request: bytes):
+    """Send raw bytes; return the reply's status code and JSON body."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    try:
+        writer.write(request)
+        await writer.drain()
+        status = int((await reader.readline()).split()[1])
+        length = 0
+        while True:
+            line = await reader.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if line.lower().startswith(b"content-length"):
+                length = int(line.split(b":")[1])
+        return status, json.loads(await reader.readexactly(length))
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+def _no_logged_errors(caplog):
+    return [
+        record.getMessage()
+        for record in caplog.records
+        if record.levelno >= logging.ERROR
+    ]
+
+
+class TestMalformedRequests:
+    """Each malformed request gets a 400 JSON reply, and nothing is
+    logged: no closed connection, no 500, no traceback."""
+
+    TRIALS = {"trials": 4, "seed": 5}
+
+    def test_missing_architecture_or_attack_is_400(self, tmp_path, caplog):
+        async def scenario():
+            server = HttpServer(SOSEvaluationService(_config(tmp_path)))
+            async with server:
+                for path, body in (
+                    ("/eval", {}),
+                    ("/eval", {"architecture": {}}),
+                    ("/eval", {"architecture": {}, "attack": ATTACK}),
+                    ("/eval", {"architecture": ARCH}),
+                    ("/campaign", {**self.TRIALS}),
+                    ("/campaign", {"architecture": {}, **self.TRIALS}),
+                    ("/campaign",
+                     {"architecture": {}, "attack": ATTACK, **self.TRIALS}),
+                    ("/campaign", {"architecture": ARCH, **self.TRIALS}),
+                ):
+                    status, _h, reply = await _request(
+                        server, "POST", path, body=body
+                    )
+                    assert status == 400, (path, body, reply)
+                    assert reply["error"], (path, body)
+
+        asyncio.run(scenario())
+        assert _no_logged_errors(caplog) == []
+
+    def test_bad_deadlines_are_400(self, tmp_path, caplog):
+        async def scenario():
+            server = HttpServer(SOSEvaluationService(_config(tmp_path)))
+            async with server:
+                for value in (0, -5, "abc", [1], True, float("nan"),
+                              float("inf")):
+                    for path, body in (
+                        ("/eval", EVAL_BODY),
+                        ("/campaign", {**EVAL_BODY, **self.TRIALS}),
+                    ):
+                        status, _h, reply = await _request(
+                            server, "POST", path,
+                            body={**body, "deadline_ms": value},
+                        )
+                        assert status == 400, (path, value, reply)
+                        assert "deadline_ms" in reply["error"]
+                status, _h, reply = await _request(
+                    server, "POST", "/eval", body=EVAL_BODY,
+                    headers={"X-Deadline-Ms": "abc"},
+                )
+                assert status == 400, reply
+                assert "deadline_ms" in reply["error"]
+
+        asyncio.run(scenario())
+        assert _no_logged_errors(caplog) == []
+
+    def test_lines_past_the_reader_limit_are_400(self, tmp_path, caplog):
+        long = b"a" * (70 * 1024)
+
+        async def scenario():
+            server = HttpServer(SOSEvaluationService(_config(tmp_path)))
+            async with server:
+                for request in (
+                    b"GET /" + long + b" HTTP/1.1\r\n",
+                    b"GET /healthz HTTP/1.1\r\nX-Pad: " + long + b"\r\n",
+                ):
+                    status, reply = await _raw_exchange(server, request)
+                    assert status == 400
+                    assert "too long" in reply["error"]
+
+        asyncio.run(scenario())
+        assert _no_logged_errors(caplog) == []
+
+    def test_content_length_must_be_ascii_digits(self, tmp_path, caplog):
+        raw = b'{"a": 1}  '
+
+        async def scenario():
+            server = HttpServer(SOSEvaluationService(_config(tmp_path)))
+            async with server:
+                for length in (b"1_0", b"+10"):
+                    status, reply = await _raw_exchange(
+                        server,
+                        b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                        b"Content-Length: " + length + b"\r\n\r\n" + raw,
+                    )
+                    assert status == 400, length
+                    assert "Content-Length" in reply["error"]
+
+        asyncio.run(scenario())
+        assert _no_logged_errors(caplog) == []

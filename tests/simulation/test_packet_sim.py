@@ -278,6 +278,25 @@ class TestOneEngine:
         b = PacketLevelSimulation(deployment(), CONFIG, rng=4).run()
         assert a == b
 
+    def test_second_run_is_refused(self):
+        # A second run would replay the constructor's client arrivals
+        # against continued flood and routing streams.
+        dep = deployment()
+        targets = flood_layer(dep, layer=1, fraction=0.5, rng=2)
+        sim = PacketLevelSimulation(dep, CONFIG, rng=1)
+        first = sim.run(flood_targets=targets)
+        with pytest.raises(SimulationError, match="already run"):
+            sim.run(flood_targets=targets)
+        assert sim.report == first
+
+    def test_rejected_inputs_leave_the_run_unspent(self):
+        dep = deployment()
+        plain = next(n.node_id for n in dep.network if n.sos_layer is None)
+        sim = PacketLevelSimulation(dep, CONFIG, rng=1)
+        with pytest.raises(SimulationError):
+            sim.run(flood_targets=[plain])
+        assert sim.run() == PacketLevelSimulation(dep, CONFIG, rng=1).run()
+
 
 class TestSurgeContacts:
     """Surge sources enter at layer 1, like baseline clients. A contact

@@ -11,8 +11,8 @@ from repro.sos.auth import HopAuthenticator
 @pytest.fixture
 def auth():
     authenticator = HopAuthenticator(layers=3)
-    authenticator.enroll(1, 101)
-    authenticator.enroll(2, 202)
+    authenticator.enroll_many(1, (101,))
+    authenticator.enroll_many(2, (202,))
     return authenticator
 
 
@@ -31,7 +31,7 @@ class TestEnrollment:
 
 class TestVerification:
     def test_wrong_layer_key_rejected(self, auth):
-        auth.enroll(2, 101)
+        auth.enroll_many(2, (101,))
         mac = auth.issue(1, 101, packet_id=7)
         assert not auth.verify(2, 101, 7, mac)
 
@@ -40,7 +40,7 @@ class TestVerification:
         assert not auth.verify(1, 101, 8, mac)
 
     def test_forged_issuer_rejected(self, auth):
-        auth.enroll(1, 102)
+        auth.enroll_many(1, (102,))
         mac = auth.issue(1, 101, packet_id=7)
         assert not auth.verify(1, 102, 7, mac)
 
@@ -58,15 +58,15 @@ class TestDeterministicKeys:
     def test_seeded_authenticators_agree(self):
         a = HopAuthenticator(layers=2, seed_material=b"seed")
         b = HopAuthenticator(layers=2, seed_material=b"seed")
-        a.enroll(1, 5)
-        b.enroll(1, 5)
+        a.enroll_many(1, (5,))
+        b.enroll_many(1, (5,))
         assert a.issue(1, 5, 1) == b.issue(1, 5, 1)
 
     def test_unseeded_authenticators_differ(self):
         a = HopAuthenticator(layers=2)
         b = HopAuthenticator(layers=2)
-        a.enroll(1, 5)
-        b.enroll(1, 5)
+        a.enroll_many(1, (5,))
+        b.enroll_many(1, (5,))
         assert a.issue(1, 5, 1) != b.issue(1, 5, 1)
 
     def test_needs_one_layer(self):

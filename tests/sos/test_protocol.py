@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import SOSArchitecture
+from repro.overlay.node import NodeHealth
 from repro.sos.deployment import SOSDeployment
 from repro.sos.protocol import SOSProtocol
 from repro.sos.roles import Role, role_for_layer
@@ -105,7 +106,7 @@ class TestFailures:
     def test_compromised_node_does_not_route(self, protocol):
         deployment = protocol.deployment
         for node_id in deployment.layer_members(2):
-            deployment.network.get(node_id).compromise()
+            deployment.network.get(node_id).health = NodeHealth.COMPROMISED
         receipt = protocol.send("c", "t", rng=1)
         assert not receipt.delivered
 
